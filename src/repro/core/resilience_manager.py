@@ -102,6 +102,11 @@ class _SplitGather:
         else:
             event.callbacks.append(on_done)
 
+    def post_all(self, positions, events) -> None:
+        """Track the reads posted for ``positions`` (parallel sequences)."""
+        for position, event in zip(positions, events):
+            self.post(position, event)
+
     def wait_valid(self, need: int) -> Event:
         """An event firing when ``need`` valid splits have arrived — or
         when nothing is outstanding anymore (caller decides to escalate)."""
@@ -579,13 +584,10 @@ class ResilienceManager:
         dp = config.datapath
         phases = phases if phases is not None else self.tracer.phases(span)
         if data_splits is not None:
-            posts = list(enumerate(data_splits))  # row views, one per position
+            payloads = data_splits  # row views, one per position
         else:
-            posts = [
-                (position, PhantomSplit(version=version))
-                for position in range(config.k)
-            ]
-        acks = self._post_split_writes(address_range, offset, posts, span)
+            payloads = [PhantomSplit(version=version) for _ in range(config.k)]
+        acks = self._post_splits(address_range, offset, range(config.k), payloads, span)
         succeeded = yield from self._await_acks(acks, need=config.k)
         phases.mark("wait_k", fanout=config.k, acked=succeeded)
         yield Timeout(self.sim, self._completion_k_us)
@@ -642,7 +644,7 @@ class ResilienceManager:
             parity = self.codec.code.encode(data_splits)
         else:
             parity = None
-        posts = []
+        positions, payloads = [], []
         for index in range(config.r):
             position = config.k + index
             if not address_range.handle(position).available:
@@ -653,12 +655,11 @@ class ResilienceManager:
                     self._page_bytes_from_splits(data_splits),
                 )
                 continue
-            if parity is not None:
-                payload = parity[index]
-            else:
-                payload = PhantomSplit(version=version)
-            posts.append((position, payload))
-        acks = self._post_split_writes(address_range, offset, posts, span)
+            positions.append(position)
+            payloads.append(
+                parity[index] if parity is not None else PhantomSplit(version=version)
+            )
+        acks = self._post_splits(address_range, offset, positions, payloads, span)
         if acks:
             yield from self._await_acks(acks, need=len(acks))
         self.events.incr("parity_writes", len(acks))
@@ -696,20 +697,11 @@ class ResilienceManager:
             all_splits = self.codec.code.encode_page(data_splits)
         else:
             all_splits = None
-        acks = self._post_split_writes(
-            address_range,
-            offset,
-            [
-                (
-                    position,
-                    all_splits[position]
-                    if all_splits is not None
-                    else PhantomSplit(version=version),
-                )
-                for position in available
-            ],
-            span,
-        )
+        if all_splits is not None:
+            payloads = [all_splits[position] for position in available]
+        else:
+            payloads = [PhantomSplit(version=version) for _ in available]
+        acks = self._post_splits(address_range, offset, available, payloads, span)
         wait_for = len(acks) if not dp.async_encoding else config.k
         succeeded = yield from self._await_acks(acks, need=wait_for)
         phases.mark("wait_k", fanout=len(acks), acked=succeeded)
@@ -786,7 +778,9 @@ class ResilienceManager:
 
         positions = self.rng.sample(available, fanout)
         gather = _SplitGather(self.sim, self._split_validator(version))
-        self._post_split_reads(address_range, positions, offset, gather, span)
+        gather.post_all(
+            positions, self._post_splits(address_range, offset, positions, span=span)
+        )
 
         escalations = 0
         while len(gather.valid) < config.k:
@@ -795,17 +789,18 @@ class ResilienceManager:
                 break
             # Escalate: everything in flight has landed and we still lack
             # k valid splits — request the untried positions.
-            escalated = False
-            for position in address_range.available_positions():
-                if position not in gather.posted:
-                    gather.post(
-                        position,
-                        self._post_split_read(address_range, position, offset, span),
-                    )
-                    self.events.incr("escalation_reads")
-                    escalations += 1
-                    escalated = True
-            if not escalated and gather.outstanding == 0:
+            untried = [
+                position
+                for position in address_range.available_positions()
+                if position not in gather.posted
+            ]
+            if untried:
+                gather.post_all(
+                    untried, self._post_splits(address_range, offset, untried, span=span)
+                )
+                self.events.incr("escalation_reads", len(untried))
+                escalations += len(untried)
+            elif gather.outstanding == 0:
                 break
         phases.mark("wait_k", valid=len(gather.valid))
         if span is not None and escalations:
@@ -991,12 +986,13 @@ class ResilienceManager:
                 extra = _SplitGather(
                     self.sim, lambda p: isinstance(p, np.ndarray)
                 )
-                for position in extra_positions:
-                    extra.post(
-                        position,
-                        self._post_split_read(address_range, position, offset, span),
-                    )
                 if extra_positions:
+                    extra.post_all(
+                        extra_positions,
+                        self._post_splits(
+                            address_range, offset, extra_positions, span=span
+                        ),
+                    )
                     yield extra.wait_all()
                 splits.update(extra.real_payloads())
 
@@ -1029,7 +1025,7 @@ class ResilienceManager:
                 self._record_error(machine, 1.0, address_range, position)
                 # Heal the stored split in place.
                 payload = self.codec.code.reencode_split(data_splits, position)
-                self._post_split_write(address_range, position, offset, payload, span)
+                self._post_splits(address_range, offset, (position,), (payload,), span)
                 self.events.incr("healed_splits")
             if span is not None:
                 span.set_tag("outcome", "corrected")
@@ -1267,7 +1263,7 @@ class ResilienceManager:
                 )
             else:
                 payload = PhantomSplit(version=version)
-            self._post_split_write(address_range, position, offset, payload)
+            self._post_splits(address_range, offset, (position,), (payload,))
             self.events.incr("catchup_direct_posts")
             return
         self._catchup.setdefault((address_range.range_id, position), {})[
@@ -1463,11 +1459,6 @@ class ResilienceManager:
             return None
         return self.codec.join(data_splits)
 
-    def _payload(self, data_splits, position: int, version: int):
-        if data_splits is not None:
-            return data_splits[position]
-        return PhantomSplit(version=version)
-
     def _endpoint(self, machine_id: int):
         pair = self._endpoints.get(machine_id)
         if pair is None:
@@ -1478,153 +1469,48 @@ class ResilienceManager:
             self._endpoints[machine_id] = pair
         return pair
 
-    def _post_split_write(
-        self,
-        address_range: AddressRange,
-        position: int,
-        offset: int,
-        payload,
-        span: Optional[Span] = None,
-    ) -> Event:
-        handle = address_range.handle(position)
-        machine, qp = self._endpoint(handle.machine_id)
-        return qp.post_write(
-            self.config.split_size,
-            apply=lambda: machine.write_split(handle.slab_id, offset, payload),
-            span=span,
-        )
-
-    def _post_split_read(
-        self,
-        address_range: AddressRange,
-        position: int,
-        offset: int,
-        span: Optional[Span] = None,
-    ) -> Event:
-        handle = address_range.handle(position)
-        machine, qp = self._endpoint(handle.machine_id)
-        return qp.post_read(
-            self.config.split_size,
-            fetch=lambda: machine.read_split(handle.slab_id, offset),
-            span=span,
-        )
-
-    def _post_split_writes(
+    def _post_splits(
         self,
         address_range: AddressRange,
         offset: int,
-        posts,
+        positions,
+        payloads=None,
         span: Optional[Span] = None,
     ) -> List[Event]:
-        """Batched write fan-out: one split write per ``(position, payload)``.
+        """The split fan-out: one one-sided verb per position — a WRITE of
+        ``payloads[i]`` when ``payloads`` is given, else a READ — returning
+        the completion events in posting order.
 
         Walks the verb layers once for the whole fan-out, hoisting the
         handle/endpoint lookups off the per-split path. Verbs are posted in
-        list order, so per-QP completion ordering and RNG draw order are
-        identical to calling :meth:`_post_split_write` in a loop.
-        """
-        if span is not None:
-            return [
-                self._post_split_write(address_range, position, offset, payload, span)
-                for position, payload in posts
-            ]
-        split_size = self.config.split_size
-        slots = address_range.slots
-        endpoints = self._endpoints
-        acks = []
-        append = acks.append
-        for position, payload in posts:
-            handle = slots[position]
-            pair = endpoints.get(handle.machine_id)
-            if pair is None:
-                pair = self._endpoint(handle.machine_id)
-            machine, qp = pair
-            append(
-                qp._post(
-                    split_size,
-                    lambda m=machine, s=handle.slab_id, p=payload: m.write_split(
-                        s, offset, p
-                    ),
-                    True,
-                )
-            )
-        return acks
-
-    def _post_split_reads(
-        self,
-        address_range: AddressRange,
-        positions,
-        offset: int,
-        gather,
-        span: Optional[Span] = None,
-    ) -> None:
-        """Batched read fan-out into ``gather`` — see :meth:`_post_split_writes`."""
-        if span is not None:
-            for position in positions:
-                gather.post(
-                    position,
-                    self._post_split_read(address_range, position, offset, span),
-                )
-            return
-        split_size = self.config.split_size
-        slots = address_range.slots
-        endpoints = self._endpoints
-        post = gather.post
-        for position in positions:
-            handle = slots[position]
-            pair = endpoints.get(handle.machine_id)
-            if pair is None:
-                pair = self._endpoint(handle.machine_id)
-            machine, qp = pair
-            post(
-                position,
-                qp._post(
-                    split_size,
-                    lambda m=machine, s=handle.slab_id: m.read_split(s, offset),
-                    True,
-                ),
-            )
-
-    def _post_split_read_batch(
-        self,
-        address_range: AddressRange,
-        positions,
-        offset: int,
-    ) -> List[Tuple[int, Event]]:
-        """Batched read fan-out returning ``(position, event)`` pairs.
-
-        Same one-pass endpoint walk as :meth:`_post_split_reads`, for
-        callers (recovery, reseal) that await the whole batch instead of
-        streaming arrivals into a gather. Posting order follows
-        ``positions``, so per-QP RNG draw order matches the scalar loop.
+        ``positions`` order, which fixes per-QP completion ordering and RNG
+        draw order.
         """
         split_size = self.config.split_size
         slots = address_range.slots
         endpoints = self._endpoints
-        posted: List[Tuple[int, Event]] = []
-        append = posted.append
-        for position in positions:
+        kind = "read" if payloads is None else "write"
+        events = []
+        append = events.append
+        for index, position in enumerate(positions):
             handle = slots[position]
             pair = endpoints.get(handle.machine_id)
             if pair is None:
                 pair = self._endpoint(handle.machine_id)
             machine, qp = pair
-            append(
-                (
-                    position,
-                    qp._post(
-                        split_size,
-                        lambda m=machine, s=handle.slab_id: m.read_split(s, offset),
-                        True,
-                    ),
+            if payloads is None:
+                action = lambda m=machine, s=handle.slab_id: m.read_split(s, offset)
+            else:
+                action = lambda m=machine, s=handle.slab_id, p=payloads[index]: (
+                    m.write_split(s, offset, p)
                 )
-            )
-        return posted
+            append(qp._post(split_size, action, True, span, kind))
+        return events
 
     def _split_validator(self, version: int):
-        """A single-call closure equivalent of ``_is_valid(p, version)`` —
-        the read gather invokes it once per arrival, so the extra lambda →
-        method indirection is worth flattening."""
+        """Per-read closure telling the gather whether an arrived split
+        counts toward k. Phantom corruption models *detectable*
+        (integrity-checked) corruption; silent corruption needs real mode."""
 
         def valid(payload, _phantom=PhantomSplit, _ndarray=np.ndarray) -> bool:
             if payload is None:
@@ -1634,15 +1520,6 @@ class ResilienceManager:
             return isinstance(payload, _ndarray)
 
         return valid
-
-    def _is_valid(self, payload, version: int) -> bool:
-        if payload is None:
-            return False
-        if isinstance(payload, PhantomSplit):
-            # Phantom corruption models *detectable* (integrity-checked)
-            # corruption; silent corruption needs real mode.
-            return not payload.corrupt and payload.version == version
-        return isinstance(payload, np.ndarray)
 
     def _await_acks(self, events: List[Event], need: int):
         """Wait until ``need`` of ``events`` succeed (or all finish);

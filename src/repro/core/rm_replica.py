@@ -558,11 +558,11 @@ def _recover_page(rm, page_id: int, versions: Tuple[int, ...]):
                 local[position] = payload
     if len(available) + len(local) < config.k:
         return None, False
-    posted = rm._post_split_read_batch(address_range, available, offset)
-    yield from _await_all(rm.sim, [event for _p, event in posted])
+    events = rm._post_splits(address_range, offset, available)
+    yield from _await_all(rm.sim, events)
     arrivals = {
         position: (event._value if event._ok else None)
-        for position, event in posted
+        for position, event in zip(available, events)
     }
     arrivals.update(local)
     if config.payload_mode != "real":

@@ -18,11 +18,8 @@ __all__ = [
     "SingularMatrixError",
     "gf_matmul",
     "gf_matmul_slab",
-    "gf_matmul_rows",
     "gf_row_plan",
-    "gf_apply_row_plan",
     "gf_apply_row_plan_into",
-    "gf_apply_matrix_rows_into",
     "gf_mat_inverse",
     "cauchy_parity_matrix",
     "systematic_generator",
@@ -121,33 +118,8 @@ def gf_matmul_slab(
     return _matmul_slab_numpy(a, src, out)
 
 
-def gf_matmul_rows(a: np.ndarray, rows_b) -> np.ndarray:
-    """``gf_matmul(a, np.stack(rows_b))`` without materializing the stack.
-
-    ``rows_b`` is a sequence of equal-length 1-D uint8 arrays. The per-page
-    decode/verify paths already hold the received splits as separate row
-    vectors; gathering from them in place skips one (k, split) copy per
-    call. Exact same result as stacking first.
-    """
-    out = np.zeros((a.shape[0], rows_b[0].shape[0]), dtype=np.uint8)
-    scratch = np.empty(rows_b[0].shape[0], dtype=np.uint8)
-    for i, coefficients in enumerate(a.tolist()):
-        acc = out[i]
-        for coefficient, b_row in zip(coefficients, rows_b):
-            if coefficient == 0:
-                continue
-            if coefficient == 1:
-                acc ^= b_row
-            else:
-                # ndarray.take into scratch: one gather temp for the whole
-                # product instead of one fresh array per term
-                MUL_TABLE[coefficient].take(b_row, out=scratch)
-                np.bitwise_xor(acc, scratch, out=acc)
-    return out
-
-
 def gf_row_plan(a: np.ndarray):
-    """Precompile ``a`` into a row plan for :func:`gf_apply_row_plan`.
+    """Precompile ``a`` into a row plan for :func:`gf_apply_row_plan_into`.
 
     Decode/encode matrices are tiny, heavily cached, and applied thousands
     of times each; compiling them once moves the zero-scan and the
@@ -167,21 +139,17 @@ def gf_row_plan(a: np.ndarray):
     return plan
 
 
-def gf_apply_row_plan(plan, rows_b) -> np.ndarray:
-    """Apply a :func:`gf_row_plan` to row vectors — same result as
-    ``gf_matmul_rows`` with the planned matrix."""
-    out = np.empty((len(plan), rows_b[0].shape[0]), dtype=np.uint8)
-    return gf_apply_row_plan_into(plan, rows_b, out)
-
-
 def gf_apply_row_plan_into(plan, rows_b, out, scratch=None) -> np.ndarray:
-    """Apply a row plan into the preallocated ``(len(plan), L)`` ``out``.
+    """Apply a :func:`gf_row_plan` to the row vectors ``rows_b`` (a
+    sequence of equal-length 1-D uint8 arrays) into the preallocated
+    ``(len(plan), L)`` ``out`` — same result as ``gf_matmul`` of the
+    planned matrix with the stacked rows.
 
-    The fused form of :func:`gf_apply_row_plan`: every term's table gather
-    lands in ``scratch`` (one ``L``-byte buffer for the whole product,
-    allocated here when the caller doesn't pass one) and accumulates into
-    ``out`` with in-place XOR, so a planned multiply touches no fresh
-    memory beyond what the caller provides. ``out`` is returned.
+    Every term's table gather lands in ``scratch`` (one ``L``-byte buffer
+    for the whole product, allocated here when the caller doesn't pass
+    one) and accumulates into ``out`` with in-place XOR, so a planned
+    multiply touches no fresh memory beyond what the caller provides.
+    ``out`` is returned.
     """
     if scratch is None:
         scratch = np.empty(rows_b[0].shape[0], dtype=np.uint8)
@@ -205,26 +173,6 @@ def gf_apply_row_plan_into(plan, rows_b, out, scratch=None) -> np.ndarray:
                 MUL_TABLE[coefficient].take(rows_b[j], out=scratch)
                 np.bitwise_xor(acc, scratch, out=acc)
     return out
-
-
-def gf_apply_matrix_rows_into(matrix, plan, rows_b, out, scratch=None) -> np.ndarray:
-    """Matrix product over scattered row vectors, into ``out``.
-
-    The per-page hot-path dispatcher: with the native kernel loaded this
-    is one C call over the row pointers (``matrix`` must be the
-    C-contiguous uint8 matrix the ``plan`` was compiled from); otherwise
-    it falls through to :func:`gf_apply_row_plan_into`. Results are
-    byte-identical either way — both run the same MUL_TABLE lookups.
-    """
-    kernel = load_native()
-    if kernel is not None and out.flags.c_contiguous:
-        rows = [
-            row if row.flags.c_contiguous else np.ascontiguousarray(row)
-            for row in rows_b
-        ]
-        kernel.matrix_apply_rows(matrix, rows, out)
-        return out
-    return gf_apply_row_plan_into(plan, rows_b, out, scratch)
 
 
 def gf_mat_inverse(matrix: np.ndarray) -> np.ndarray:

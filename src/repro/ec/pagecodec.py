@@ -8,7 +8,6 @@ parities, and reassemble from any ``k`` shards.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -16,25 +15,9 @@ import numpy as np
 from .rs import ReedSolomonCode
 from .vectorized import correct_pages, decode_pages, encode_pages
 
-__all__ = ["PAGE_SIZE", "BATCH_MIN_PAGES", "PageCodec"]
+__all__ = ["PAGE_SIZE", "PageCodec"]
 
 PAGE_SIZE = 4096  # bytes; the x86 base page the paper codes over
-
-
-def _batch_min() -> int:
-    try:
-        value = int(os.environ.get("REPRO_EC_BATCH_MIN", "1"))
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
-# Batch-vs-scalar crossover: batches smaller than this take the per-page
-# scalar path inside the ``*_batch`` entry points. Both paths are
-# byte-identical (pinned by the property tests), so this is purely a
-# tuning knob for deployments where slab-kernel setup overhead shows up
-# on tiny batches. Default 1 = always batch.
-BATCH_MIN_PAGES = _batch_min()
 
 
 class PageCodec:
@@ -151,8 +134,6 @@ class PageCodec:
         costs zero staging copies. Fallback: gather + ``encode_pages``.
         Both orders of operations run the identical MUL_TABLE lookups.
         """
-        if 0 < len(pages) < BATCH_MIN_PAGES:
-            return np.stack([self.encode(page) for page in pages])
         code = self.code
         native = code._native
         if (
@@ -182,14 +163,6 @@ class PageCodec:
         the payload received at ``indices[j]``. Exact match for per-page
         ``decode``.
         """
-        count = len(payload_stack)
-        if 0 < count < BATCH_MIN_PAGES:
-            return [
-                self.decode(
-                    {index: payload_stack[p, j] for j, index in enumerate(indices)}
-                )
-                for p in range(count)
-            ]
         return self.join_pages(decode_pages(self.code, indices, payload_stack))
 
     def correct_batch(
@@ -206,20 +179,6 @@ class PageCodec:
         exact match for per-page :meth:`correct`, but clean pages ride one
         batched residual check + decode (see ``vectorized.correct_pages``).
         """
-        count = len(payload_stack)
-        if 0 < count < BATCH_MIN_PAGES:
-            pages: List[bytes] = []
-            bad: List[List[int]] = []
-            for p in range(count):
-                received = {
-                    index: payload_stack[p, j] for j, index in enumerate(indices)
-                }
-                page, page_bad = self.correct(
-                    received, max_errors=max_errors, best_effort=best_effort
-                )
-                pages.append(page)
-                bad.append(page_bad)
-            return pages, bad
         data_stack, corrupted = correct_pages(
             self.code,
             indices,

@@ -59,9 +59,7 @@ def discover_shards(
 ) -> List[Tuple[str, Tuple[str, ...]]]:
     """``(shard_name, file_paths)`` for every figure/table module.
 
-    One shard per ``bench_*.py`` in ``bench_dir`` (top level only — the
-    wall-clock suite under ``benchmarks/perf/`` belongs to ``repro
-    perf``), with :data:`CLUSTER_FILES` merged into a ``cluster`` shard.
+    One shard per ``bench_*.py`` in ``bench_dir`` (top level only), with :data:`CLUSTER_FILES` merged into a ``cluster`` shard.
     Sorted by shard name so the decomposition — and therefore the merged
     output order — is deterministic. ``substring`` filters shard names.
     """

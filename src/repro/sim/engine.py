@@ -30,15 +30,15 @@ fixed-width buckets (the *bucket width*, a power of two so the float
 and events beyond the ring's horizon wait in an overflow heap that is
 drained into buckets as the clock approaches them. Inserting an event is an
 O(1) list append; extracting is a batched, sorted drain of one bucket at a
-time. ``Simulator(scheduler="heap")`` selects the reference binary-heap
-scheduler instead — same dispatch order, useful as an oracle in tests.
+time, written once (``Simulator._drain``) and shared by ``run`` and
+``run_until_triggered``.
 
-Dispatch order is a total order in both schedulers: ``(time, seq)`` where
-``seq`` is a monotonically increasing sequence number assigned at
-scheduling. Events at the same instant therefore run in FIFO order of
-scheduling, and the calendar queue is byte-for-byte equivalent to the heap
-(pinned by ``tests/test_scheduler_equivalence.py``). See
-``docs/SCALING.md`` for the design and its invariants.
+Dispatch order is a total order: ``(time, seq)`` where ``seq`` is a
+monotonically increasing sequence number assigned at scheduling. Events at
+the same instant therefore run in FIFO order of scheduling, exactly as
+they would surface from a binary heap (pinned against a heap oracle by
+``tests/test_scheduler_equivalence.py``). See ``docs/SCALING.md`` for the
+design and its invariants.
 
 Example
 -------
@@ -54,9 +54,8 @@ Example
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right as _bisect_right
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 from math import frexp as _frexp
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -218,26 +217,22 @@ class Event:
 
         The scheduled entry is discarded lazily: callbacks are dropped now
         and the eventual pop neither advances the clock nor runs anything.
-        Under the calendar scheduler, cancelled entries are additionally
-        *compacted* — once they outnumber the live entries (and exceed a
-        small floor), one sweep reclaims their bucket and overflow slots so
-        a cancel-heavy workload (timeout races) cannot pin memory until the
-        simulated deadline arrives. Cancelling an event that has not been
-        scheduled (pending) or has already been processed is an error.
+        Cancelled entries are additionally *compacted* — once they
+        outnumber the live entries (and exceed a small floor), one sweep
+        reclaims their bucket and overflow slots so a cancel-heavy workload
+        (timeout races) cannot pin memory until the simulated deadline
+        arrives. Cancelling an event that has not been scheduled (pending)
+        or has already been processed is an error.
         """
         if self._state != _TRIGGERED:
             raise SimulationError(f"cannot cancel {self!r}")
         self._state = _CANCELLED
         self.callbacks = []
         sim = self.sim
-        if not sim._heap_mode:
-            sim._cancel_pending = pending = sim._cancel_pending + 1
-            if pending >= _COMPACT_MIN and pending * 2 > sim._count + len(sim._queue):
-                sim._compact()
+        sim._cancel_pending = pending = sim._cancel_pending + 1
+        if pending >= _COMPACT_MIN and pending * 2 > sim._count + len(sim._queue):
+            sim._compact()
         return self
-
-    def _mark_processed(self) -> None:
-        self._state = _PROCESSED
 
     def __repr__(self) -> str:
         label = self.name or self.__class__.__name__
@@ -265,7 +260,7 @@ class Timeout(Event):
         self.delay = delay
         sim._seq = seq = sim._seq + 1
         when = sim.now + delay
-        if when < sim._limit:  # calendar bucket (heap mode: _limit == -inf)
+        if when < sim._limit:  # calendar bucket
             idx = int(when * sim._inv)
             if idx < sim._cursor:
                 sim._cursor = idx
@@ -453,18 +448,14 @@ class AllOf(_Condition):
 class Simulator:
     """Owns the clock and the event queue.
 
-    The simulator advances time only through :meth:`run` / :meth:`step`;
-    events scheduled at the same instant are processed in FIFO order of
-    scheduling (a monotonically increasing sequence number breaks ties).
-    The dispatch order — ascending ``(time, seq)`` — is identical under
-    both schedulers.
+    The simulator advances time only through :meth:`run` and
+    :meth:`run_until_triggered`; events scheduled at the same instant are
+    processed in FIFO order of scheduling (a monotonically increasing
+    sequence number breaks ties), so the dispatch order is ascending
+    ``(time, seq)``.
 
     Parameters
     ----------
-    scheduler:
-        ``"calendar"`` (default) — bucketed calendar queue with an
-        overflow heap; O(1) amortized insert, batched bucket drains.
-        ``"heap"`` — the reference binary heap. Same dispatch order.
     bucket_width:
         Calendar bucket width in simulated microseconds. Must be a power
         of two (possibly fractional: 0.5, 1.0, 2.0 ...) so that the
@@ -477,48 +468,26 @@ class Simulator:
         as the year advances.
     """
 
-    def __init__(
-        self,
-        scheduler: str = "calendar",
-        bucket_width: float = 2.0,
-        buckets: int = 2048,
-    ):
-        self.now: float = 0.0
-        self._seq = 0
-        # `_queue` is the binary heap: the whole queue in heap mode, the
-        # far-future overflow in calendar mode. Entries are (time, seq, obj)
-        # where obj is an Event, a bare callable, or a list of callables
-        # (one fused `call_later_batch` record, seqs consecutive from seq).
-        self._queue: List[tuple] = []
-        self._scheduler = scheduler
-        self._cancel_pending = 0
-        if scheduler == "heap":
-            self._heap_mode = True
-            # _limit = -inf routes every insert to the heap; the calendar
-            # fields below are never read on the heap paths.
-            self._limit = -_INF
-            self._width = 0.0
-            self._inv = 0.0
-            self._mask = 0
-            self._nbuckets = 0
-            self._buckets: List[list] = []
-            self._cursor = 0
-            self._count = 0
-            return
-        if scheduler != "calendar":
-            raise SimulationError(f"unknown scheduler {scheduler!r}")
+    def __init__(self, bucket_width: float = 2.0, buckets: int = 2048):
         if not (bucket_width > 0 and _frexp(bucket_width)[0] == 0.5):
             raise SimulationError(
                 f"bucket_width must be a positive power of two, got {bucket_width!r}"
             )
         if buckets < 2 or buckets & (buckets - 1):
             raise SimulationError(f"buckets must be a power of two >= 2, got {buckets}")
-        self._heap_mode = False
+        self.now: float = 0.0
+        self._seq = 0
+        # `_queue` is the far-future overflow heap. Entries here and in the
+        # buckets are (time, seq, obj) where obj is an Event, a bare
+        # callable, or a list of callables (one fused `call_later_batch`
+        # record, seqs consecutive from seq).
+        self._queue: List[tuple] = []
+        self._cancel_pending = 0
         self._width = float(bucket_width)
         self._inv = 1.0 / self._width  # exact: width is a power of two
         self._mask = buckets - 1
         self._nbuckets = buckets
-        self._buckets = [[] for _ in range(buckets)]
+        self._buckets: List[list] = [[] for _ in range(buckets)]
         # `_cursor` is the *absolute* bucket number currently being drained
         # (slot = cursor & mask); `_limit` is the end of the year that
         # starts at the cursor: (_cursor + _nbuckets) * _width. Inserts
@@ -542,7 +511,7 @@ class Simulator:
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._seq = seq = self._seq + 1
         when = self.now + delay
-        if when < self._limit:  # calendar bucket (heap mode: _limit == -inf)
+        if when < self._limit:  # calendar bucket
             idx = int(when * self._inv)
             if idx < self._cursor:
                 # Insert behind the cursor (possible after run(until=...)
@@ -568,13 +537,13 @@ class Simulator:
         The cheap primitive behind high-volume completions (RDMA verbs);
         use processes for anything that needs to wait again afterwards.
         The callable goes on the queue bare — no Event, no callback list,
-        no closure — and the dispatch loops invoke it directly.
+        no closure — and the drain invokes it directly.
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         self._seq = seq = self._seq + 1
         when = self.now + delay
-        if when < self._limit:  # calendar bucket (heap mode: _limit == -inf)
+        if when < self._limit:  # calendar bucket
             idx = int(when * self._inv)
             if idx < self._cursor:
                 self._cursor = idx
@@ -592,9 +561,9 @@ class Simulator:
         dispatch order (and ``_active``) are exactly those of the unfused
         calls — but the whole burst costs one queue record. This is the
         delivery primitive for completion bursts (a NIC draining a CQ):
-        under the calendar scheduler the batch is appended, sorted and
-        dispatched as a unit, which is where the bulk of the events/s
-        headroom in ``engine_events_calendar`` comes from.
+        the batch is appended, sorted and dispatched as a unit, which is
+        where the bulk of the events/s headroom in
+        ``engine_events_calendar`` comes from.
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
@@ -604,7 +573,7 @@ class Simulator:
         seq = self._seq + 1
         self._seq += len(fns)
         when = self.now + delay
-        if when < self._limit:  # calendar bucket (heap mode: _limit == -inf)
+        if when < self._limit:  # calendar bucket
             idx = int(when * self._inv)
             if idx < self._cursor:
                 self._cursor = idx
@@ -642,53 +611,13 @@ class Simulator:
             moved += 1
         self._count += moved
 
-    def _calendar_min(self) -> Optional[tuple]:
-        """Advance the cursor to the bucket holding the globally next
-        ``(time, seq)`` entry and return ``(bucket, entry)`` — or None if
-        the queue is fully drained. Bookkeeping only: nothing is removed
-        or dispatched, so this backs both ``peek`` and the single-step
-        paths."""
-        queue = self._queue
-        buckets = self._buckets
-        mask = self._mask
-        width = self._width
-        while True:
-            if not self._count:
-                if not queue:
-                    return None
-                # Jump the cursor straight to the first overflow year
-                # instead of scanning empty buckets toward it.
-                cursor = int(queue[0][0] * self._inv)
-                self._cursor = cursor
-                self._limit = (cursor + self._nbuckets) * width
-                self._refill(self._limit)
-            cursor = self._cursor
-            limit = self._limit
-            nxt = queue[0][0] if queue else _INF
-            while True:
-                bucket = buckets[cursor & mask]
-                if bucket:
-                    entry = min(bucket)
-                    if entry[0] < (cursor + 1) * width:  # in this year
-                        self._cursor = cursor
-                        self._limit = limit
-                        return (bucket, entry)
-                cursor += 1
-                limit += width
-                if nxt < limit:
-                    self._cursor = cursor
-                    self._limit = limit
-                    self._refill(limit)
-                    nxt = queue[0][0] if queue else _INF
-            # not reached: the inner loop only exits via return
-
     def _compact(self) -> None:
         """Drop cancelled entries from buckets and overflow in one sweep.
 
         Observationally free: a cancelled entry would have been discarded
         at dispatch with no clock advance and no callbacks, so removing it
-        early changes nothing but memory (and ``peek()`` on a queue whose
-        head was cancelled). Dispatch order of live entries is untouched.
+        early changes nothing but memory. Dispatch order of live entries is
+        untouched.
         """
         removed = 0
         for bucket in self._buckets:
@@ -710,117 +639,62 @@ class Simulator:
             if not (isinstance(entry[2], Event) and entry[2]._state == _CANCELLED)
         ]
         if len(kept) != len(queue):
-            heapq.heapify(kept)
+            _heapify(kept)
             self._queue[:] = kept
         self._cancel_pending = 0
 
     # -- execution -------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if none."""
-        if self._heap_mode:
-            return self._queue[0][0] if self._queue else _INF
-        found = self._calendar_min()
-        return found[1][0] if found else _INF
-
-    def step(self) -> None:
-        """Process exactly one event (discarding cancelled entries, which
-        neither advance the clock nor count as the processed event). A
-        fused ``call_later_batch`` record counts one callable per step."""
-        if self._heap_mode:
-            self._step_heap()
-            return
-        if not self._count and not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        while True:
-            found = self._calendar_min()
-            if found is None:
-                return  # only cancelled entries remained
-            bucket, entry = found
-            bucket.remove(entry)
-            self._count -= 1
-            when, seq, obj = entry
-            cls = obj.__class__
-            if cls is list:
-                # Split the batch: dispatch the first callable, put the
-                # remainder back with the next consecutive seq.
-                if len(obj) > 1:
-                    bucket.append((when, seq + 1, obj[1:]))
-                    self._count += 1
-                self.now = when
-                obj[0]()
-                return
-            if isinstance(obj, Event):
-                if obj._state == _CANCELLED:
-                    if self._cancel_pending:
-                        self._cancel_pending -= 1
-                    if not self._count and not self._queue:
-                        return
-                    continue
-                self.now = when
-                callbacks, obj.callbacks = obj.callbacks, []
-                obj._state = _PROCESSED
-                for callback in callbacks:
-                    callback(obj)
-            else:
-                self.now = when
-                obj()  # bare call_later callable
-            return
-
-    def _step_heap(self) -> None:
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        while self._queue:
-            when, seq, event = heapq.heappop(self._queue)
-            cls = event.__class__
-            if cls is list:
-                if len(event) > 1:
-                    _heappush(self._queue, (when, seq + 1, event[1:]))
-                self.now = when
-                event[0]()
-                return
-            if isinstance(event, Event):
-                if event._state == _CANCELLED:
-                    continue
-                self.now = when
-                callbacks, event.callbacks = event.callbacks, []
-                event._state = _PROCESSED
-                for callback in callbacks:
-                    callback(event)
-            else:
-                self.now = when
-                event()  # bare call_later callable
-            return
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
 
         When ``until`` is given, the clock is advanced exactly to ``until``
         even if the last event fires earlier.
-
-        Calendar dispatch drains one bucket at a time: snapshot, sort (the
-        explicit ``(time, seq)`` records make the sort the exact global
-        order), then dispatch timestamp batches. Entries scheduled during
-        dispatch into the live bucket are merged in after the current
-        timestamp batch, so same-time arrivals join this drain exactly as
-        they would surface from a heap. Cancelled entries are discarded
-        without advancing the clock.
         """
         if until is not None and until < self.now:
             raise SimulationError(f"run(until={until}) is in the past (now={self.now})")
-        if self._heap_mode:
-            self._run_heap(until)
-            return
-        horizon = _INF if until is None else until
+        # A target nobody can trigger: the drain ends on the queue or the
+        # horizon alone.
+        self._drain(Event(self), _INF if until is None else until)
+        if until is not None and self.now < until:
+            self.now = until
+
+    def run_until_triggered(self, event: Event, until: Optional[float] = None) -> None:
+        """Run just until ``event`` triggers (or the queue/deadline ends).
+
+        Preferred over ``run()`` when daemon processes (e.g. periodic
+        monitors) keep the queue permanently non-empty. A fused batch
+        record dispatches atomically; the target's state is re-checked
+        between records.
+        """
+        self._drain(event, _INF if until is None else until)
+
+    def _drain(self, target: Event, horizon: float) -> None:
+        """Dispatch in exact ``(time, seq)`` order while ``target`` is
+        pending, the queue is non-empty and the next record is due at or
+        before ``horizon``.
+
+        One bucket at a time: snapshot, sort (the explicit ``(time, seq)``
+        records make the sort the exact global order), then dispatch record
+        by record. Entries scheduled during dispatch into the live bucket
+        are merged in before the snapshot moves to a later timestamp, so
+        same-time arrivals join this drain exactly as they would surface
+        from a heap. Cancelled
+        entries are discarded without advancing the clock. On a stop,
+        undispatched entries are put back verbatim (they keep their
+        records, so the next drain re-sorts them into the identical global
+        order).
+        """
         queue = self._queue
         buckets = self._buckets
         mask = self._mask
         width = self._width
-        inv = self._inv
-        while self._count or queue:
+        while target._state == _PENDING and (self._count or queue):
             if not self._count:
                 if queue[0][0] > horizon:
-                    break
-                cursor = int(queue[0][0] * inv)
+                    return
+                # Jump the cursor straight to the first overflow year
+                # instead of scanning empty buckets toward it.
+                cursor = int(queue[0][0] * self._inv)
                 self._cursor = cursor
                 self._limit = (cursor + self._nbuckets) * width
                 self._refill(self._limit)
@@ -874,169 +748,8 @@ class Simulator:
             n = len(entries)
             stopped = False
             while i < n:
-                when = entries[i][0]
-                if when > horizon:
-                    stopped = True
-                    break
-                # One timestamp batch: everything at `when`, in seq order.
-                j = _bisect_right(entries, (when, _INF), i)
-                for _t, _s, obj in entries[i:j]:
-                    cls = obj.__class__
-                    if cls is list:
-                        self.now = when
-                        for fn in obj:
-                            fn()
-                    elif isinstance(obj, Event):
-                        if obj._state != _CANCELLED:
-                            self.now = when
-                            callbacks = obj.callbacks
-                            obj.callbacks = []
-                            obj._state = _PROCESSED
-                            for callback in callbacks:
-                                callback(obj)
-                        elif self._cancel_pending:
-                            self._cancel_pending -= 1
-                    else:
-                        self.now = when
-                        obj()  # bare call_later callable
-                i = j
-                if fresh:
-                    # Same-bucket arrivals during dispatch: merge and
-                    # re-sort so they interleave in exact (time, seq)
-                    # order with what is left of the snapshot.
-                    rest = entries[i:]
-                    rest += fresh
-                    rest.sort()
-                    entries = rest
-                    self._count -= len(fresh)
-                    buckets[slot] = fresh = []
-                    i = 0
-                    n = len(entries)
-            if stopped or residue:
-                put_back = buckets[slot]
-                if stopped:
-                    put_back += entries[i:]
-                    self._count += n - i
-                if residue:
-                    put_back += residue
-                    self._count += len(residue)
-                if stopped:
-                    break
-            self._cursor = cursor + 1
-            self._limit += width
-        if until is not None and self.now < until:
-            self.now = until
-
-    def _run_heap(self, until: Optional[float]) -> None:
-        queue = self._queue
-        pop = heapq.heappop
-        horizon = _INF if until is None else until
-        while queue:
-            when = queue[0][0]
-            if when > horizon:
-                break
-            # Batched same-timestamp dispatch: everything scheduled for
-            # this instant drains without re-checking the horizon (entries
-            # created during dispatch land at >= `when`, so FIFO order is
-            # unchanged; same-time arrivals join this drain). Cancelled
-            # entries are discarded without advancing the clock.
-            while True:
-                event = pop(queue)[2]
-                cls = event.__class__
-                if cls is list:
-                    self.now = when
-                    for fn in event:
-                        fn()
-                elif isinstance(event, Event):
-                    if event._state != _CANCELLED:
-                        self.now = when
-                        callbacks = event.callbacks
-                        event.callbacks = []
-                        event._state = _PROCESSED
-                        for callback in callbacks:
-                            callback(event)
-                else:
-                    self.now = when
-                    event()  # bare call_later callable
-                if not queue or queue[0][0] != when:
-                    break
-        if until is not None:
-            self.now = max(self.now, until)
-
-    def run_until_triggered(self, event: Event, until: Optional[float] = None) -> None:
-        """Run just until ``event`` triggers (or the queue/deadline ends).
-
-        Preferred over ``run()`` when daemon processes (e.g. periodic
-        monitors) keep the queue permanently non-empty. A fused batch
-        record dispatches atomically under both schedulers; the target's
-        state is re-checked between records.
-        """
-        if self._heap_mode:
-            self._run_until_triggered_heap(event, until)
-            return
-        # Same amortized bucket drain as :meth:`run` — snapshot, sort once,
-        # dispatch in exact (time, seq) order — with the target's state
-        # checked between dispatches; undispatched entries are put back
-        # verbatim (they keep their records, so the next drain re-sorts
-        # them into the identical global order). This replaces the old
-        # single-step path, whose per-event ``_calendar_min`` scan plus
-        # ``bucket.remove`` made the driver-stepped benchmarks pay O(bucket)
-        # twice per dispatched event.
-        horizon = _INF if until is None else until
-        queue = self._queue
-        buckets = self._buckets
-        mask = self._mask
-        width = self._width
-        while event._state == _PENDING and (self._count or queue):
-            if not self._count:
-                if queue[0][0] > horizon:
-                    return
-                cursor = int(queue[0][0] * self._inv)
-                self._cursor = cursor
-                self._limit = (cursor + self._nbuckets) * width
-                self._refill(self._limit)
-            elif queue and queue[0][0] < self._limit:
-                self._refill(self._limit)
-            cursor = self._cursor
-            slot = cursor & mask
-            bucket = buckets[slot]
-            if not bucket:
-                limit = self._limit
-                nxt = queue[0][0] if queue else _INF
-                while True:
-                    cursor += 1
-                    limit += width
-                    if nxt < limit:
-                        self._cursor = cursor
-                        self._limit = limit
-                        self._refill(limit)
-                        nxt = queue[0][0] if queue else _INF
-                    slot = cursor & mask
-                    bucket = buckets[slot]
-                    if bucket:
-                        break
-                self._cursor = cursor
-                self._limit = limit
-            bucket.sort()
-            end = (cursor + 1) * width
-            residue = None
-            if bucket[-1][0] >= end:
-                cut = _bisect_right(bucket, (end,))
-                if cut == 0:
-                    self._cursor = cursor + 1
-                    self._limit += width
-                    continue
-                residue = bucket[cut:]
-                del bucket[cut:]
-            entries = bucket
-            buckets[slot] = fresh = []
-            self._count -= len(entries)
-            i = 0
-            n = len(entries)
-            stopped = False
-            while i < n:
                 when, _seq, obj = entries[i]
-                if when > horizon or event._state != _PENDING:
+                if when > horizon or target._state != _PENDING:
                     stopped = True
                     break
                 i += 1
@@ -1045,28 +758,28 @@ class Simulator:
                     self.now = when
                     obj()  # bare call_later closure — the common case
                 elif cls is list:
-                    # A fused batch record dispatches atomically, exactly
-                    # as the single-step path did.
                     self.now = when
                     for fn in obj:
                         fn()
                 elif isinstance(obj, Event):
-                    if obj._state == _CANCELLED:
-                        if self._cancel_pending:
-                            self._cancel_pending -= 1
-                        continue  # revoked deadline: no clock advance
-                    self.now = when
-                    callbacks = obj.callbacks
-                    obj.callbacks = []
-                    obj._state = _PROCESSED
-                    for callback in callbacks:
-                        callback(obj)
+                    if obj._state != _CANCELLED:
+                        self.now = when
+                        callbacks = obj.callbacks
+                        obj.callbacks = []
+                        obj._state = _PROCESSED
+                        for callback in callbacks:
+                            callback(obj)
+                    elif self._cancel_pending:  # revoked: no clock advance
+                        self._cancel_pending -= 1
                 else:
                     self.now = when
                     obj()  # bare call_later callable
-                if fresh:
-                    # Same-bucket arrivals during dispatch: merge so they
-                    # interleave in exact (time, seq) order.
+                if fresh and (i == n or entries[i][0] != when):
+                    # Same-bucket arrivals during dispatch: merge and
+                    # re-sort so they interleave in exact (time, seq)
+                    # order with what is left of the snapshot. Arrivals
+                    # carry later seqs than anything in it, so the merge
+                    # can wait until the snapshot moves past `when`.
                     rest = entries[i:]
                     rest += fresh
                     rest.sort()
@@ -1081,37 +794,9 @@ class Simulator:
                     put_back += entries[i:]
                     self._count += n - i
                 if residue:
+                    # Still counted: only `entries` left `_count` above.
                     put_back += residue
-                    self._count += len(residue)
                 if stopped:
                     return
             self._cursor = cursor + 1
             self._limit += width
-
-    def _run_until_triggered_heap(
-        self, event: Event, until: Optional[float]
-    ) -> None:
-        queue = self._queue
-        pop = heapq.heappop
-        horizon = _INF if until is None else until
-        while event._state == _PENDING and queue:
-            if queue[0][0] > horizon:
-                break
-            when, _seq, current = pop(queue)
-            cls = current.__class__
-            if cls is list:
-                self.now = when
-                for fn in current:
-                    fn()
-            elif isinstance(current, Event):
-                if current._state == _CANCELLED:
-                    continue  # revoked deadline: no clock advance, no work
-                self.now = when
-                callbacks = current.callbacks
-                current.callbacks = []
-                current._state = _PROCESSED
-                for callback in callbacks:
-                    callback(current)
-            else:
-                self.now = when
-                current()  # bare call_later callable

@@ -20,9 +20,17 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional
 
+from ..baselines.base import BackendError
+from ..core.resilience_manager import RemoteMemoryUnavailable
+from ..net.rdma import RDMAError
 from ..obs import MetricsRegistry, Span, Tracer
 
 __all__ = ["PagedMemory"]
+
+# What a backend raises when it cannot serve a request *now* but may later:
+# cluster-wide memory pressure, a regeneration in flight, a dead connection.
+# Anything else (a malformed request, a bug) is not worth retrying.
+_TRANSIENT_ERRORS = (RemoteMemoryUnavailable, BackendError, RDMAError)
 
 
 class PagedMemory:
@@ -84,6 +92,7 @@ class PagedMemory:
         self._resident: "OrderedDict[int, bool]" = OrderedDict()
         self._contents: Dict[int, bytes] = {}
         self._remote: set = set()
+        self._zero_page = bytes(page_size)
         owner = getattr(backend, "machine_id", None)
         if owner is None:
             owner = getattr(backend, "client_id", None)
@@ -198,7 +207,10 @@ class PagedMemory:
                 # always pages out, like swap for a never-swapped page.
                 # Dirty data can never be dropped, so write-back failures
                 # (cluster-wide memory pressure) stall until they succeed.
-                payload = self._contents.get(victim)
+                # A page written without bytes is anonymous memory nobody
+                # initialized: it pages out as zeros (phantom backends
+                # ignore the payload either way).
+                payload = self._contents.get(victim, self._zero_page)
                 while True:
                     try:
                         if span is not None:
@@ -206,7 +218,7 @@ class PagedMemory:
                         else:
                             yield self.backend.write(victim, payload)
                         break
-                    except Exception:  # noqa: BLE001 - backend-specific
+                    except _TRANSIENT_ERRORS:
                         self.stats.incr("write_stalls")
                         yield self.sim.timeout(self.stall_retry_us)
                 self._remote.add(victim)
@@ -214,7 +226,9 @@ class PagedMemory:
             else:
                 # Clean victim with a valid remote copy: drop it.
                 self.stats.incr("clean_drops")
-            if not self.verify_contents:
+            # A fault may have re-admitted the victim while its write-back
+            # was in flight; the bytes then belong to the resident copy.
+            if not self.verify_contents and victim not in self._resident:
                 self._contents.pop(victim, None)
 
     # ------------------------------------------------------------------

@@ -392,31 +392,3 @@ def test_batch_byte_identity_random_shapes(seed):
             )
             assert got_pages[page_index] == want_page == pages[page_index]
             assert got_bad[page_index] == want_bad
-
-
-def test_batch_min_crossover_knob_is_byte_identical(monkeypatch):
-    """REPRO_EC_BATCH_MIN routes small batches down the scalar per-page
-    path; outputs must not change by a byte."""
-    from repro.ec import pagecodec as pc
-
-    codec = PageCodec(4, 2, page_size=256)
-    pages = [bytes([7 * i % 256]) * 256 for i in range(3)]
-    batched = codec.encode_batch(pages)
-    indices = [0, 2, 4, 5]
-    stack = np.ascontiguousarray(batched[:, indices])
-    wide_indices = list(range(codec.n))  # m = k + 2: best-effort viable
-    wide = batched.copy()
-    wide[1, 2] = _corrupt(RandomSource(3, "knob"), wide[1, 2])
-    decoded = codec.decode_batch(indices, stack)
-    fixed, bad = codec.correct_batch(
-        wide_indices, wide, max_errors=1, best_effort=True
-    )
-
-    monkeypatch.setattr(pc, "BATCH_MIN_PAGES", 8)  # force the scalar path
-    assert np.array_equal(codec.encode_batch(pages), batched)
-    assert codec.decode_batch(indices, stack) == decoded
-    s_fixed, s_bad = codec.correct_batch(
-        wide_indices, wide, max_errors=1, best_effort=True
-    )
-    assert (s_fixed, s_bad) == (fixed, bad)
-    assert fixed == pages and bad == [[], [2], []]

@@ -1,33 +1,81 @@
-"""Property test: the calendar scheduler is a drop-in for the heap.
+"""Property test: the calendar scheduler dispatches exactly like a heap.
 
-The dispatch-order contract (docs/SCALING.md) says both schedulers
-process entries in exact ``(time, seq)`` order — same-timestamp batches
-in FIFO schedule order, cancelled entries silently skipped, fused
-``call_later_batch`` records expanded in sequence order. These tests
-interpret the same randomly generated schedule program under both
-schedulers and require the full dispatch logs to match, across 20 seeds
-and across pathological calendar geometries (a 4-bucket ring forces
-constant year wrap-around and overflow-heap traffic).
+The dispatch-order contract (docs/SCALING.md) says entries are processed
+in exact ``(time, seq)`` order — same-timestamp batches in FIFO schedule
+order, cancelled entries silently skipped, fused ``call_later_batch``
+records expanded in sequence order. These tests interpret the same
+randomly generated schedule program on the production ``Simulator`` and
+on the binary-heap oracle (``tests/heap_oracle.py``) and require the full
+dispatch logs to match, across 20 seeds and across pathological calendar
+geometries (a 4-bucket ring forces constant year wrap-around and
+overflow-heap traffic).
+
+``run`` and ``run_until_triggered`` share one drain, so the program is
+also driven in slices — ``run(until=now+d)`` alternating with
+``run_until_triggered(ev)`` — which exercises what a one-shot ``run()``
+never reaches: the horizon stop, the target stop, the put-back of an
+undispatched bucket tail, and (with schedules issued between slices) the
+cursor pull-back.
 
 The program interpreter is deterministic *given the dispatch order*:
 each fired node issues the next scripted node, so any ordering
-divergence between schedulers cascades into visibly different logs.
+divergence cascades into visibly different logs.
 """
 
 import random
+from functools import partial
 
 import pytest
 
 from repro.sim import Simulator
 
+from .heap_oracle import HeapSimulator
+
 # Delays are chosen to collide (same-timestamp batches), to straddle
 # bucket boundaries, and to overshoot the default calendar year
 # (2048 buckets x 2.0 us = 4096 us) into the overflow heap.
 _DELAYS = (0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 3.0, 7.5, 64.0, 4095.5, 4096.0, 9999.0)
-_KINDS = ("call", "call", "batch", "timeout", "timeout", "event_now", "cancel", "noop")
+_KINDS = (
+    "call", "call", "batch", "timeout", "timeout", "event", "event_now", "cancel", "noop"
+)
+# Slice lengths: inside one bucket, across bucket edges, across the year.
+_SLICES = (0.0, 0.25, 1.0, 2.0, 3.5, 63.5, 4095.5, 4096.0, 5000.0)
 
 
-def _run_schedule(make_sim, seed: int):
+def _tiny_ring():
+    """A 4-bucket, 0.5 us ring: every schedule spills or wraps, so the
+    year-advance, refill and residue-deferral paths all run constantly."""
+    return Simulator(bucket_width=0.5, buckets=4)
+
+
+def _one_shot(sim, arm, issue):
+    sim.run()
+
+
+def _sliced(poke: bool):
+    """Drive in alternating ``run(until=...)`` / ``run_until_triggered``
+    slices; with ``poke`` a scripted node is also issued from outside the
+    drain after each horizon stop (clock parked ahead of the last entry,
+    so the insert can land behind the cursor)."""
+
+    def drive(sim, arm, issue):
+        rng = random.Random(0x51CE)
+        while True:
+            sim.run(until=sim.now + rng.choice(_SLICES))
+            if poke:
+                issue()
+                issue()
+            target = sim.event()
+            arm(target, rng.randrange(1, 6))
+            sim.run_until_triggered(target)
+            if not target.triggered:
+                return  # no horizon, target pending: the queue drained
+
+    return drive
+
+
+def _run_schedule(make_sim, seed: int, drive=_one_shot):
+    """Returns ``(dispatch log, (final clock, entries ever scheduled))``."""
     rng = random.Random(seed)
     n = 160
     script = [
@@ -38,9 +86,18 @@ def _run_schedule(make_sim, seed: int):
     log = []
     cancellable = []
     cursor = [0]
+    watch = []  # [dispatches left, target]: the armed run_until_triggered stop
+
+    def arm(target, after: int) -> None:
+        watch[:] = [after, target]
 
     def fire(i: int, j: int = 0) -> None:
         log.append((i, j, sim.now))
+        if watch:
+            watch[0] -= 1
+            if not watch[0]:
+                watch.pop().succeed_now()
+                watch.clear()
         issue()
 
     def issue() -> None:
@@ -50,19 +107,24 @@ def _run_schedule(make_sim, seed: int):
         cursor[0] += 1
         kind, delay, width, pick = script[i]
         if kind == "call":
-            sim.call_later(delay, lambda: fire(i))
+            # Odd picks take the drain's non-closure callable branch.
+            sim.call_later(delay, partial(fire, i) if pick & 1 else lambda: fire(i))
         elif kind == "batch":
             sim.call_later_batch(delay, [(lambda j=j: fire(i, j)) for j in range(width)])
         elif kind == "timeout":
             timeout = sim.timeout(delay)
             timeout.callbacks.append(lambda ev: fire(i))
             cancellable.append(timeout)
+        elif kind == "event":
+            event = sim.event()
+            event.callbacks.append(lambda ev: fire(i))
+            event.succeed(i)
         elif kind == "event_now":
             event = sim.event()
             event.callbacks.append(lambda ev: fire(i))
             event.succeed_now(i)
         elif kind == "cancel":
-            live = [t for t in cancellable if not t.triggered and not t.cancelled]
+            live = [t for t in cancellable if not t.processed and not t.cancelled]
             if live:
                 live[-(pick % len(live)) - 1].cancel()
             issue()  # a cancel consumes no dispatch; keep the program flowing
@@ -71,24 +133,36 @@ def _run_schedule(make_sim, seed: int):
 
     for _ in range(8):  # several roots so cancelled chains don't starve the run
         issue()
-    sim.run()
-    log.append(("end", sim.now, sim._active))
-    return log
+    drive(sim, arm, issue)
+    return log, (sim.now, sim._active)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_calendar_matches_heap_reference(seed):
-    reference = _run_schedule(lambda: Simulator(scheduler="heap"), seed)
-    calendar = _run_schedule(lambda: Simulator(), seed)
-    assert calendar == reference
+    assert _run_schedule(Simulator, seed) == _run_schedule(HeapSimulator, seed)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_tiny_ring_matches_heap_reference(seed):
-    """A 4-bucket, 0.5 us ring: every schedule spills or wraps, so the
-    year-advance, refill and residue-deferral paths all run constantly."""
-    reference = _run_schedule(lambda: Simulator(scheduler="heap"), seed)
-    calendar = _run_schedule(
-        lambda: Simulator(scheduler="calendar", bucket_width=0.5, buckets=4), seed
-    )
-    assert calendar == reference
+    assert _run_schedule(_tiny_ring, seed) == _run_schedule(HeapSimulator, seed)
+
+
+@pytest.mark.parametrize("make_sim", [Simulator, _tiny_ring])
+@pytest.mark.parametrize("seed", range(20))
+def test_sliced_drain_matches_one_shot_and_heap(seed, make_sim):
+    """Slicing a run changes where the drain stops and resumes, never what
+    it dispatches: the concatenated log equals the one-shot log (the final
+    clock is not compared — the last ``run(until=...)`` parks it)."""
+    log, (_now, scheduled) = _run_schedule(make_sim, seed, _sliced(poke=False))
+    for reference in (make_sim, HeapSimulator):
+        ref_log, (_now, ref_scheduled) = _run_schedule(reference, seed)
+        assert (log, scheduled) == (ref_log, ref_scheduled)
+
+
+@pytest.mark.parametrize("make_sim", [Simulator, _tiny_ring])
+@pytest.mark.parametrize("seed", range(20))
+def test_sliced_drain_with_outside_schedules_matches_heap(seed, make_sim):
+    """Scheduling between slices moves the program off the one-shot log,
+    so the oracle is driven through the identical slices instead."""
+    drive = _sliced(poke=True)
+    assert _run_schedule(make_sim, seed, drive) == _run_schedule(HeapSimulator, seed, drive)

@@ -13,6 +13,7 @@ from repro.sim import (
 )
 
 from .conftest import drive
+from .heap_oracle import HeapSimulator
 
 
 class TestEvent:
@@ -281,15 +282,6 @@ class TestSimulatorRun:
         with pytest.raises(SimulationError):
             sim.run(until=10)
 
-    def test_step_empty_queue_raises(self, sim):
-        with pytest.raises(SimulationError):
-            sim.step()
-
-    def test_peek(self, sim):
-        assert sim.peek() == float("inf")
-        sim.timeout(4.0)
-        assert sim.peek() == 4.0
-
     def test_run_until_triggered_stops_early(self, sim):
         # A daemon keeps the queue busy forever; run_until_triggered must
         # still return when the target completes.
@@ -354,14 +346,6 @@ class TestCancel:
         with pytest.raises(SimulationError):
             _ = timeout.value
 
-    def test_step_processes_exactly_one_real_event(self, sim):
-        first = sim.timeout(1.0)
-        second = sim.timeout(2.0)
-        first.cancel()
-        sim.step()  # must skip the cancelled entry and process the 2.0
-        assert second.processed
-        assert sim.now == 2.0
-
     def test_run_until_triggered_skips_cancelled(self, sim):
         doomed = sim.timeout(5.0)
         doomed.cancel()
@@ -376,9 +360,9 @@ class TestCancel:
 
 
 class TestBatchedDispatch:
-    """The run() loop drains same-timestamp entries as one batch; these
-    pin the visible contract: FIFO order, same-time arrivals joining the
-    batch, and cancelled entries never advancing the clock."""
+    """The drain's visible contract at one timestamp: FIFO order,
+    same-time arrivals joining the drain, and cancelled entries never
+    advancing the clock."""
 
     def test_same_timestamp_fifo_order(self, sim):
         seen = []
@@ -472,21 +456,27 @@ class TestCalendarStorage:
         resident = sum(len(b) for b in sim._buckets) + len(sim._queue)
         assert sim._cancel_pending == resident
 
-    def test_heap_mode_never_compacts(self):
-        sim = Simulator(scheduler="heap")
-        doomed = [sim.timeout(1.0) for _ in range(100)]
-        for timeout in doomed:
-            timeout.cancel()
-        assert len(sim._queue) == 100  # reference scheduler: lazy skip only
-        assert sim._cancel_pending == 0
-        sim.run()
-        assert sim.now == 0.0
+    def test_pull_back_defers_later_year_records(self):
+        """A schedule behind a parked cursor pulls the year back; records
+        already bucketed under the old, later year share ring slots with
+        the new year and must wait for their own window."""
+        for make_sim in (lambda: Simulator(bucket_width=0.5, buckets=4), HeapSimulator):
+            sim = make_sim()
+            order = []
+            sim.call_later(1.9, lambda: order.append(sim.now))
+            sim.run(until=0.6)  # stops at the 1.9 bucket: cursor ahead of the clock
+            sim.call_later(2.6, lambda: order.append(sim.now))  # old year, alone in slot 2
+            sim.call_later(2.1, lambda: order.append(sim.now))  # old year, slot 1
+            sim.call_later(0.0, lambda: order.append(sim.now))  # slot 1: pulls the year back
+            sim.run()
+            assert order == [0.6, 1.9, 2.7, 3.2]
+            assert sim._count == 0  # deferred records are not double-counted
 
 
 class TestCallLaterBatch:
     def test_batch_matches_unfused_order(self):
-        for scheduler in ("calendar", "heap"):
-            sim = Simulator(scheduler=scheduler)
+        for make_sim in (Simulator, HeapSimulator):
+            sim = make_sim()
             seen = []
             sim.call_later(5.0, lambda: seen.append("a"))
             sim.call_later_batch(
@@ -494,24 +484,13 @@ class TestCallLaterBatch:
             )
             sim.call_later(5.0, lambda: seen.append("d"))
             sim.run()
-            assert seen == ["a", "b", "c", "d"], scheduler
+            assert seen == ["a", "b", "c", "d"], make_sim.__name__
             assert sim.now == 5.0
 
     def test_batch_counts_every_callable(self, sim):
         base = sim._active
         sim.call_later_batch(1.0, [int, int, int])
         assert sim._active == base + 3
-
-    def test_step_splits_batch_one_callable_at_a_time(self, sim):
-        seen = []
-        sim.call_later_batch(
-            1.0, [lambda: seen.append(0), lambda: seen.append(1)]
-        )
-        sim.step()
-        assert seen == [0]
-        sim.step()
-        assert seen == [0, 1]
-        assert sim.now == 1.0
 
     def test_batch_beyond_the_year_lands_in_overflow(self, sim):
         horizon = sim._nbuckets * sim._width

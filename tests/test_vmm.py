@@ -4,8 +4,11 @@ import pytest
 
 from repro.baselines import BaselineConfig, DirectRemoteMemory
 from repro.cluster import Cluster
+from repro.harness import build_pool
 from repro.net import NetworkConfig
+from repro.sim import RandomSource
 from repro.vmm import PagedMemory
+from repro.workloads import OpenLoopWorkload, make_arrivals
 
 from .conftest import drive, make_page
 
@@ -158,3 +161,77 @@ def _preload(pager):
     def run():
         yield proc
     return run()
+
+
+class TestOpenLoopRealMode:
+    """An open-loop driver over a real-payload pager: writes arrive without
+    bytes, many faults are in flight at once, and a page can be re-faulted
+    while its own eviction is still writing back."""
+
+    def test_terminates_and_every_page_reads_back(self):
+        cluster, pool = build_pool("hydra", machines=12, seed=3, payload_mode="real")
+        sim = cluster.sim
+        n_pages = 64
+        pager = PagedMemory(pool, resident_pages=16)
+        # Half the pages get bytes; the other half are written without any
+        # (what run_open_loop_point's preload does) and must read back as
+        # zero pages, never wedge the evictor.
+        written = {
+            page: make_page(page) if page % 2 else bytes(4096)
+            for page in range(n_pages)
+        }
+
+        def preload():
+            for page in range(n_pages):
+                data = written[page] if page % 2 else None
+                yield pager.access(page, write=True, data=data)
+
+        # One simulated second: the old retry-forever loop overran any
+        # horizon; the real work needs a few milliseconds.
+        drive(sim, preload(), until=1_000_000.0)
+        rng = RandomSource(3, "openloop-real")
+        work = OpenLoopWorkload(
+            pager,
+            rng.child("ops"),
+            make_arrivals("poisson", rng.child("arrivals"), 70_000.0),
+            n_pages,
+            get_fraction=0.5,
+            concurrency=4,
+        )
+        scheduled = sim._active
+        process = work.run(4_000.0)
+        sim.run_until_triggered(process, until=sim.now + 1_000_000.0)
+        result = process.value
+        assert result.completed == result.issued - result.dropped > 100
+        assert sim._active - scheduled < 400 * result.issued  # no retry storm
+
+        def read_back():
+            pages = []
+            for page in range(n_pages):
+                pages.append((yield pager.access(page)))
+            return pages
+
+        assert drive(sim, read_back(), until=sim.now + 1_000_000.0) == [
+            written[page] for page in range(n_pages)
+        ]
+        assert pager.stats["page_outs"] > n_pages
+        assert pager.stats["write_stalls"] == 0
+
+    def test_refault_during_write_back_keeps_the_bytes(self):
+        cluster, pager = build_pager(resident_pages=1, verify=False)
+        sim = cluster.sim
+
+        def proc():
+            yield pager.access(0, write=True, data=make_page(0))
+            evictor = pager.access(1, write=True, data=make_page(1))  # evicts 0
+            yield sim.timeout(0.5)
+            # Page 0 comes back, dirtied without bytes, while its write-back
+            # is still on the wire.
+            assert pager.resident_count == 0
+            refault = pager.access(0, write=True)
+            yield sim.all_of([evictor, refault])
+            yield pager.access(2, write=True, data=make_page(2))  # evicts 0 again
+            yield pager.access(3, write=True, data=make_page(3))
+            return (yield pager.access(0))
+
+        assert drive(sim, proc(), until=1_000_000.0) == make_page(0)
