@@ -1,4 +1,10 @@
-"""Erasure coding: GF(2^8) Reed-Solomon codes and the per-page codec."""
+"""Erasure coding: GF(2^8) Reed-Solomon codes and the per-page codec.
+
+Every product in here — per-page or batched, encode, decode, verify or
+correct — goes through the one kernel interface of :mod:`.native`
+(``apply`` / ``apply_rows``, a native and a numpy backend chosen once per
+process); a single page is a batch of one.
+"""
 
 from .galois import gf_add, gf_div, gf_inv, gf_mul, gf_mul_slice, gf_pow, gf_sub
 from .matrix import (

@@ -1,39 +1,53 @@
-"""Runtime-compiled native GF(2^8) slab kernel (optional fast path).
+"""The GF(2^8) matrix kernel: one interface, two backends.
 
-The numpy table-gather kernels top out well below a GB/s on this
-workload because every byte pays index arithmetic in the gather loop.
-The classic fix — the one ISA-L (the library Hydra's kernel module
-links) uses — is the SSSE3/AVX2 ``pshufb`` nibble-table kernel: a
-GF(2^8) multiply is linear over XOR, so ``c*x == c*(x & 0x0f) ^
-c*(x & 0xf0)`` and both halves are 16-entry lookups that fit one vector
-shuffle. That turns a coefficient application into ~3 vector ops per 32
-bytes, which is memory-bound rather than gather-bound.
+Every coding operation in this package is the same product — apply a
+small coefficient matrix to the rows of each page, ``out[p] = coef @
+src[p]`` — and reaches it through one object with two methods:
 
-Rather than shipping a prebuilt extension (the repo stays pure Python),
-the C source below is compiled **at first use** with whatever ``cc`` /
-``gcc`` the host already has, cached under ``~/.cache/repro-hydra`` keyed
-by a hash of the source and flags, and loaded through :mod:`ctypes`. Any
-failure — no compiler, sandboxed filesystem, exotic arch — degrades
-silently to the numpy kernels, which produce byte-identical output (the
-property tests pin both paths against the per-page reference).
+* ``apply(coef, src, out=None)`` for ``(pages, rows, bytes)`` stacks
+  (contiguous or strided by page), single 2-D pages (a batch of one), and
+  lists of raw ``bytes`` pages read in place through a pointer table;
+* ``apply_rows(coef, rows, out=None)`` for the scattered 1-D splits the
+  per-page ``decode`` / ``verify`` / ``correct`` receive, staged into one
+  persistent buffer.
 
-Set ``REPRO_EC_NATIVE=0`` to force the numpy path.
+:func:`load_kernel` picks the backend once per process. :class:`NativeGF`
+is the SSSE3/AVX2 ``pshufb`` nibble-table kernel ISA-L (the library
+Hydra's kernel module links) uses: a GF(2^8) multiply is linear over XOR,
+so ``c*x == c*(x & 0x0f) ^ c*(x & 0xf0)`` and both halves are 16-entry
+lookups that fit one vector shuffle — ~3 vector ops per 32 bytes,
+memory-bound rather than gather-bound. Rather than shipping a prebuilt
+extension (the repo stays pure Python), the C source below is compiled
+**at first use** with whatever ``cc`` / ``gcc`` the host already has,
+cached under ``~/.cache/repro-hydra`` (or ``REPRO_NATIVE_CACHE``) keyed
+by a hash of the source and flags, and loaded through :mod:`ctypes`.
+When that fails — no compiler, sandboxed filesystem, exotic arch — one
+``RuntimeWarning`` says why and :class:`NumpyGF` takes over with
+byte-identical output (the kernel tests drive both backends in one
+process). Set ``REPRO_EC_NATIVE=0`` to choose the numpy backend silently.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
+import struct
 import subprocess
 import tempfile
-from typing import Optional
+import warnings
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .galois import MUL_TABLE
 
-__all__ = ["NativeGF", "load_native", "native_kernel_name"]
+__all__ = ["NativeGF", "NumpyGF", "load_kernel", "load_native", "native_kernel_name"]
+
+# numpy interns builtin dtypes, so identity is an exact (and much cheaper)
+# stand-in for ``dtype == np.uint8`` on the per-call validation path.
+_UINT8 = np.dtype(np.uint8)
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -52,9 +66,12 @@ _C_SOURCE = r"""
 
 int gf_kernel_isa(void) { return GF_ISA; }
 
-/* nib is a 32-byte table: nib[0..15] = c*n, nib[16..31] = c*(n<<4).
-   Exact in GF(2^8): multiplication is linear over XOR, so
-   c*x = c*(x & 0x0f) ^ c*(x & 0xf0). */
+/* One 32-byte nibble table per coefficient c: nib[0..15] = c*n,
+   nib[16..31] = c*(n<<4). Exact in GF(2^8): multiplication is linear
+   over XOR, so c*x = c*(x & 0x0f) ^ c*(x & 0xf0). Filled once at load
+   from the Python side's MUL_TABLE, so both backends share one field. */
+static uint8_t gf_nibs[256 * 32];
+void gf_set_tables(const uint8_t* nibs) { memcpy(gf_nibs, nibs, sizeof gf_nibs); }
 
 #if GF_ISA == 2
 static void gf_mul_one(const uint8_t* nib, const uint8_t* x, uint8_t* y,
@@ -138,10 +155,9 @@ static void gf_xor_rows(const uint8_t* x, uint8_t* y, size_t n, int accumulate) 
     }
 }
 
-/* One (nr, ns) matrix application onto an (ns, n) block with arbitrary
-   row strides: out[r] = XOR_s coef[r*ns+s] * src_block[s]. */
-static void gf_block_apply(const uint8_t* nibs, const uint8_t* coef,
-                           const uint8_t* src, uint8_t* out,
+/* out[r] = XOR_s coef[r*ns+s] * src[s] for one (ns, n) source block and
+   one (nr, n) output block, rows back to back in each. */
+static void gf_block_apply(const uint8_t* coef, const uint8_t* src, uint8_t* out,
                            size_t nr, size_t ns, size_t n) {
     for (size_t r = 0; r < nr; r++) {
         uint8_t* dst = out + r * n;
@@ -151,142 +167,174 @@ static void gf_block_apply(const uint8_t* nibs, const uint8_t* coef,
             if (c == 0) continue;
             const uint8_t* row = src + s * n;
             if (c == 1) gf_xor_rows(row, dst, n, !first);
-            else gf_mul_one(nibs + (size_t)c * 32, row, dst, n, !first);
+            else gf_mul_one(gf_nibs + (size_t)c * 32, row, dst, n, !first);
             first = 0;
         }
         if (first) memset(dst, 0, n);
     }
 }
 
-/* out[r*n..] = XOR_s coef[r*ns+s] * src[s*n..] over a contiguous
-   (ns, n) source slab. nibs is the 256x32 nibble-table block. */
-void gf_matrix_apply(const uint8_t* nibs, const uint8_t* coef,
-                     const uint8_t* src, uint8_t* out,
-                     size_t nr, size_t ns, size_t n) {
-    gf_block_apply(nibs, coef, src, out, nr, ns, n);
-}
-
-/* Same product, but the source rows live at scattered addresses (the
-   per-page codec holds splits as separate arrays). */
-void gf_matrix_apply_rows(const uint8_t* nibs, const uint8_t* coef,
-                          const uint8_t* const* rows, uint8_t* out,
-                          size_t nr, size_t ns, size_t n) {
-    for (size_t r = 0; r < nr; r++) {
-        uint8_t* dst = out + r * n;
-        int first = 1;
-        for (size_t s = 0; s < ns; s++) {
-            uint8_t c = coef[r * ns + s];
-            if (c == 0) continue;
-            if (c == 1) gf_xor_rows(rows[s], dst, n, !first);
-            else gf_mul_one(nibs + (size_t)c * 32, rows[s], dst, n, !first);
-            first = 0;
-        }
-        if (first) memset(dst, 0, n);
-    }
-}
-
-/* Whole-slab product: apply one matrix to every page of a 3-D
-   (pages, rows, n) stack. Byte strides let src/out be row slices of a
-   larger codeword layout (e.g. parity written straight into the
-   (pages, k+r, n) output at offset k*n). Each page's working set is a
-   few KB, so rows stay L1-resident across output rows — this beats the
-   flat layout + transpose-copy formulation on every slab shape. */
-void gf_matrix_apply_paged(const uint8_t* nibs, const uint8_t* coef,
-                           const uint8_t* src, uint8_t* out,
-                           size_t npages, size_t nr, size_t ns, size_t n,
-                           size_t src_stride, size_t out_stride) {
+/* The one entry point: apply one (nr, ns) matrix to every page of a
+   stack. shape = {npages, nr, ns, n, src_stride, out_stride}, packed
+   into one descriptor because every ctypes argument costs ~0.13 us to
+   marshal — six of them rival the kernel's own work on one page. Page
+   p's source block is pages[p] when a pointer table is given (raw page
+   buffers read in place, no staging copy) and src + p*src_stride
+   otherwise; its output block is out + p*out_stride. Byte strides let
+   either side be a row slice of a wider codeword layout (e.g. parity
+   written straight into a (pages, k+r, n) stack at offset k*n). A flat
+   slab or a single page is npages = 1. Each page's working set is a few
+   KB, so its rows stay L1-resident across output rows. */
+void gf_apply(const uint8_t* coef, const uint8_t* src,
+              const uint8_t* const* pages, uint8_t* out, const void* packed_shape) {
+    size_t shape[6];
+    memcpy(shape, packed_shape, sizeof shape);  /* no alignment assumed */
+    size_t npages = shape[0], nr = shape[1], ns = shape[2], n = shape[3];
+    size_t src_stride = shape[4], out_stride = shape[5];
     for (size_t p = 0; p < npages; p++)
-        gf_block_apply(nibs, coef, src + p * src_stride,
+        gf_block_apply(coef, pages ? pages[p] : src + p * src_stride,
                        out + p * out_stride, nr, ns, n);
-}
-
-/* Same, with per-page source pointers: pages[p] is a contiguous (ns, n)
-   block (a raw page buffer — k splits back to back), so whole-slab
-   encode reads the caller's bytes objects with no staging copy. */
-void gf_matrix_apply_pages(const uint8_t* nibs, const uint8_t* coef,
-                           const uint8_t* const* pages, uint8_t* out,
-                           size_t npages, size_t nr, size_t ns, size_t n,
-                           size_t out_stride) {
-    for (size_t p = 0; p < npages; p++)
-        gf_block_apply(nibs, coef, pages[p], out + p * out_stride, nr, ns, n);
 }
 """
 
 
+_FLAG_SETS = (
+    ["-O3", "-march=native", "-shared", "-fPIC"],
+    ["-O3", "-shared", "-fPIC"],  # cross-arch fallback
+)
+
+
 def _cache_dir() -> str:
-    override = os.environ.get("REPRO_NATIVE_CACHE")
-    if override:
-        return override
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
+    """The compile cache directory, resolved once per load attempt."""
+    directory = os.environ.get("REPRO_NATIVE_CACHE") or os.path.join(
+        os.environ.get("XDG_CACHE_HOME")
+        or os.path.join(os.path.expanduser("~"), ".cache"),
+        "repro-hydra",
     )
-    return os.path.join(base, "repro-hydra")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        return directory
+    except OSError:
+        return tempfile.mkdtemp(prefix="repro-gf-")
 
 
-def _compile(source: str) -> Optional[str]:
-    """Compile ``source`` to a cached shared object; None on any failure."""
-    flag_sets = (
-        ["-O3", "-march=native", "-shared", "-fPIC"],
-        ["-O3", "-shared", "-fPIC"],  # cross-arch fallback
-    )
+def _build(source: str, so_path: str, compiler: str, flags: List[str]) -> Optional[str]:
+    """Compile ``source`` into ``so_path``; None on success, else why not.
+
+    Source and object are written under per-process names and the object
+    renamed into place: concurrent processes (the ``-j N`` shard runner)
+    race on the cache slot, and neither a half-written source nor a
+    half-written object may ever be read by another process.
+    """
+    stem = f"{so_path[:-3]}.{os.getpid()}"
+    c_path, tmp_path = stem + ".c", stem + ".tmp"
+    try:
+        with open(c_path, "w") as fh:
+            fh.write(source)
+        result = subprocess.run(
+            [compiler, *flags, "-o", tmp_path, c_path],
+            capture_output=True,
+            timeout=60,
+        )
+        if result.returncode != 0:
+            lines = result.stderr.decode(errors="replace").strip().splitlines()
+            # The last diagnostic, not the caret line gcc prints under it.
+            errors = [line for line in lines if "error" in line]
+            return f"{compiler}: {(errors or lines or [result.returncode])[-1]}"
+        os.replace(tmp_path, so_path)
+        return None
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"{compiler}: {exc}"
+    finally:
+        for path in (c_path, tmp_path):
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+
+
+def _load_library(source: str) -> Tuple[Optional[ctypes.CDLL], str]:
+    """The compiled kernel from its cache slot, building it when absent.
+
+    Slots are keyed by a hash of source, compiler and flags. A cached
+    object that fails to load (truncated, corrupt, wrong arch) is
+    unlinked and rebuilt once. Returns ``(library, "")`` or ``(None, why)``
+    with the last failure in one line.
+    """
+    directory = _cache_dir()
+    why = ""
     for compiler in ("cc", "gcc"):
-        for flags in flag_sets:
+        for flags in _FLAG_SETS:
             tag = hashlib.sha256(
                 ("\x00".join([source, compiler] + flags)).encode()
             ).hexdigest()[:16]
-            try:
-                directory = _cache_dir()
-                os.makedirs(directory, exist_ok=True)
-            except OSError:
-                directory = tempfile.mkdtemp(prefix="repro-gf-")
             so_path = os.path.join(directory, f"gf_{tag}.so")
-            if os.path.exists(so_path):
-                return so_path
-            c_path = os.path.join(directory, f"gf_{tag}.c")
-            try:
-                with open(c_path, "w") as fh:
-                    fh.write(source)
-                # Build to a temp name then rename: concurrent processes
-                # (the -j N shard runner) race on the cache slot, and a
-                # half-written .so must never be dlopen'd.
-                tmp_path = so_path + f".tmp{os.getpid()}"
-                result = subprocess.run(
-                    [compiler, *flags, "-o", tmp_path, c_path],
-                    capture_output=True,
-                    timeout=60,
-                )
-                if result.returncode != 0:
-                    continue
-                os.replace(tmp_path, so_path)
-                return so_path
-            except (OSError, subprocess.SubprocessError):
-                continue
-    return None
+            for _attempt in range(2):
+                if not os.path.exists(so_path):
+                    failure = _build(source, so_path, compiler, flags)
+                    if failure:
+                        why = failure
+                        break
+                try:
+                    return ctypes.CDLL(so_path), ""
+                except OSError as exc:
+                    why = str(exc)
+                    with contextlib.suppress(OSError):
+                        os.unlink(so_path)
+    return None, why
+
+
+def _prepare(coef, src, out):
+    """Shared front end of both backends' ``apply``: validate shapes and
+    allocate ``out`` — ``(nr, n)`` for one 2-D page, ``(pages, nr, n)`` for
+    a stack or page list. Returns ``(coef, src, out)``."""
+    coef = np.asarray(coef, dtype=np.uint8)
+    if coef.ndim != 2:
+        raise ValueError(f"coefficient matrix must be 2-D, got {coef.shape}")
+    nr, ns = coef.shape
+    if isinstance(src, np.ndarray):
+        if src.dtype is not _UINT8:
+            src = src.astype(np.uint8)
+        if src.ndim not in (2, 3) or src.shape[-2] != ns:
+            raise ValueError(f"cannot apply {coef.shape} matrix to {src.shape} source")
+        shape = src.shape[:-2] + (nr, src.shape[-1])
+    else:
+        # Raw page buffers, each ``ns`` rows back to back.
+        if out is not None:
+            n = out.shape[-1]
+        else:
+            n = len(src[0]) // ns if len(src) and ns else 0
+        if set(map(len, src)) - {ns * n}:
+            raise ValueError(f"every page must be {ns} rows of {n} bytes")
+        shape = (len(src), nr, n)
+    if out is None:
+        out = np.empty(shape, dtype=np.uint8)
+    elif out.shape != shape or out.dtype is not _UINT8:
+        raise ValueError(f"out must be uint8 {shape}, got {out.dtype} {out.shape}")
+    return coef, src, out
+
+
+# gf_apply's shape descriptor: six native size_t.
+_SHAPE = struct.Struct("6N").pack
 
 
 class NativeGF:
-    """ctypes wrapper around the compiled kernel.
+    """The compiled backend: a ctypes wrapper around ``gf_apply``.
 
-    Holds the 256x32 nibble-table block (derived from ``MUL_TABLE``, so
-    the native path performs the exact same field lookups as the numpy
-    path) and exposes the two matrix-apply entry points the slab and
-    per-page kernels dispatch to.
+    Fills the C side's 256x32 nibble-table block from ``MUL_TABLE``, so
+    it performs the exact same field lookups as :class:`NumpyGF`.
+    Marshalling is kept off the hot path here and nowhere else:
+    ``.ctypes.data`` costs ~1 us per access (it builds a fresh ctypes
+    interface object) and every ctypes argument ~0.13 us, comparable to
+    the kernel's own time on one page, so the coefficient matrix travels
+    as ``bytes`` (ctypes passes the buffer address), the six sizes as one
+    packed descriptor, and the staging buffer's address is cached.
     """
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
-        lib.gf_matrix_apply.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] * 3
-        lib.gf_matrix_apply.restype = None
-        lib.gf_matrix_apply_rows.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] * 3
-        lib.gf_matrix_apply_rows.restype = None
-        lib.gf_matrix_apply_paged.argtypes = (
-            [ctypes.c_void_p] * 4 + [ctypes.c_size_t] * 6
-        )
-        lib.gf_matrix_apply_paged.restype = None
-        lib.gf_matrix_apply_pages.argtypes = (
-            [ctypes.c_void_p] * 4 + [ctypes.c_size_t] * 5
-        )
-        lib.gf_matrix_apply_pages.restype = None
+        lib.gf_apply.argtypes = [ctypes.c_void_p] * 5
+        lib.gf_apply.restype = None
+        lib.gf_set_tables.argtypes = [ctypes.c_void_p]
+        lib.gf_set_tables.restype = None
         lib.gf_kernel_isa.restype = ctypes.c_int
         self.isa = {0: "scalar", 1: "ssse3", 2: "avx2"}[int(lib.gf_kernel_isa())]
         nibs = np.zeros((256, 32), dtype=np.uint8)
@@ -294,79 +342,65 @@ class NativeGF:
         for c in range(256):
             nibs[c, :16] = MUL_TABLE[c, low]
             nibs[c, 16:] = MUL_TABLE[c, low << 4]
-        self._nibs = np.ascontiguousarray(nibs)
-        self._nibs_ptr = self._nibs.ctypes.data
-        self._apply = lib.gf_matrix_apply
-        self._apply_rows = lib.gf_matrix_apply_rows
-        self._apply_paged = lib.gf_matrix_apply_paged
-        self._apply_pages = lib.gf_matrix_apply_pages
-        # Scattered-row staging buffer: copying k ~512 B rows into one
-        # contiguous block costs ~2.5 us while extracting k raw pointers
-        # via ``.ctypes.data`` costs ~13 us (each access builds a fresh
-        # ctypes interface object) — so the RM decode/verify hot path
-        # stages and calls the flat kernel with one cached pointer.
+        lib.gf_set_tables(nibs.tobytes())
+        self._gf_apply = lib.gf_apply
+        # Scattered-row staging buffer (source rows first, product rows
+        # after them) with its address cached: copying k ~512 B rows into
+        # one block costs ~2.5 us, k raw pointers ~1 us each.
         self._stage: Optional[np.ndarray] = None
         self._stage_ptr = 0
         self._stage_flat: Optional[np.ndarray] = None
 
-    def matrix_apply(self, coef: np.ndarray, src: np.ndarray, out: np.ndarray) -> None:
-        """``out = coef @ src`` over GF(2^8), all C-contiguous uint8."""
-        nr, ns = coef.shape
-        self._apply(
-            self._nibs_ptr,
-            coef.ctypes.data,
-            src.ctypes.data,
-            out.ctypes.data,
-            nr,
-            ns,
-            src.shape[1],
-        )
+    def apply(self, coef, src, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``out[p] = coef @ src[p]`` over GF(2^8) for every page ``p``.
 
-    def matrix_apply_rows(
-        self, coef: np.ndarray, rows, out: np.ndarray, coef_ptr: Optional[int] = None
-    ) -> None:
-        """Like :meth:`matrix_apply` with scattered 1-D source rows.
-
-        The rows are staged into a persistent contiguous buffer (cheaper
-        than per-row pointer extraction; strided rows are normalized by
-        the same copy) and the flat kernel runs once. ``coef_ptr`` lets
-        plan caches pass the coefficient matrix's raw address so the hot
-        path performs a single ``.ctypes.data`` access (for ``out``).
+        ``src`` is a ``(pages, ns, n)`` stack, one 2-D ``(ns, n)`` page, or
+        a list of ``bytes`` pages (``ns * n`` bytes each, read in place).
+        Stacks may be strided by page (the pivot columns of a wider
+        stack) and so may ``out`` (the parity rows of a ``(pages, k + r,
+        n)`` stack); anything whose rows are not back to back is copied.
         """
+        coef, src, out = _prepare(coef, src, out)
         nr, ns = coef.shape
-        n = rows[0].shape[0]
-        stage = self._stage
-        if stage is None or stage.shape[0] < ns or stage.shape[1] != n:
-            self._stage = stage = np.empty((max(ns + nr, 24), n), dtype=np.uint8)
-            self._stage_ptr = stage.ctypes.data
-            self._stage_flat = stage.reshape(-1)
-        np.concatenate(rows, out=self._stage_flat[: ns * n])
-        self._apply(
-            self._nibs_ptr,
-            coef_ptr if coef_ptr is not None else coef.ctypes.data,
-            self._stage_ptr,
-            out.ctypes.data,
-            nr,
-            ns,
-            n,
-        )
+        n = out.shape[-1]
+        stacked = out.ndim == 3
+        pages, base, src_stride = None, None, 0
+        if not isinstance(src, np.ndarray):
+            pages = (ctypes.c_char_p * len(src))(*src)
+        else:
+            strides = src.strides
+            if strides[-2:] != (n, 1) or strides[0] < 0:
+                src = np.ascontiguousarray(src)
+            base = src.ctypes.data
+            src_stride = src.strides[0] if stacked else 0
+        target = out
+        if out.strides[-2:] != (n, 1) or out.strides[0] < 0:
+            target = np.empty(out.shape, dtype=np.uint8)
+        if target.size:
+            self._gf_apply(
+                coef.tobytes(), base, pages, target.ctypes.data,
+                _SHAPE(
+                    out.shape[0] if stacked else 1, nr, ns, n,
+                    src_stride, target.strides[0] if stacked else 0,
+                ),
+            )
+        if target is not out:
+            out[...] = target
+        return out
 
-    def matrix_apply_rows_alloc(
-        self,
-        coef: np.ndarray,
-        rows,
-        coef_ptr: Optional[int] = None,
-        copy: bool = True,
+    def apply_rows(
+        self, coef: np.ndarray, rows, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """:meth:`matrix_apply_rows` that also owns the output buffer.
+        """``coef @ rows`` for ``ns`` scattered 1-D uint8 source rows (the
+        per-page codec holds splits as separate arrays; strided rows are
+        normalized by the staging copy).
 
-        The product lands in the tail rows of the staging buffer (cached
-        pointer, so the hot path performs zero ``.ctypes`` accesses when
-        ``coef_ptr`` is given — each such access costs ~1.6 us). With
-        ``copy=False`` the returned array is a *view* of the stage, valid
-        only until the next native call; callers that consume the result
-        immediately (verify) use it to skip the copy.
+        Without ``out`` the product is returned as a *view of the staging
+        buffer*, valid only until the next call on this kernel: callers
+        that consume it at once (verify) skip a copy, the rest ``.copy()``.
         """
+        if coef.dtype is not _UINT8:
+            raise ValueError(f"coefficient matrix must be uint8, got {coef.dtype}")
         nr, ns = coef.shape
         n = rows[0].shape[0]
         stage = self._stage
@@ -374,99 +408,117 @@ class NativeGF:
             self._stage = stage = np.empty((max(ns + nr, 24), n), dtype=np.uint8)
             self._stage_ptr = stage.ctypes.data
             self._stage_flat = stage.reshape(-1)
+        # Raises ValueError unless the rows total exactly ns * n bytes.
         np.concatenate(rows, out=self._stage_flat[: ns * n])
-        self._apply(
-            self._nibs_ptr,
-            coef_ptr if coef_ptr is not None else coef.ctypes.data,
-            self._stage_ptr,
-            self._stage_ptr + ns * n,
-            nr,
-            ns,
-            n,
+        if out is None:
+            out = stage[ns : ns + nr]
+            out_ptr = self._stage_ptr + ns * n
+        elif out.shape == (nr, n) and out.dtype is _UINT8 and out.flags.c_contiguous:
+            out_ptr = out.ctypes.data
+        else:
+            raise ValueError(f"out must be C-contiguous uint8 {(nr, n)}")
+        self._gf_apply(
+            coef.tobytes(), self._stage_ptr, None, out_ptr, _SHAPE(1, nr, ns, n, 0, 0)
         )
-        out = stage[ns : ns + nr]
-        return out.copy() if copy else out
+        return out
 
-    def matrix_apply_paged(
-        self,
-        coef: np.ndarray,
-        src: np.ndarray,
-        out: np.ndarray,
-        src_stride: Optional[int] = None,
-        out_stride: Optional[int] = None,
-    ) -> None:
-        """Apply ``coef`` page-wise over a 3-D (pages, rows, n) stack.
 
-        ``src``/``out`` are C-contiguous uint8 stacks; the optional byte
-        strides let either one be a row slice of a wider codeword layout
-        (default: tight stacks, stride = rows * n).
-        """
-        npages = src.shape[0]
-        nr, ns = coef.shape
-        n = src.shape[2]
-        self._apply_paged(
-            self._nibs_ptr,
-            coef.ctypes.data,
-            src.ctypes.data,
-            out.ctypes.data,
-            npages,
-            nr,
-            ns,
-            n,
-            src_stride if src_stride is not None else ns * n,
-            out_stride if out_stride is not None else nr * n,
+class NumpyGF:
+    """The pure-numpy backend, and the reference the native one is tested
+    against: same interface, same ``MUL_TABLE`` lookups, byte-identical
+    output."""
+
+    isa = "numpy"
+
+    def __init__(self):
+        # 256-byte translation tables: bytes.translate runs the same
+        # per-byte MUL_TABLE lookup as ndarray.take about 2x faster, and
+        # the table universe is capped at 256 entries.
+        self._tables: dict = {}
+
+    def _product(self, coef: np.ndarray, rows, outs) -> None:
+        """``outs[r] = XOR_s coef[r, s] * rows[s]``: one translate per
+        nonzero non-unit coefficient, unit coefficients are plain XORs.
+        Rows are 1-D splits or ``(pages, n)`` slices of a stack, so one
+        sweep covers every page; a source row is copied, never aliased."""
+        tables = self._tables
+        for coefficients, acc in zip(coef.tolist(), outs):
+            first = True
+            for coefficient, row in zip(coefficients, rows):
+                if coefficient == 0:
+                    continue
+                term = row
+                if coefficient != 1:
+                    table = tables.get(coefficient)
+                    if table is None:
+                        table = tables[coefficient] = MUL_TABLE[coefficient].tobytes()
+                    term = np.frombuffer(row.tobytes().translate(table), dtype=np.uint8)
+                    if row.ndim > 1:
+                        term = term.reshape(row.shape)
+                if first:
+                    acc[...] = term
+                    first = False
+                else:
+                    np.bitwise_xor(acc, term, out=acc)
+            if first:
+                acc[...] = 0
+
+    def apply(self, coef, src, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Same contract as :meth:`NativeGF.apply`."""
+        coef, src, out = _prepare(coef, src, out)
+        if not isinstance(src, np.ndarray):
+            src = np.frombuffer(b"".join(src), dtype=np.uint8).reshape(
+                out.shape[0], coef.shape[1], out.shape[-1]
+            )
+        # Rows outermost: (ns, [pages,] n) sources, (nr, [pages,] n) outputs.
+        self._product(coef, src.swapaxes(0, -2), out.swapaxes(0, -2))
+        return out
+
+    def apply_rows(
+        self, coef: np.ndarray, rows, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Same contract as :meth:`NativeGF.apply_rows` (a fresh array
+        stands in for the staging view)."""
+        if out is None:
+            out = np.empty((coef.shape[0], rows[0].shape[0]), dtype=np.uint8)
+        self._product(coef, rows, out)
+        return out
+
+
+_KERNEL = None
+
+
+def _probe_native() -> Optional[NativeGF]:
+    """Build/load the native backend; None (with one RuntimeWarning unless
+    ``REPRO_EC_NATIVE=0`` asked for it) when this host cannot have one."""
+    if os.environ.get("REPRO_EC_NATIVE", "1") == "0":
+        return None
+    lib, why = _load_library(_C_SOURCE)
+    if lib is None:
+        warnings.warn(
+            f"native GF(2^8) kernel unavailable ({why}); using the numpy backend",
+            RuntimeWarning,
+            stacklevel=3,
         )
-
-    def matrix_apply_pages(
-        self,
-        coef: np.ndarray,
-        pages,
-        out: np.ndarray,
-        out_stride: Optional[int] = None,
-    ) -> None:
-        """Like :meth:`matrix_apply_paged` but each source page is a
-        separate ``bytes`` buffer (ns * n bytes, k splits back to back),
-        read in place — zero staging copies on the encode path."""
-        npages = len(pages)
-        nr, ns = coef.shape
-        n = out.shape[-1]
-        ptrs = (ctypes.c_char_p * npages)(*pages)
-        self._apply_pages(
-            self._nibs_ptr,
-            coef.ctypes.data,
-            ptrs,
-            out.ctypes.data,
-            npages,
-            nr,
-            ns,
-            n,
-            out_stride if out_stride is not None else nr * n,
-        )
+        return None
+    return NativeGF(lib)
 
 
-_NATIVE: Optional[NativeGF] = None
-_TRIED = False
+def load_kernel():
+    """The process-wide GF(2^8) kernel — the one place a backend is
+    chosen: :class:`NativeGF` when it loads, :class:`NumpyGF` otherwise."""
+    global _KERNEL
+    if _KERNEL is None:
+        _KERNEL = _probe_native() or NumpyGF()
+    return _KERNEL
 
 
 def load_native() -> Optional[NativeGF]:
-    """The process-wide native kernel, or None (numpy fallback)."""
-    global _NATIVE, _TRIED
-    if _TRIED:
-        return _NATIVE
-    _TRIED = True
-    if os.environ.get("REPRO_EC_NATIVE", "1") == "0":
-        return None
-    so_path = _compile(_C_SOURCE)
-    if so_path is None:
-        return None
-    try:
-        _NATIVE = NativeGF(ctypes.CDLL(so_path))
-    except OSError:
-        _NATIVE = None
-    return _NATIVE
+    """The process-wide kernel if it is the native one, else None."""
+    kernel = load_kernel()
+    return kernel if isinstance(kernel, NativeGF) else None
 
 
 def native_kernel_name() -> str:
     """Diagnostic label for benchmark metadata: avx2/ssse3/scalar/numpy."""
-    kernel = load_native()
-    return kernel.isa if kernel is not None else "numpy"
+    return load_kernel().isa

@@ -8,9 +8,8 @@ grew without bound for the life of the codec. ``PlanCache`` is the
 shared replacement: one ordered map over namespaced keys with
 move-to-end on hit and eviction from the cold end.
 
-Capacity comes from the constructor (codec argument) with the
-``REPRO_EC_PLAN_CACHE_CAP`` environment variable as the process-wide
-default. Hit/miss/eviction totals are plain ints so the codec stays
+Capacity comes from the constructor (codec argument) and defaults to
+512 entries. Hit/miss/eviction totals are plain ints so the codec stays
 usable standalone; call :meth:`bind_eviction_counter` to mirror
 evictions into a live ``MetricsRegistry`` counter (the Resilience
 Manager does this at construction).
@@ -18,22 +17,13 @@ Manager does this at construction).
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Any, Hashable, Optional
 
 __all__ = ["PlanCache", "DEFAULT_PLAN_CACHE_CAPACITY"]
 
 
-def _default_capacity() -> int:
-    try:
-        value = int(os.environ.get("REPRO_EC_PLAN_CACHE_CAP", "512"))
-    except ValueError:
-        return 512
-    return max(1, value)
-
-
-DEFAULT_PLAN_CACHE_CAPACITY = _default_capacity()
+DEFAULT_PLAN_CACHE_CAPACITY = 512
 
 
 class PlanCache:

@@ -22,14 +22,11 @@ import numpy as np
 from .galois import MUL_TABLE, gf_inv
 from .matrix import (
     SingularMatrixError,
-    gf_apply_row_plan_into,
     gf_mat_inverse,
     gf_matmul,
-    gf_matmul_slab,
-    gf_row_plan,
     systematic_generator,
 )
-from .native import load_native
+from .native import load_kernel
 from .plancache import PlanCache
 
 # numpy interns builtin dtypes, so identity is an exact (and much cheaper)
@@ -48,48 +45,17 @@ __all__ = [
 ]
 
 
-class _DecodePlan:
-    """Precompiled decode plan for one received-index tuple: the k x k
-    inverse matrix (C-contiguous, ready for the native kernel) plus the
-    lazily compiled row plan the numpy fallback applies."""
-
-    __slots__ = ("matrix", "matrix_ptr", "_plan")
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = np.ascontiguousarray(matrix, dtype=np.uint8)
-        # Raw address for the native kernel, resolved once per plan: the
-        # plan keeps the matrix alive, so the pointer stays valid.
-        self.matrix_ptr = self.matrix.ctypes.data
-        self._plan = None
-
-    @property
-    def plan(self) -> list:
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = gf_row_plan(self.matrix)
-        return plan
-
-
 class _ExtrasPlan:
     """Precompiled consistency plan for one received-index tuple: the
-    (d x k) extras transform, its fallback row plan, and the residual
-    ratio tables the pivot-error localizer reads — one LRU entry instead
-    of three parallel dicts keyed by the same tuple."""
+    (d x k) extras transform and the residual ratio tables the
+    pivot-error localizer reads — one LRU entry instead of parallel
+    dicts keyed by the same tuple."""
 
-    __slots__ = ("transform", "transform_ptr", "_plan", "_ratios")
+    __slots__ = ("transform", "_ratios")
 
     def __init__(self, transform: np.ndarray):
         self.transform = np.ascontiguousarray(transform, dtype=np.uint8)
-        self.transform_ptr = self.transform.ctypes.data
-        self._plan = None
         self._ratios = None
-
-    @property
-    def plan(self) -> list:
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = gf_row_plan(self.transform)
-        return plan
 
     @property
     def ratios(self):
@@ -169,21 +135,9 @@ class ReedSolomonCode:
             self.plan_cache = cache
         else:
             self.plan_cache = PlanCache(plan_cache_capacity)
-        self._parity_matrix = np.ascontiguousarray(self.generator[self.k :])
-        self._parity_plan = gf_row_plan(self.generator[self.k :]) if r else None
-        # The native SIMD kernel (or None → numpy fallback); resolved once
-        # per codec, immutable for the process lifetime.
-        self._native = load_native()
-        # One reusable gather buffer for the in-place kernels; reallocated
-        # only when the split length changes (it never does in steady state).
-        self._scratch: Optional[np.ndarray] = None
-
-    def _scratch_for(self, length: int) -> np.ndarray:
-        scratch = self._scratch
-        if scratch is None or scratch.shape[0] != length:
-            scratch = np.empty(length, dtype=np.uint8)
-            self._scratch = scratch
-        return scratch
+        # The process-wide GF(2^8) kernel (native or numpy, see
+        # :mod:`.native`); every product below goes through it.
+        self.kernel = load_kernel()
 
     # ------------------------------------------------------------------
     def encode(self, data_splits: np.ndarray) -> np.ndarray:
@@ -193,33 +147,14 @@ class ReedSolomonCode:
         (r, split_len) uint8 array. With ``r == 0`` returns an empty array.
         """
         data_splits = self._check_splits(data_splits, expected_rows=self.k)
-        if self.r == 0:
-            return np.zeros((0, data_splits.shape[1]), dtype=np.uint8)
-        length = data_splits.shape[1]
-        out = np.empty((self.r, length), dtype=np.uint8)
-        if self._native is None:
-            return gf_apply_row_plan_into(
-                self._parity_plan, list(data_splits), out, self._scratch_for(length)
-            )
-        return gf_matmul_slab(self._parity_matrix, data_splits, out=out)
+        return self.kernel.apply(self.generator[self.k :], data_splits)
 
     def encode_page(self, data_splits: np.ndarray) -> np.ndarray:
-        """All ``k + r`` splits (data stacked above parity)."""
+        """All ``k + r`` splits (data stacked above parity): the full
+        systematic generator in one kernel call, whose unit rows copy the
+        data splits."""
         data_splits = self._check_splits(data_splits, expected_rows=self.k)
-        length = data_splits.shape[1]
-        out = np.empty((self.n, length), dtype=np.uint8)
-        out[: self.k] = data_splits
-        if self.r:
-            if self._native is None:
-                gf_apply_row_plan_into(
-                    self._parity_plan,
-                    list(data_splits),
-                    out[self.k :],
-                    self._scratch_for(length),
-                )
-            else:
-                gf_matmul_slab(self._parity_matrix, data_splits, out=out[self.k :])
-        return out
+        return self.kernel.apply(self.generator, data_splits)
 
     # ------------------------------------------------------------------
     def decode(self, splits: Dict[int, np.ndarray]) -> np.ndarray:
@@ -246,17 +181,8 @@ class ReedSolomonCode:
         """Decode from exactly ``k`` already-validated rows at ``indices``."""
         if indices == tuple(range(self.k)):
             return np.stack(payload_rows)  # all-systematic fast path
-        entry = self._decode_plan(indices)
-        native = self._native
-        if native is None:
-            length = payload_rows[0].shape[0]
-            out = np.empty((self.k, length), dtype=np.uint8)
-            return gf_apply_row_plan_into(
-                entry.plan, payload_rows, out, self._scratch_for(length)
-            )
-        return native.matrix_apply_rows_alloc(
-            entry.matrix, payload_rows, coef_ptr=entry.matrix_ptr
-        )
+        # The product is a view of the kernel's staging buffer: keep a copy.
+        return self.kernel.apply_rows(self._decode_matrix(indices), payload_rows).copy()
 
     def reencode_split(self, data_splits: np.ndarray, index: int) -> np.ndarray:
         """Regenerate the single split ``index`` from the k data splits."""
@@ -320,19 +246,10 @@ class ReedSolomonCode:
         first = indices[: self.k]
         extras = indices[self.k :]
         base_rows = [self._check_vector(splits[i]) for i in first]
-        entry = self._extras_entry(tuple(indices))
-        native = self._native
-        if native is None:
-            length = base_rows[0].shape[0]
-            expected = np.empty((len(extras), length), dtype=np.uint8)
-            gf_apply_row_plan_into(
-                entry.plan, base_rows, expected, self._scratch_for(length)
-            )
-        else:
-            # Stage-view output: consumed before any further native call.
-            expected = native.matrix_apply_rows_alloc(
-                entry.transform, base_rows, coef_ptr=entry.transform_ptr, copy=False
-            )
+        # Staging-view output: consumed before any further kernel call.
+        expected = self.kernel.apply_rows(
+            self._extras_entry(tuple(indices)).transform, base_rows
+        )
         for row, index in enumerate(extras):
             if not np.array_equal(expected[row], self._check_vector(splits[index])):
                 return False
@@ -389,30 +306,56 @@ class ReedSolomonCode:
         :meth:`correct_reference`, so results, errors, and localization
         lists are byte-identical to the scan by construction.
         """
-        m = len(splits)
-        if max_errors is None:
-            max_errors = max(0, (m - self.k - 1) // 2)
-        needed = self.k + 2 * max_errors + 1
-        guaranteed = m >= needed
-        if not guaranteed and not best_effort:
-            raise DecodeError(
-                f"correcting {max_errors} errors needs {needed} splits, got {m}"
-            )
-        if m < self.k + 1:
-            raise DecodeError(
-                f"localization needs at least k + 1 = {self.k + 1} splits, got {m}"
-            )
+        max_errors, guaranteed, accept_at = self._correction_mode(
+            len(splits), max_errors, best_effort
+        )
         items = sorted(splits.items())
         idx_list = [idx for idx, _ in items]
         payload_rows = [self._check_vector(p) for _, p in items]
-        result = self._correct_guided(
-            idx_list, payload_rows, max_errors, guaranteed, best_effort
-        )
+        result = self._correct_guided(idx_list, payload_rows, max_errors, accept_at)
         if result is not None:
             return result
         return self._correct_scan(
             idx_list, payload_rows, max_errors, guaranteed, best_effort
         )
+
+    def _correction_mode(
+        self, m: int, max_errors: Optional[int], best_effort: bool
+    ) -> Tuple[int, bool, int]:
+        """The Table 1 precondition for correcting from ``m`` splits.
+
+        Returns ``(max_errors, guaranteed, accept_at)``: the defaulted
+        error budget, whether ``m`` reaches the ``k + 2d + 1`` guarantee,
+        and the smallest agreement (splits out of ``m`` a candidate
+        codeword matches) at which the residual-guided decoders may accept
+        a candidate as provably the exhaustive scan's answer. In
+        guaranteed mode that is ``m - max_errors`` (two codewords at that
+        threshold would share ``m - 2·max_errors >= k + 1`` splits and be
+        equal); in best-effort mode ``a >= k + 1`` and ``2a - m >= k``
+        (any rival with agreement ``>= a`` shares ``>= 2a - m >= k``
+        splits with the candidate, hence equals it — so it is the unique
+        maximum the reference ranking returns). Either suffices, so the
+        bar is the lower of the two.
+        """
+        k = self.k
+        if max_errors is None:
+            max_errors = max(0, (m - k - 1) // 2)
+        needed = k + 2 * max_errors + 1
+        guaranteed = m >= needed
+        if not guaranteed and not best_effort:
+            raise DecodeError(
+                f"correcting {max_errors} errors needs {needed} splits, got {m}"
+            )
+        if m < k + 1:
+            raise DecodeError(
+                f"localization needs at least k + 1 = {k + 1} splits, got {m}"
+            )
+        bars = []
+        if guaranteed:
+            bars.append(m - max_errors)
+        if best_effort:
+            bars.append(max(k + 1, (m + k + 1) // 2))
+        return max_errors, guaranteed, min(bars)
 
     def correct_reference(
         self,
@@ -426,19 +369,9 @@ class ReedSolomonCode:
         fallback for inputs the guided path cannot settle and the oracle
         the property tests pin the fast path against byte for byte.
         """
-        m = len(splits)
-        if max_errors is None:
-            max_errors = max(0, (m - self.k - 1) // 2)
-        needed = self.k + 2 * max_errors + 1
-        guaranteed = m >= needed
-        if not guaranteed and not best_effort:
-            raise DecodeError(
-                f"correcting {max_errors} errors needs {needed} splits, got {m}"
-            )
-        if m < self.k + 1:
-            raise DecodeError(
-                f"localization needs at least k + 1 = {self.k + 1} splits, got {m}"
-            )
+        max_errors, guaranteed, _ = self._correction_mode(
+            len(splits), max_errors, best_effort
+        )
         items = sorted(splits.items())
         idx_list = [idx for idx, _ in items]
         payload_rows = [self._check_vector(p) for _, p in items]
@@ -451,8 +384,7 @@ class ReedSolomonCode:
         idx_list: List[int],
         payload_rows: List[np.ndarray],
         max_errors: int,
-        guaranteed: bool,
-        best_effort: bool,
+        accept_at: int,
     ) -> Optional[Tuple[np.ndarray, List[int]]]:
         """Residual-guided localization; ``None`` defers to the scan.
 
@@ -477,43 +409,20 @@ class ReedSolomonCode:
           one of those replacements is clean) before giving up.
 
         A candidate with agreement ``a`` (out of ``m``) is accepted only
-        when it is provably the scan's answer: in guaranteed mode when
-        ``a >= m - max_errors`` (two codewords at that threshold would
-        share ``m - 2·max_errors >= k + 1`` splits and be equal), and in
-        best-effort mode when ``a >= k + 1`` and ``2a - m >= k`` (any
-        rival with agreement ``>= a`` shares ``>= 2a - m >= k`` splits
-        with the candidate, hence equals it — so it is the unique
-        maximum the reference ranking returns). Anything weaker returns
-        ``None`` and the exhaustive scan decides, including raising the
-        classified errors.
+        when ``a >= accept_at``, the bar :meth:`_correction_mode` proves
+        makes it the scan's answer. Anything weaker returns ``None`` and
+        the exhaustive scan decides, including raising the classified
+        errors.
         """
         k = self.k
         m = len(idx_list)
         extras_count = m - k
-
-        def accepts(agreement: int) -> bool:
-            if guaranteed and agreement >= m - max_errors:
-                return True
-            return (
-                best_effort
-                and agreement >= k + 1
-                and 2 * agreement - m >= k
-            )
-
         pivot = tuple(idx_list[:k])
         pivot_rows = payload_rows[:k]
-        length = payload_rows[0].shape[0]
-        residual = np.empty((extras_count, length), dtype=np.uint8)
-        entry = self._extras_entry(tuple(idx_list))
-        native = self._native
-        if native is None:
-            gf_apply_row_plan_into(
-                entry.plan, pivot_rows, residual, self._scratch_for(length)
-            )
-        else:
-            native.matrix_apply_rows(
-                entry.transform, pivot_rows, residual, coef_ptr=entry.transform_ptr
-            )
+        residual = np.empty((extras_count, payload_rows[0].shape[0]), dtype=np.uint8)
+        self.kernel.apply_rows(
+            self._extras_entry(tuple(idx_list)).transform, pivot_rows, residual
+        )
         for row in range(extras_count):
             np.bitwise_xor(residual[row], payload_rows[k + row], out=residual[row])
         bad_rows = np.nonzero(residual.any(axis=1))[0]
@@ -523,7 +432,7 @@ class ReedSolomonCode:
             # strongest possible majority in either mode.
             return self._decode_rows(pivot, pivot_rows), []
 
-        if not accepts(m - 1):
+        if m - 1 < accept_at:
             # No single-error candidate can be accepted (agreement is at
             # most m - 1 once any residual row is nonzero), and multi-error
             # candidates are weaker still.
@@ -545,9 +454,7 @@ class ReedSolomonCode:
                 return self._decode_rows(pivot, rows), [pivot[column]]
 
         if max_errors >= 2:
-            return self._correct_by_swap(
-                idx_list, payload_rows, max_errors, accepts
-            )
+            return self._correct_by_swap(idx_list, payload_rows, max_errors, accept_at)
         return None
 
     def _locate_pivot_error(
@@ -594,7 +501,7 @@ class ReedSolomonCode:
         idx_list: List[int],
         payload_rows: List[np.ndarray],
         max_errors: int,
-        accepts,
+        accept_at: int,
     ) -> Optional[Tuple[np.ndarray, List[int]]]:
         """Try pivot subsets with one row swapped for an early extra.
 
@@ -618,7 +525,7 @@ class ReedSolomonCode:
                     continue
                 expected = self._reencode_rows(idx_list, candidate)
                 bad_rows = np.nonzero((expected != stacked).any(axis=1))[0]
-                if accepts(m - len(bad_rows)):
+                if m - len(bad_rows) >= accept_at:
                     return candidate, [idx_list[int(row)] for row in bad_rows]
         return None
 
@@ -733,7 +640,7 @@ class ReedSolomonCode:
     def _extras_entry(self, indices: Tuple[int, ...]) -> _ExtrasPlan:
         """Cached consistency plan: the (d x k) map from the first-k
         received splits to the expected remaining ``d``, plus its
-        compiled row plan and residual-ratio tables."""
+        residual-ratio tables."""
         key = ("extras", indices)
         entry = self.plan_cache.get(key)
         if entry is None:
@@ -745,19 +652,14 @@ class ReedSolomonCode:
             entry = self.plan_cache.put(key, _ExtrasPlan(transform))
         return entry
 
-    def _extras_transform(self, indices: Tuple[int, ...]) -> np.ndarray:
-        return self._extras_entry(indices).transform
-
-    def _decode_plan(self, indices: Tuple[int, ...]) -> _DecodePlan:
-        key = ("decode", indices)
-        entry = self.plan_cache.get(key)
-        if entry is None:
-            rows = self.generator[list(indices)]
-            entry = self.plan_cache.put(key, _DecodePlan(gf_mat_inverse(rows)))
-        return entry
-
     def _decode_matrix(self, indices: Tuple[int, ...]) -> np.ndarray:
-        return self._decode_plan(indices).matrix
+        key = ("decode", indices)
+        matrix = self.plan_cache.get(key)
+        if matrix is None:
+            matrix = self.plan_cache.put(
+                key, gf_mat_inverse(self.generator[list(indices)])
+            )
+        return matrix
 
     def _check_splits(self, splits: np.ndarray, expected_rows: int) -> np.ndarray:
         splits = np.asarray(splits, dtype=np.uint8)

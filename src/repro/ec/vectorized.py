@@ -5,8 +5,8 @@ slab (§4.4); doing that page-by-page through the scalar codec would cost
 a Python-level matrix solve per page. These helpers batch pages that
 share a source-position set into whole-slab GF(2^8) kernels: each page
 is a (rows, split_size) block of a 3-D stack and one coefficient matrix
-is applied across every page in a single call (the native paged kernel
-when compiled, the flat matmul otherwise — see :mod:`.native`).
+is applied across every page in a single ``code.kernel.apply`` call (see
+:mod:`.native`).
 
 They are exact: every output equals what the per-page codec would
 produce (tested against it, byte for byte).
@@ -30,39 +30,6 @@ __all__ = [
     "correct_pages",
     "reencode_split_pages",
 ]
-
-
-def _apply_paged(
-    code: ReedSolomonCode,
-    matrix: np.ndarray,
-    stack: np.ndarray,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """``matrix @ stack[p]`` for every page ``p`` of a 3-D stack.
-
-    ``stack`` is (pages, rows, split); pages may be strided (e.g. the
-    pivot columns of a wider received stack) as long as each page's
-    (rows, split) block is itself contiguous — the paged kernel takes the
-    page stride explicitly, so no staging copy is made. Fallback is the
-    flat transpose + matmul formulation; both run the same MUL_TABLE
-    lookups, so results are byte-identical.
-    """
-    pages, rows, split = stack.shape
-    nr = matrix.shape[0]
-    if out is None:
-        out = np.empty((pages, nr, split), dtype=np.uint8)
-    native = code._native
-    if (
-        native is not None
-        and pages
-        and stack.strides[1:] == (split, 1)
-        and out.flags.c_contiguous
-    ):
-        native.matrix_apply_paged(matrix, stack, out, src_stride=stack.strides[0])
-        return out
-    flat = stack.transpose(1, 0, 2).reshape(rows, pages * split)
-    out[:] = gf_matmul(matrix, flat).reshape(nr, pages, split).transpose(1, 0, 2)
-    return out
 
 
 def rebuild_transform(
@@ -135,36 +102,16 @@ def encode_pages(
 
     ``data_splits_stack`` has shape (pages, k, split_size); the result has
     shape (pages, n, split_size) with data splits first, parity after —
-    identical to calling ``encode_page`` per page. The parity block is
-    written straight into the output stack at byte offset ``k * split``
-    of each page (the paged kernel takes output strides), so encoding
-    costs one data copy and one kernel sweep, no transposes.
+    identical to calling ``encode_page`` per page. One kernel sweep
+    with the full systematic generator: its unit rows copy the data
+    splits, its parity rows land behind them, no transposes.
     """
     stack = np.asarray(data_splits_stack, dtype=np.uint8)
     if stack.ndim != 3 or stack.shape[1] != code.k:
         raise DecodeError(
             f"expected (pages, k={code.k}, split) stack, got {stack.shape}"
         )
-    pages, _k, split_size = stack.shape
-    out = np.empty((pages, code.n, split_size), dtype=np.uint8)
-    out[:, : code.k] = stack
-    if code.r and pages:
-        native = code._native
-        if native is not None and stack.strides[1:] == (split_size, 1):
-            native.matrix_apply_paged(
-                code._parity_matrix,
-                stack,
-                out[:, code.k :],
-                src_stride=stack.strides[0],
-                out_stride=code.n * split_size,
-            )
-        else:
-            flat = stack.transpose(1, 0, 2).reshape(code.k, pages * split_size)
-            parity_flat = gf_matmul(code.generator[code.k :], flat)
-            out[:, code.k :] = parity_flat.reshape(
-                code.r, pages, split_size
-            ).transpose(1, 0, 2)
-    return out
+    return code.kernel.apply(code.generator, stack)
 
 
 def decode_pages(
@@ -189,7 +136,7 @@ def decode_pages(
         )
     if index_tuple == tuple(range(code.k)):
         return stack  # all-systematic fast path
-    return _apply_paged(code, code.decode_matrix(index_tuple), stack)
+    return code.kernel.apply(code.decode_matrix(index_tuple), stack)
 
 
 def correct_pages(
@@ -236,18 +183,9 @@ def correct_pages(
             f"expected (pages, {m}, split) stack, got {stack.shape}"
         )
     # Same preconditions (and messages) as ``ReedSolomonCode.correct``.
-    if max_errors is None:
-        max_errors = max(0, (m - code.k - 1) // 2)
-    needed = code.k + 2 * max_errors + 1
-    guaranteed = m >= needed
-    if not guaranteed and not best_effort:
-        raise DecodeError(
-            f"correcting {max_errors} errors needs {needed} splits, got {m}"
-        )
-    if m < code.k + 1:
-        raise DecodeError(
-            f"localization needs at least k + 1 = {code.k + 1} splits, got {m}"
-        )
+    max_errors, _guaranteed, accept_at = code._correction_mode(
+        m, max_errors, best_effort
+    )
     order = sorted(range(m), key=idx.__getitem__)
     if order != list(range(m)):
         stack = np.ascontiguousarray(stack[:, order])
@@ -263,22 +201,16 @@ def correct_pages(
     # Batched residual over every page at once: expected extras from the
     # pivot (first k) columns vs the extras actually received.
     pivot = stack[:, :k]
-    entry = code._extras_entry(tuple(idx))
-    residual = _apply_paged(code, entry.transform, pivot)
+    residual = code.kernel.apply(code._extras_entry(tuple(idx)).transform, pivot)
     np.bitwise_xor(residual, stack[:, k:], out=residual)
     row_bad = residual.any(axis=2)  # (pages, d)
     nbad = row_bad.sum(axis=1)
-
-    def accepts(agreement: int) -> bool:
-        if guaranteed and agreement >= m - max_errors:
-            return True
-        return best_effort and agreement >= k + 1 and 2 * agreement - m >= k
 
     fallback: List[int] = []
     fixed = pivot
     dirty = np.nonzero(nbad)[0]
     if len(dirty):
-        if not accepts(m - 1) or d < 2:
+        if m - 1 < accept_at or d < 2:
             # No single-error candidate can reach the acceptance bar (or
             # too few extras to disambiguate) — exactly where the guided
             # path hands over to swap/scan. Per-page fallback preserves
@@ -340,7 +272,7 @@ def reencode_split_pages(
     if index < code.k:
         return stack[:, index].copy()
     pages, _k, split_size = stack.shape
-    row = _apply_paged(code, code.generator[index : index + 1], stack)
+    row = code.kernel.apply(code.generator[index : index + 1], stack)
     return row.reshape(pages, split_size)
 
 
@@ -391,12 +323,11 @@ def _locate_pivot_errors_batch(
             sel = single[column_of == column]
             grp = group[sel]
             # error = T[0, c]⁻¹ ⊗ row0, then confirm every remaining row —
-            # both scalings ride the paged kernel (one coefficient over
-            # the whole group), not a per-element fancy gather.
+            # both scalings ride the kernel (one coefficient over the
+            # whole group), not a per-element fancy gather.
             inv_mat = np.array([[inv_row0[column]]], dtype=np.uint8)
-            error = _apply_paged(code, inv_mat, grp[:, :1])  # (gg, 1, split)
-            coefs = np.ascontiguousarray(transform[1:, column : column + 1])
-            expected = _apply_paged(code, coefs, error)
+            error = code.kernel.apply(inv_mat, grp[:, :1])  # (gg, 1, split)
+            expected = code.kernel.apply(transform[1:, column : column + 1], error)
             ok = (expected == grp[:, 1:]).all(axis=(1, 2))
             good = np.nonzero(ok)[0]
             if len(good):

@@ -36,6 +36,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..ec import PageCodec
+from ..ec.native import native_kernel_name
 from ..sim import Simulator
 from .builders import build_hydra_cluster
 from .microbench import page_generator, run_process
@@ -66,8 +67,6 @@ PERF_BENCH_NAMES = (
     "ec_correct",
     "ec_correct_guaranteed",
     "ec_correct_best_effort",
-    "ec_batch_encode",
-    "ec_batch_decode",
     "ec_slab_encode",
     "ec_slab_decode",
     "ec_slab_correct",
@@ -84,8 +83,6 @@ _EC_OPS = (
     "ec_correct",
     "ec_correct_guaranteed",
     "ec_correct_best_effort",
-    "ec_batch_encode",
-    "ec_batch_decode",
     "ec_slab_encode",
     "ec_slab_decode",
     "ec_slab_correct",
@@ -109,8 +106,6 @@ _ANCHOR_FIELDS: Dict[str, Tuple[str, ...]] = {
     "ec_correct": ("pages", "mb"),
     "ec_correct_guaranteed": ("pages", "mb"),
     "ec_correct_best_effort": ("pages", "mb", "corrupt_pages"),
-    "ec_batch_encode": ("pages", "mb"),
-    "ec_batch_decode": ("pages", "mb"),
     "ec_slab_encode": ("pages", "mb"),
     "ec_slab_decode": ("pages", "mb"),
     "ec_slab_correct": ("pages", "mb"),
@@ -293,9 +288,7 @@ def bench_ec(
         raise ValueError(f"unknown ec benchmark(s): {sorted(unknown)}")
     codec = PageCodec(k, r, page_size=PAGE_SIZE)
     pages = _ec_pages(codec, n_pages)
-    needs_encoded = set(selected) - {
-        "ec_encode", "ec_batch_encode", "ec_correct_guaranteed",
-    }
+    needs_encoded = set(selected) - {"ec_encode", "ec_correct_guaranteed"}
     enc_stack = codec.encode_batch(pages) if needs_encoded else None
     mb = n_pages * PAGE_SIZE / _MB
     indices = list(range(k - 1)) + [k]  # drop data split k-1, use parity k
@@ -437,31 +430,6 @@ def bench_ec(
             "pages": n_pages, "mb": round(mb, 3),
             "corrupt_pages": len(dirty_pages),
             "seconds": round(seconds, 6),
-            "mb_per_sec": round(mb / seconds, 2),
-        }
-
-    # -- batched encode/decode (the vectorized slab paths) -------------
-    if "ec_batch_encode" in selected:
-        def batch_encode_workload() -> dict:
-            codec.encode_batch(pages)
-            return {}
-
-        seconds, _ = _best_of(batch_encode_workload, repeats)
-        results["ec_batch_encode"] = {
-            "pages": n_pages, "mb": round(mb, 3), "seconds": round(seconds, 6),
-            "mb_per_sec": round(mb / seconds, 2),
-        }
-
-    if "ec_batch_decode" in selected:
-        stack = np.ascontiguousarray(enc_stack[:, indices])
-
-        def batch_decode_workload() -> dict:
-            codec.decode_batch(indices, stack)
-            return {}
-
-        seconds, _ = _best_of(batch_decode_workload, repeats)
-        results["ec_batch_decode"] = {
-            "pages": n_pages, "mb": round(mb, 3), "seconds": round(seconds, 6),
             "mb_per_sec": round(mb / seconds, 2),
         }
 
@@ -882,6 +850,7 @@ def run_perf_suite(
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
+        "ec_kernel": native_kernel_name(),
         "benchmarks": benchmarks,
     }
 
@@ -960,7 +929,7 @@ def format_results(doc: dict) -> str:
     lines = [
         f"hydra perf suite ({'quick' if doc['quick'] else 'full'}, "
         f"best of {doc['repeats']}) — python {doc['python']}, "
-        f"numpy {doc['numpy']}"
+        f"numpy {doc['numpy']}, ec kernel {doc['ec_kernel']}"
     ]
     b = doc["benchmarks"]
     lines.append(

@@ -70,17 +70,6 @@ def test_capacity_must_be_positive():
         PlanCache(capacity=0)
 
 
-def test_env_default_capacity(monkeypatch):
-    monkeypatch.setenv("REPRO_EC_PLAN_CACHE_CAP", "7")
-    from repro.ec import plancache
-
-    assert plancache._default_capacity() == 7
-    monkeypatch.setenv("REPRO_EC_PLAN_CACHE_CAP", "not-a-number")
-    assert plancache._default_capacity() == 512
-    monkeypatch.setenv("REPRO_EC_PLAN_CACHE_CAP", "-3")
-    assert plancache._default_capacity() == 1
-
-
 def test_eviction_counter_mirrors_into_metrics_registry():
     metrics = MetricsRegistry()
     counter = metrics.counter("rm.0.ec.plan_evictions")

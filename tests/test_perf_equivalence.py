@@ -1,7 +1,8 @@
 """Equivalence pins for the wall-clock fast path.
 
-The optimization pass (compiled GF row plans, syndrome-transform verify,
-fused RDMA completions, synchronous event delivery, batched EC) must be
+The optimization pass (the GF(2^8) kernel and its two backends,
+syndrome-transform verify, fused RDMA completions, synchronous event
+delivery, batched EC) must be
 *semantics-preserving*: a seeded simulation produces byte-identical pages
 and an identical metric trace before and after. The constants pinned here
 were recorded on the pre-optimization code and re-verified unchanged at
@@ -17,11 +18,8 @@ import pytest
 
 from repro.ec import PageCodec, ReedSolomonCode
 from repro.ec.galois import MUL_TABLE, gf_mul
-from repro.ec.matrix import (
-    gf_apply_row_plan_into,
-    gf_matmul,
-    gf_row_plan,
-)
+from repro.ec.matrix import gf_matmul
+from repro.ec.native import NumpyGF, load_native
 from repro.harness import build_hydra_cluster, run_process
 from repro.harness.microbench import page_generator
 from repro.sim import Simulator
@@ -61,21 +59,78 @@ def _cases(rng):
     yield a, rng.integers(0, 256, (6, 7), dtype=np.uint8)
 
 
+def _backends():
+    """Both kernel backends in one process: numpy always, native if it loads."""
+    native = load_native()
+    return [NumpyGF()] + ([native] if native is not None else [])
+
+
+def _input_forms(kernel, a, pages):
+    """Every way the one interface takes ``pages`` (a (pages, ns, n) stack)
+    with matrix ``a``: yields (label, result) with result (pages, nr, n)."""
+    count, ns, n = pages.shape
+    nr = a.shape[0]
+    yield "contiguous 3-D stack", kernel.apply(a, pages)
+    wide = np.full((count, ns + 3, n), 0xEE, dtype=np.uint8)
+    wide[:, :ns] = pages
+    yield "strided 3-D view", kernel.apply(a, wide[:, :ns])
+    codeword = np.full((count, ns + nr, n), 0xEE, dtype=np.uint8)
+    returned = kernel.apply(a, pages, out=codeword[:, ns:])
+    assert returned.base is codeword and (codeword[:, :ns] == 0xEE).all()
+    yield "out = parity slice of a wider stack", codeword[:, ns:]
+    yield "bytes-page list", kernel.apply(a, [page.tobytes() for page in pages])
+    yield "2-D page", np.stack([kernel.apply(a, page) for page in pages])
+    out = np.empty((nr, n), dtype=np.uint8)
+    yield "list of 1-D rows", np.stack(
+        [kernel.apply_rows(a, list(page), out).copy() for page in pages]
+    )
+    yield "list of 1-D rows, kernel's own out", np.stack(
+        [kernel.apply_rows(a, list(page)).copy() for page in pages]
+    )
+    columns = np.ascontiguousarray(pages.transpose(0, 2, 1))  # rows become strided
+    yield "list of strided 1-D rows", np.stack(
+        [kernel.apply_rows(a, list(page.T)).copy() for page in columns]
+    )
+
+
 def test_gf_kernels_match_reference():
     rng = np.random.default_rng(7)
-    for a, b in _cases(rng):
+    cases = list(_cases(rng))
+    # n = 67 and 9/16/7 above are not multiples of 32: the SIMD kernels'
+    # scalar tail loop runs; n = 96 has no tail at all.
+    for n in (67, 96):
+        unit = rng.integers(0, 2, (3, 8), dtype=np.uint8)  # unit coefficients only
+        unit[1] = 0  # an all-zero coefficient row
+        cases.append((unit, rng.integers(0, 256, (8, n), dtype=np.uint8)))
+    for a, b in cases:
         expected = _reference_matmul(a, b)
         assert np.array_equal(gf_matmul(a, b), expected)
-        out = np.empty_like(expected)
-        assert np.array_equal(gf_apply_row_plan_into(gf_row_plan(a), list(b), out), expected)
+        # Three pages: b, a permutation of its rows, and all zeros.
+        pages = np.stack([b, b[::-1], np.zeros_like(b)])
+        want = np.stack([expected, _reference_matmul(a, b[::-1]), np.zeros_like(expected)])
+        for kernel in _backends():
+            for label, got in _input_forms(kernel, a, pages):
+                assert np.array_equal(got, want), (kernel.isa, label, a.shape)
+            empty = kernel.apply(a, pages[:0])  # npages = 0
+            assert empty.shape == (0, a.shape[0], b.shape[1]), kernel.isa
+            assert kernel.apply(a, []).shape[:2] == (0, a.shape[0]), kernel.isa
 
 
 def test_row_plan_unit_rows_copy_not_alias():
-    plan = gf_row_plan(np.eye(3, dtype=np.uint8))
-    rows = [np.arange(4, dtype=np.uint8) + i for i in range(3)]
-    out = gf_apply_row_plan_into(plan, rows, np.empty((3, 4), dtype=np.uint8))
-    out[0] ^= 0xFF
-    assert rows[0][0] == 0  # the source row must not be written through
+    """A unit coefficient row copies its source row; the output must never
+    alias it, on either backend and through either method."""
+    identity = np.eye(3, dtype=np.uint8)
+    for kernel in _backends():
+        rows = [np.arange(4, dtype=np.uint8) + i for i in range(3)]
+        page = np.stack(rows)
+        for out in (
+            kernel.apply(identity, page),
+            kernel.apply(identity, page[None])[0],
+            kernel.apply_rows(identity, rows),
+        ):
+            assert np.array_equal(out, page)
+            out[0] ^= 0xFF
+            assert rows[0][0] == 0 and page[0, 0] == 0, kernel.isa
 
 
 def test_mul_table_row_take_is_gf_mul():
