@@ -374,3 +374,183 @@ def test_seeded_failure_run_fingerprint_unchanged():
     assert events["regenerations"] == 1
     assert events["disconnects"] == 1
     assert events["reads"] == 64 and events["writes"] == 80
+
+
+# ----------------------------------------------------------------------
+# Pins for the branches no fingerprint above reaches
+# ----------------------------------------------------------------------
+def test_seeded_all_toggles_off_fingerprint_unchanged():
+    """Every DatapathConfig toggle off with all slabs up: the
+    encode-before-post write that waits for all (k + r) acks."""
+    from repro.core import DatapathConfig
+
+    hydra = build_hydra_cluster(
+        machines=10, k=4, r=2, delta=1, seed=13,
+        datapath=DatapathConfig().all_off(),
+    )
+    rm = hydra.remote_memory(0)
+    sim = hydra.sim
+    make_page = page_generator()
+    pages = [make_page(pid) for pid in range(24)]
+    digest = hashlib.sha256()
+
+    def driver():
+        for i in range(96):
+            pid = (i * 7) % 24
+            yield rm.write(pid, pages[pid])
+            data = yield rm.read(pid)
+            digest.update(data)
+
+    run_process(sim, sim.process(driver(), name="fp3"), until=1e12)
+
+    assert sim.now == pytest.approx(1549.9687064918655, abs=0, rel=0)
+    assert digest.hexdigest() == (
+        "b05855813efb51b7838ce04abc7d3a074e8f63b0f7a221c57e71553de897d9d9"
+    )
+    assert rm.read_latency.p50 == pytest.approx(6.656360343419777, abs=0, rel=0)
+    assert rm.write_latency.p50 == pytest.approx(8.787230730291071, abs=0, rel=0)
+    assert dict(sorted(rm.events.counts.items())) == {
+        "decoded_reads": 91,
+        "degraded_writes": 96,
+        "ranges_placed": 1,
+        "reads": 96,
+        "writes": 96,
+    }
+
+
+def test_seeded_corruption_heal_regen_fingerprint_unchanged():
+    """Corrupt a data host -> background detection -> correction and
+    heal -> inline verified reads once the host is suspected -> slab
+    regeneration on the error score -> catch-up of the writes that raced
+    the regeneration."""
+    from repro.cluster import CorruptionInjector
+    from repro.sim import RandomSource
+
+    hydra = build_hydra_cluster(machines=12, k=4, r=2, delta=1, seed=17)
+    rm = hydra.remote_memory(0)
+    sim = hydra.sim
+    make_page = page_generator()
+    pages = [make_page(pid) for pid in range(24)]
+    rewritten = pages[1:] + pages[:1]
+    digest = hashlib.sha256()
+    injector = CorruptionInjector(sim, RandomSource(17, "pin/corrupt"))
+
+    def driver():
+        for pid in range(24):
+            yield rm.write(pid, pages[pid])
+        yield sim.timeout(50)
+        victim = rm.space.get(0).handle(1).machine_id
+        injector.corrupt_machine(hydra.cluster.machine(victim), fraction=1.0)
+        for i in range(72):
+            pid = (i * 5) % 24
+            data = yield rm.read(pid)
+            digest.update(data)
+            if rm.open_regen_count:
+                # Lands in the catch-up buffer of the regenerating slab.
+                yield rm.write(pid, rewritten[pid])
+                pages[pid] = rewritten[pid]
+        yield sim.timeout(2_000_000)
+        for pid in range(24):
+            data = yield rm.read(pid)
+            assert data == pages[pid]
+            digest.update(data)
+
+    run_process(sim, sim.process(driver(), name="fp4"), until=1e12)
+
+    assert sim.now == pytest.approx(2000469.2254695853, abs=0, rel=0)
+    assert digest.hexdigest() == (
+        "803006aba7cf70d19c66a9710864c7544a31a71212de7330f41c6a0904f3d1e3"
+    )
+    assert dict(sorted(rm.events.counts.items())) == {
+        "catchup_direct_posts": 1,
+        "catchup_writes": 7,
+        "corrected_reads": 8,
+        "corruption_detected": 3,
+        "decoded_reads": 94,
+        "degraded_writes": 8,
+        "healed_splits": 8,
+        "parity_writes": 48,
+        "ranges_placed": 1,
+        "reads": 96,
+        "regen_for_errors": 1,
+        "regenerations": 1,
+        "suspicious_reads": 5,
+        "writes": 32,
+    }
+
+
+def test_seeded_traced_run_span_fingerprint_unchanged():
+    """Everything traced: async-parity writes, a write whose data acks die
+    in flight (one retry, then degraded), a degraded write, regeneration
+    with catch-up, and a read that escalates to the untried split. The sha
+    covers every span in finish order — name, parent name, ordered phase
+    names, start/end sim-µs — i.e. the inputs of the Fig 11 breakdown."""
+    hydra = build_hydra_cluster(machines=8, k=4, r=2, delta=1, seed=19)
+    hydra.obs.enable_tracing(1)
+    rm = hydra.remote_memory(0)
+    sim = hydra.sim
+    cluster = hydra.cluster
+    make_page = page_generator()
+    pages = [make_page(pid) for pid in range(8)]
+    digest = hashlib.sha256()
+
+    def driver():
+        yield rm.write(0, pages[0])
+        address_range = rm.space.get(0)
+        hosts = address_range.machine_ids()
+        (spare,) = [m for m in cluster.machines if m.id not in (0, *hosts)]
+        spare.fail()  # no regeneration target until it recovers
+        for pid in range(1, 8):
+            yield rm.write(pid, pages[pid])
+        yield sim.timeout(50)
+        write = rm.write(0, pages[1])
+        yield sim.timeout(1.0)
+        cluster.machine(hosts[0]).fail()
+        yield write
+        digest.update((yield rm.read(0)))
+        yield rm.write(2, pages[3])
+        spare.recover()
+        yield sim.timeout(400_000)
+        assert len(address_range.available_positions()) == 6
+        for position in (1, 2):
+            cluster.machine(address_range.handle(position).machine_id).fail()
+        for pid in range(8):
+            digest.update((yield rm.read(pid)))
+        yield sim.timeout(1000)
+
+    run_process(sim, sim.process(driver(), name="fp5"), until=1e12)
+
+    spans = hydra.obs.tracer.finished_spans()
+    names = {span.span_id: span.name for span in spans}
+    phases = {}
+    for span in spans:
+        if span.cat == "phase":
+            phases.setdefault(span.parent_id, []).append(span.name)
+    rows = [
+        (span.name, names.get(span.parent_id), phases.get(span.span_id, []),
+         span.start_us, span.end_us)
+        for span in spans
+    ]
+    assert hydra.obs.tracer.dropped == 0
+    assert len(rows) == 236
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "15259ad621886a7c3b25fd6d0e81a038e87cb35d053823634130048960996a49"
+    )
+    assert sim.now == pytest.approx(401335.50697617995, abs=0, rel=0)
+    assert digest.hexdigest() == (
+        "858605921db18c2f87b6370d92d4c0a504804dae65ac6009d55838f48a61b106"
+    )
+    assert dict(sorted(rm.events.counts.items())) == {
+        "catchup_writes": 2,
+        "decoded_reads": 9,
+        "degraded_writes": 2,
+        "disconnects": 3,
+        "escalation_reads": 1,
+        "parity_writes": 16,
+        "ranges_placed": 1,
+        "reads": 9,
+        "regen_no_target": 3,
+        "regenerations": 1,
+        "write_retries": 1,
+        "writes": 10,
+    }
