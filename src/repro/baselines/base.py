@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..cluster import Cluster, Machine, PhantomSplit
-from ..obs import MetricsRegistry, Span, Tracer
+from ..obs import MetricsRegistry, Span, Tracer, default_obs, request_span, traced
 from ..sim import Event, RandomSource
 
 __all__ = ["BaselineConfig", "GroupHandle", "BaselineBackend", "BackendError"]
@@ -95,13 +95,8 @@ class BaselineBackend:
         self.rng = rng or RandomSource(client_id, f"{self.name}{client_id}")
         self.payload_mode = payload_mode
 
-        obs = getattr(cluster, "obs", None)
-        if tracer is None:
-            tracer = obs.tracer if obs is not None else Tracer(self.sim, sample_every=0)
-        if metrics is None:
-            metrics = obs.metrics if obs is not None else MetricsRegistry()
-        self.tracer = tracer
-        self.metrics = metrics
+        self.tracer, self.metrics = default_obs(cluster, self.sim, tracer, metrics)
+        metrics = self.metrics
 
         self.groups: Dict[int, List[GroupHandle]] = {}
         self.versions: Dict[int, int] = {}
@@ -117,44 +112,18 @@ class BaselineBackend:
         raise NotImplementedError
 
     def write(self, page_id: int, data: Optional[bytes] = None, parent: Optional[Span] = None):
-        span = self._request_span(f"{self.name}.write", page_id, parent)
+        span = request_span(self.tracer, f"{self.name}.write", self.client_id, page_id, parent)
         return self.sim.process(
-            self._traced(self._write_process(page_id, data, span), span),
+            traced(self._write_process(page_id, data, span), span),
             name=f"{self.name}-write:{page_id}",
         )
 
     def read(self, page_id: int, parent: Optional[Span] = None):
-        span = self._request_span(f"{self.name}.read", page_id, parent)
+        span = request_span(self.tracer, f"{self.name}.read", self.client_id, page_id, parent)
         return self.sim.process(
-            self._traced(self._read_process(page_id, span), span),
+            traced(self._read_process(page_id, span), span),
             name=f"{self.name}-read:{page_id}",
         )
-
-    def _request_span(self, name: str, page_id: int, parent: Optional[Span]) -> Optional[Span]:
-        if parent is not None:
-            return parent.child(
-                name, cat="request", machine_id=self.client_id, tags={"page": page_id}
-            )
-        return self.tracer.start_trace(
-            name, machine_id=self.client_id, tags={"page": page_id}
-        )
-
-    def _traced(self, gen, span: Optional[Span]):
-        if span is None:
-            return gen
-        return self._traced_gen(gen, span)
-
-    @staticmethod
-    def _traced_gen(gen, span: Span):
-        try:
-            result = yield from gen
-        except BaseException as exc:
-            span.tags.setdefault("error", type(exc).__name__)
-            span.finish()
-            raise
-        span.set_tag("outcome", "ok")
-        span.finish()
-        return result
 
     def _write_process(self, page_id: int, data: Optional[bytes], span: Optional[Span] = None):
         raise NotImplementedError

@@ -67,20 +67,14 @@ class ReplicationBackend(BaselineBackend):
             f"write of page {page_id} failed after {self._WRITE_RETRIES} retries"
         )
 
-    def _write_once(self, page_id: int, data: Optional[bytes], span: Optional[Span] = None):
-        phases = self.tracer.phases(span)
-        start = self.sim.now
-        yield self.sim.timeout(self.config.software_overhead_us)
-        phases.mark("software")
+    def _live_replicas(self, page_id: int):
+        """The replicas a write of ``page_id`` targets, placing the group on
+        first use. Dead replicas are replaced by the background
+        re-replication process; the write path only targets live ones —
+        except when *every* replica is gone, where the write itself
+        re-places the group (a write carries its own data; nothing needs
+        recovering)."""
         handles = self._ensure_group(page_id, self.copies)
-        offset = self.page_offset(page_id)
-        version = self.versions.get(page_id, 0) + 1
-        payload = self.make_payload(data, version)
-
-        # Dead replicas are replaced by the background re-replication
-        # process; the write path only targets live ones — except when
-        # *every* replica is gone, where the write itself re-places the
-        # group (a write carries its own data; nothing needs recovering).
         live = [h for h in handles if h.available]
         if not live:
             group_id = self.group_of(page_id)
@@ -94,10 +88,26 @@ class ReplicationBackend(BaselineBackend):
         if not live:
             self.events.incr("write_failures")
             raise BackendError(f"no replica reachable for page {page_id}")
+        return live
+
+    def _write_once(self, page_id: int, data: Optional[bytes], span: Optional[Span] = None):
+        phases = self.tracer.phases(span)
+        start = self.sim.now
+        yield self.sim.timeout(self.config.software_overhead_us)
+        phases.mark("software")
+        live = self._live_replicas(page_id)
+        offset = self.page_offset(page_id)
+        version = self.versions.get(page_id, 0) + 1
+        payload = self.make_payload(data, version)
 
         acks = [self._post_page_write(handle, offset, payload, span) for handle in live]
         succeeded = 0
         pending = list(acks)
+        # Not a callback quorum like the RM's gather, on purpose: the two
+        # zero-delay hops of _observe + AnyOf order same-timestamp resumes
+        # on a shared cluster. Replacing them held fig01/10/14/16/17/18 and
+        # tab03 byte-identical but moved fig02_background/burst/corruption
+        # (replication p99 2.05 -> 1.91 ms, one ssd_backup timeline cell).
         while pending and succeeded < self.write_acks:
             yield AnyOf(self.sim, [self._observe(e) for e in pending])
             still = []

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..obs import Span
-from .base import BackendError
 from .replication import ReplicationBackend
 
 __all__ = ["SwarmReplicationBackend"]
@@ -38,24 +37,10 @@ class SwarmReplicationBackend(ReplicationBackend):
         start = self.sim.now
         yield self.sim.timeout(self.config.software_overhead_us)
         phases.mark("software")
-        handles = self._ensure_group(page_id, self.copies)
+        live = self._live_replicas(page_id)
         offset = self.page_offset(page_id)
         version = self.versions.get(page_id, 0) + 1
         payload = self.make_payload(data, version)
-
-        live = [h for h in handles if h.available]
-        if not live:
-            group_id = self.group_of(page_id)
-            for index, handle in enumerate(handles):
-                if not handle.available:
-                    try:
-                        live.append(self.replace_handle(group_id, index))
-                    except BackendError:
-                        continue
-            self.events.incr("group_replacements")
-        if not live:
-            self.events.incr("write_failures")
-            raise BackendError(f"no replica reachable for page {page_id}")
 
         acks = [self._post_page_write(handle, offset, payload, span) for handle in live]
         # Sub-RTT completion: unblock once the payload has been serialized

@@ -22,6 +22,7 @@ SlabRegenerationLimit), and background slab regeneration hand-off.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from ..cluster import PhantomSplit
 from ..ec import CorruptionDetected, DecodeError, PageCodec, reencode_split_pages
 from ..net import RdmaFabric
-from ..obs import MetricsRegistry, Span, Tracer
+from ..obs import MetricsRegistry, Span, Tracer, default_obs, request_span, traced
 from ..sim import Event, RandomSource, Simulator, Timeout
 from .address_space import AddressRange, RemoteAddressSpace, SlabHandle
 from .config import HydraConfig
@@ -47,82 +48,78 @@ __all__ = ["HydraError", "RemoteMemoryUnavailable", "ResilienceManager"]
 _WRITE_RETRY_LIMIT = 10
 _WRITE_RETRY_BACKOFF_US = 100.0
 _REGEN_TIMEOUT_US = 5_000_000.0  # give up on a silent regeneration target
+_ALL = float("inf")  # a gather `need` no valid count reaches: wait for every post
 
 
 class _SplitGather:
-    """Collects split-read completions with callback accounting.
+    """The one fan-out-and-gather of ``repro.core``: n posted completions
+    tracked by position, one waiter woken at the need-th *valid* one.
 
-    The read path posts (k + Δ) reads and needs to wake up exactly when
-    the k-th *valid* split lands (late binding) — and, for verification,
-    when everything has landed. Doing this with one callback per read and
-    one waiter event per wait keeps the event count per page read small.
+    A write returns at k acks of (k + r) (§4.2.1), a late-binding read at
+    k valid splits of (k + Δ) (§4.2.2); verification, seal recovery and
+    takeover wait for everything they posted. ``is_valid`` judges the
+    completion *event*, so write acks (value ``None``) and read payloads
+    share the class. One bound callback per gather and one waiter event
+    per wait keep the event count per page operation small.
     """
 
     __slots__ = (
         "sim",
-        "validator",
+        "is_valid",
+        "posted",
         "arrivals",
         "valid",
-        "order",
-        "posted",
         "outstanding",
         "_need",
         "_waiter",
-        "_all_waiter",
     )
 
-    def __init__(self, sim: Simulator, validator):
+    def __init__(self, sim: Simulator, is_valid):
         self.sim = sim
-        self.validator = validator
-        self.arrivals: Dict[int, object] = {}
-        self.valid: Dict[int, object] = {}
-        self.order: List[int] = []  # valid splits in arrival order
-        self.posted: Set[int] = set()
+        self.is_valid = is_valid
+        self.posted: Dict[Event, int] = {}  # completion event -> position
+        self.arrivals: Dict[int, object] = {}  # position -> payload (None: failed)
+        self.valid: List[int] = []  # valid positions in arrival order
         self.outstanding = 0
         self._need = 0
         self._waiter: Optional[Event] = None
-        self._all_waiter: Optional[Event] = None
-
-    def post(self, position: int, event: Event) -> None:
-        """Track one in-flight split read."""
-        self.posted.add(position)
-        self.outstanding += 1
-
-        def on_done(done: Event, position=position) -> None:
-            self.outstanding -= 1
-            payload = done._value if done._ok else None
-            self.arrivals[position] = payload
-            if self.validator(payload):
-                self.valid[position] = payload
-                self.order.append(position)
-            self._fire()
-
-        if event.processed:
-            on_done(event)
-        else:
-            event.callbacks.append(on_done)
 
     def post_all(self, positions, events) -> None:
-        """Track the reads posted for ``positions`` (parallel sequences)."""
+        """Track the verbs posted for ``positions`` (parallel sequences)."""
+        posted = self.posted
+        on_done = self._on_done
         for position, event in zip(positions, events):
-            self.post(position, event)
+            posted[event] = position
+            self.outstanding += 1
+            if event.processed:
+                on_done(event)
+            else:
+                event.callbacks.append(on_done)
+
+    def _on_done(self, done: Event) -> None:
+        self.outstanding -= 1
+        position = self.posted[done]
+        self.arrivals[position] = done._value if done._ok else None
+        if self.is_valid(done):
+            self.valid.append(position)
+        self._fire()
 
     def wait_valid(self, need: int) -> Event:
-        """An event firing when ``need`` valid splits have arrived — or
-        when nothing is outstanding anymore (caller decides to escalate)."""
+        """An event firing when ``need`` valid completions have arrived — or
+        when nothing is outstanding anymore (the caller sees fewer in
+        ``valid`` and decides: escalate, retry, fail). One waiter at a time."""
+        assert self._waiter is None, "a gather serves one waiter at a time"
         self._need = need
-        waiter = self._waiter = self.sim.event(name="gather-valid")
+        waiter = self._waiter = self.sim.event(name="gather")
         self._fire()  # may clear the slot and fire synchronously
         return waiter
 
     def wait_all(self) -> Event:
-        """An event firing once every posted read has completed."""
-        waiter = self._all_waiter = self.sim.event(name="gather-all")
-        self._fire()  # may clear the slot and fire synchronously
-        return waiter
+        """An event firing once every posted verb has completed."""
+        return self.wait_valid(_ALL)
 
     def _fire(self) -> None:
-        # Detach each waiter before delivering: succeed_now resumes the
+        # Detach the waiter before delivering: succeed_now resumes the
         # waiting process synchronously, which may re-register a fresh
         # waiter (escalation loop) — the slot must already be clear.
         waiter = self._waiter
@@ -131,15 +128,11 @@ class _SplitGather:
         ):
             self._waiter = None
             waiter.succeed_now()
-        all_waiter = self._all_waiter
-        if all_waiter is not None and self.outstanding == 0:
-            self._all_waiter = None
-            all_waiter.succeed_now()
 
     def first_valid(self, count: int) -> Dict[int, object]:
         """The first ``count`` valid splits in arrival order — exactly what
         survives the in-place buffer after MR deregistration."""
-        return {p: self.valid[p] for p in self.order[:count]}
+        return {p: self.arrivals[p] for p in self.valid[:count]}
 
     def real_payloads(self) -> Dict[int, np.ndarray]:
         return {
@@ -147,6 +140,10 @@ class _SplitGather:
             for p, payload in self.arrivals.items()
             if isinstance(payload, np.ndarray)
         }
+
+
+# The gather predicate of write acks and metadata verbs: the verb succeeded.
+_succeeded = attrgetter("_ok")
 
 
 class HydraError(Exception):
@@ -163,7 +160,10 @@ class ResilienceManager:
 
     The public interface is the remote-memory-pool protocol shared with
     the baselines: :meth:`write` and :meth:`read` return simulation
-    processes; ``yield`` them from workload code.
+    processes; ``yield`` them from workload code. Underneath, every path
+    that touches splits posts through :meth:`_post_splits` and waits on
+    the :class:`_SplitGather` it returns, and a write is
+    :meth:`_write_attempt` retried, whichever slabs are up.
     """
 
     name = "hydra"
@@ -235,13 +235,8 @@ class ResilienceManager:
 
         # Observability: by default the RM joins the cluster-wide bundle on
         # the fabric; explicit tracer/metrics override for isolated tests.
-        obs = getattr(fabric, "obs", None)
-        if tracer is None:
-            tracer = obs.tracer if obs is not None else Tracer(sim, sample_every=0)
-        if metrics is None:
-            metrics = obs.metrics if obs is not None else MetricsRegistry()
-        self.tracer = tracer
-        self.metrics = metrics
+        self.tracer, self.metrics = default_obs(fabric, sim, tracer, metrics)
+        metrics = self.metrics
         self.read_latency = metrics.latency(f"rm.{machine_id}.read")
         self.write_latency = metrics.latency(f"rm.{machine_id}.write")
         self.events = metrics.counter_group(f"rm.{machine_id}.events")
@@ -259,8 +254,14 @@ class ResilienceManager:
         # time config, computed once so the per-op yields reuse the floats
         # (bit-identical to calling the helpers each time).
         dp = config.datapath
-        self._issue_us: Dict[int, float] = {}
-        self._completion_k_us = completion_overhead_us(dp, config.k)
+        # Indexed by the verbs posted on the critical path (at least one)
+        # and by the completions waited for.
+        self._issue_us = [
+            issue_overhead_us(dp, max(1, posts)) for posts in range(config.n + 1)
+        ]
+        self._completion_us = [
+            completion_overhead_us(dp, waited) for waited in range(config.n + 1)
+        ]
         self._encode_us = encode_latency_us(config)
         self._decode_us = decode_latency_us(config)
 
@@ -319,12 +320,15 @@ class ResilienceManager:
         """Mark a slab unavailable, replicating the transition so a
         failover sees the same degraded slab map this RM does."""
         address_range.mark_failed(position)
+        self._log_meta(
+            "position_failed", range_id=address_range.range_id, position=position
+        )
+
+    def _log_meta(self, kind: str, **fields) -> None:
+        """Append one metadata record that gates no client ack and replicate
+        it in the background. A no-op without a store."""
         if self._meta is not None:
-            self._meta.append(
-                "position_failed",
-                range_id=address_range.range_id,
-                position=position,
-            )
+            self._meta.append(kind, **fields)
             self._meta.commit_async()
 
     # ==================================================================
@@ -340,48 +344,20 @@ class ResilienceManager:
         ``parent`` (a sampled span, e.g. a VMM fault) adopts this request
         into an existing trace; otherwise the tracer's sampler decides.
         """
-        span = self._request_span("rm.write", page_id, parent)
+        span = request_span(self.tracer, "rm.write", self.machine_id, page_id, parent)
         return self.sim.process(
-            self._traced(self._write_process(page_id, data, span), span),
+            traced(self._write_process(page_id, data, span), span),
             name=f"hydra-write:{page_id}",
         )
 
     def read(self, page_id: int, parent: Optional[Span] = None):
         """Read a page back; the process's value is the page bytes (real
         mode) or ``None`` (phantom mode)."""
-        span = self._request_span("rm.read", page_id, parent)
+        span = request_span(self.tracer, "rm.read", self.machine_id, page_id, parent)
         return self.sim.process(
-            self._traced(self._read_process(page_id, span), span),
+            traced(self._read_process(page_id, span), span),
             name=f"hydra-read:{page_id}",
         )
-
-    def _request_span(self, name: str, page_id: int, parent: Optional[Span]) -> Optional[Span]:
-        if parent is not None:
-            return parent.child(
-                name, cat="request", machine_id=self.machine_id, tags={"page": page_id}
-            )
-        return self.tracer.start_trace(
-            name, machine_id=self.machine_id, tags={"page": page_id}
-        )
-
-    def _traced(self, gen, span: Optional[Span]):
-        """Wrap a request generator so its span always finishes, tagging
-        the outcome; a no-op passthrough when the request is untraced."""
-        if span is None:
-            return gen
-        return self._traced_gen(gen, span)
-
-    @staticmethod
-    def _traced_gen(gen, span: Span):
-        try:
-            result = yield from gen
-        except BaseException as exc:
-            span.tags.setdefault("error", type(exc).__name__)
-            span.finish()
-            raise
-        span.set_tag("outcome", "ok")
-        span.finish()
-        return result
 
     @property
     def memory_overhead(self) -> float:
@@ -402,7 +378,6 @@ class ResilienceManager:
     # ==================================================================
     def _write_process(self, page_id: int, data: Optional[bytes], span: Optional[Span] = None):
         config = self.config
-        dp = config.datapath
         phases = self.tracer.phases(span)
         start = self.sim.now
         if self._fenced:
@@ -410,6 +385,15 @@ class ResilienceManager:
             raise RemoteMemoryUnavailable(
                 f"resilience manager {self.machine_id} is fenced"
             )
+        # Reject a malformed page before it reserves cluster memory or
+        # commits an intent for splits that would never be posted.
+        data_splits = None
+        if config.payload_mode == "real":
+            if data is None or len(data) != config.page_size:
+                raise HydraError(
+                    f"real mode write needs {config.page_size} bytes of data"
+                )
+            data_splits = self.codec.split(data)
         # Placement can transiently fail under cluster-wide memory
         # pressure; back off and retry before giving up.
         address_range = None
@@ -440,15 +424,6 @@ class ResilienceManager:
                     f"metadata quorum unavailable for write of page {page_id}"
                 )
 
-        if config.payload_mode == "real":
-            if data is None or len(data) != config.page_size:
-                raise HydraError(
-                    f"real mode write needs {config.page_size} bytes of data"
-                )
-            data_splits = self.codec.split(data)
-        else:
-            data_splits = None
-
         full_done = self.sim.event(name=f"write-durable:{page_id}")
         self._inflight_writes[page_id] = full_done
 
@@ -462,32 +437,11 @@ class ResilienceManager:
             if self._fenced:
                 break
             available = address_range.available_positions()
-            slots = address_range.slots
-            fast_path = dp.async_encoding and all(
-                handle.available for handle in slots[: config.k]
-            )
-            # Only verbs on the critical path cost posting time: the fast
-            # path returns after the k data-split writes (parities are
-            # posted asynchronously).
-            critical_posts = config.k if fast_path else max(1, len(available))
-            issue_us = self._issue_us.get(critical_posts)
-            if issue_us is None:
-                issue_us = self._issue_us[critical_posts] = issue_overhead_us(
-                    dp, critical_posts
-                )
-            yield Timeout(self.sim, issue_us)
-            phases.mark("issue")
             try:
-                if fast_path:
-                    yield from self._write_fast(
-                        address_range, offset, page_id, version, data_splits,
-                        full_done, span, phases,
-                    )
-                else:
-                    yield from self._write_degraded(
-                        address_range, offset, page_id, version, data_splits,
-                        available, full_done, span, phases,
-                    )
+                yield from self._write_attempt(
+                    address_range, offset, page_id, version, data_splits,
+                    available, full_done, span, phases,
+                )
             except RemoteMemoryUnavailable:
                 self.events.incr("write_retries")
                 # Probe the range: any position on an unreachable machine
@@ -532,30 +486,15 @@ class ResilienceManager:
                     self._record_or_post_catchup(
                         address_range, position, offset, page_id, version, data
                     )
-            if self._meta is not None:
-                if full_done.triggered:
-                    self._meta.append(
-                        "write_durable", page_id=page_id, version=version
-                    )
-                    self._meta.commit_async()
-                else:
-                    def _meta_durable(_e, page_id=page_id, version=version):
-                        if self._meta is not None and not self._meta.fenced:
-                            self._meta.append(
-                                "write_durable", page_id=page_id, version=version
-                            )
-                            self._meta.commit_async()
-
-                    full_done.callbacks.append(_meta_durable)
             if self._observers:
                 self._notify("on_write_acked", page_id, version, data)
+            if self._meta is not None or self._observers:
                 if full_done.triggered:
-                    self._notify("on_write_durable", page_id, version)
+                    self._write_durable(page_id, version)
                 else:
-                    def _notify_durable(_e, page_id=page_id, version=version):
-                        self._notify("on_write_durable", page_id, version)
-
-                    full_done.callbacks.append(_notify_durable)
+                    full_done.callbacks.append(
+                        lambda _event: self._write_durable(page_id, version)
+                    )
             self.write_latency.record(self.sim.now - start)
             self.ops_window.record(self.sim.now)
             self.events.incr("writes")
@@ -568,44 +507,86 @@ class ResilienceManager:
             f"write of page {page_id} failed after {_WRITE_RETRY_LIMIT} attempts"
         )
 
-    def _write_fast(
+    def _write_durable(self, page_id: int, version: int) -> None:
+        """All (k + r) splits of an acked write have landed."""
+        self._log_meta("write_durable", page_id=page_id, version=version)
+        if self._observers:
+            self._notify("on_write_durable", page_id, version)
+
+    def _write_attempt(
         self,
         address_range: AddressRange,
         offset: int,
         page_id: int,
         version: int,
         data_splits: Optional[np.ndarray],
+        available: List[int],
         full_done: Event,
-        span: Optional[Span] = None,
-        phases=None,
+        span: Optional[Span],
+        phases,
     ):
-        """Asynchronously encoded write: data first, parity in background."""
+        """One try at landing ``version`` of a page: issue, post the splits
+        on the critical path, return once enough of them are acknowledged.
+
+        With asynchronous encoding and every data slab up only the k data
+        splits are on the critical path: parities are encoded and written
+        behind the client's ack and :meth:`_write_parity_async` marks the
+        write durable. Otherwise the page is encoded first and every
+        reachable split posted (§4.3 'resends the I/O request to other
+        machines'), so the write is durable once its acks are in. Raises
+        :class:`RemoteMemoryUnavailable` on fewer than k acks; the caller
+        backs off and retries.
+        """
         config = self.config
         dp = config.datapath
-        phases = phases if phases is not None else self.tracer.phases(span)
-        if data_splits is not None:
-            payloads = data_splits  # row views, one per position
-        else:
-            payloads = [PhantomSplit(version=version) for _ in range(config.k)]
-        acks = self._post_splits(address_range, offset, range(config.k), payloads, span)
-        succeeded = yield from self._await_acks(acks, need=config.k)
-        phases.mark("wait_k", fanout=config.k, acked=succeeded)
-        yield Timeout(self.sim, self._completion_k_us)
+        k = config.k
+        async_parity = dp.async_encoding and all(
+            handle.available for handle in address_range.slots[:k]
+        )
+        # Only verbs on the critical path cost posting time.
+        positions = range(k) if async_parity else available
+        yield Timeout(self.sim, self._issue_us[len(positions)])
+        phases.mark("issue")
+        payloads = data_splits  # row views, one per data position
+        need = k
+        if not async_parity:
+            if len(available) < k:
+                raise RemoteMemoryUnavailable(
+                    f"only {len(available)} slabs available, need {k}"
+                )
+            yield Timeout(self.sim, self._encode_us)
+            phases.mark("encode")
+            if data_splits is not None:
+                all_splits = self.codec.code.encode_page(data_splits)
+                payloads = [all_splits[position] for position in available]
+            if not dp.async_encoding:
+                need = len(available)  # the unoptimized write waits for all
+        if data_splits is None:
+            payloads = [PhantomSplit(version=version) for _ in positions]
+        acks = self._post_splits(address_range.slots, offset, positions, payloads, span)
+        yield acks.wait_valid(need)
+        acked = len(acks.valid)
+        phases.mark("wait_k", fanout=len(positions), acked=acked)
+        yield Timeout(self.sim, self._completion_us[need])
         phases.mark("completion")
-        if succeeded < config.k:
-            raise RemoteMemoryUnavailable("data-split writes failed")
-        # Application gets its ack here; parity continues asynchronously.
-        parity_span = (
-            span.child("rm.parity", cat="background") if span is not None else None
-        )
-        self.sim.process(
-            self._write_parity_async(
-                address_range, offset, page_id, version, data_splits, full_done,
-                parity_span,
-            ),
-            name=f"hydra-parity:{page_id}",
-        )
-        return None
+        if acked < k:
+            raise RemoteMemoryUnavailable(f"only {acked} split writes acked, need {k}")
+        if async_parity:
+            # The application gets its ack here; parity continues behind it.
+            parity_span = (
+                span.child("rm.parity", cat="background") if span is not None else None
+            )
+            self.sim.process(
+                self._write_parity_async(
+                    address_range, offset, page_id, version, data_splits, full_done,
+                    parity_span,
+                ),
+                name=f"hydra-parity:{page_id}",
+            )
+        else:
+            self.events.incr("degraded_writes")
+            if not full_done.triggered:
+                full_done.succeed_now()
 
     def _write_parity_async(
         self,
@@ -652,74 +633,27 @@ class ResilienceManager:
                 # regeneration (or a direct post, if it races us) covers it.
                 self._record_or_post_catchup(
                     address_range, position, offset, page_id, version,
-                    self._page_bytes_from_splits(data_splits),
+                    self.codec.join(data_splits) if data_splits is not None else None,
                 )
                 continue
             positions.append(position)
             payloads.append(
                 parity[index] if parity is not None else PhantomSplit(version=version)
             )
-        acks = self._post_splits(address_range, offset, positions, payloads, span)
-        if acks:
-            yield from self._await_acks(acks, need=len(acks))
-        self.events.incr("parity_writes", len(acks))
+        acks = self._post_splits(address_range.slots, offset, positions, payloads, span)
+        yield acks.wait_all()
+        self.events.incr("parity_writes", len(positions))
         if span is not None:
-            span.set_tag("parities", len(acks))
+            span.set_tag("parities", len(positions))
             span.finish()
         if not full_done.triggered:
             full_done.succeed_now()
-
-    def _write_degraded(
-        self,
-        address_range: AddressRange,
-        offset: int,
-        page_id: int,
-        version: int,
-        data_splits: Optional[np.ndarray],
-        available: List[int],
-        full_done: Event,
-        span: Optional[Span] = None,
-        phases=None,
-    ):
-        """Synchronous-encode write used when async encoding is off or some
-        data slab is unavailable: encode, write all reachable splits, return
-        after k acks (§4.3 'resends the I/O request to other machines')."""
-        config = self.config
-        dp = config.datapath
-        phases = phases if phases is not None else self.tracer.phases(span)
-        if len(available) < config.k:
-            raise RemoteMemoryUnavailable(
-                f"only {len(available)} slabs available, need {config.k}"
-            )
-        yield Timeout(self.sim, self._encode_us)
-        phases.mark("encode")
-        if config.payload_mode == "real":
-            all_splits = self.codec.code.encode_page(data_splits)
-        else:
-            all_splits = None
-        if all_splits is not None:
-            payloads = [all_splits[position] for position in available]
-        else:
-            payloads = [PhantomSplit(version=version) for _ in available]
-        acks = self._post_splits(address_range, offset, available, payloads, span)
-        wait_for = len(acks) if not dp.async_encoding else config.k
-        succeeded = yield from self._await_acks(acks, need=wait_for)
-        phases.mark("wait_k", fanout=len(acks), acked=succeeded)
-        yield self.sim.timeout(completion_overhead_us(dp, wait_for))
-        phases.mark("completion")
-        if succeeded < min(config.k, len(acks)):
-            raise RemoteMemoryUnavailable("degraded write could not reach k acks")
-        self.events.incr("degraded_writes")
-        if not full_done.triggered:
-            full_done.succeed_now()
-        return None
 
     # ==================================================================
     # read path (§4.2.2)
     # ==================================================================
     def _read_process(self, page_id: int, span: Optional[Span] = None):
         config = self.config
-        dp = config.datapath
         phases = self.tracer.phases(span)
         start = self.sim.now
         if self._fenced:
@@ -770,17 +704,13 @@ class ResilienceManager:
             if suspected:
                 span.set_tag("suspected", True)
 
-        issue_us = self._issue_us.get(fanout)
-        if issue_us is None:
-            issue_us = self._issue_us[fanout] = issue_overhead_us(dp, fanout)
-        yield Timeout(self.sim, issue_us)
+        yield Timeout(self.sim, self._issue_us[fanout])
         phases.mark("issue")
 
+        slots = address_range.slots
         positions = self.rng.sample(available, fanout)
         gather = _SplitGather(self.sim, self._split_validator(version))
-        gather.post_all(
-            positions, self._post_splits(address_range, offset, positions, span=span)
-        )
+        self._post_splits(slots, offset, positions, span=span, gather=gather)
 
         escalations = 0
         while len(gather.valid) < config.k:
@@ -789,15 +719,14 @@ class ResilienceManager:
                 break
             # Escalate: everything in flight has landed and we still lack
             # k valid splits — request the untried positions.
+            tried = set(gather.posted.values())
             untried = [
                 position
                 for position in address_range.available_positions()
-                if position not in gather.posted
+                if position not in tried
             ]
             if untried:
-                gather.post_all(
-                    untried, self._post_splits(address_range, offset, untried, span=span)
-                )
+                self._post_splits(slots, offset, untried, span=span, gather=gather)
                 self.events.incr("escalation_reads", len(untried))
                 escalations += len(untried)
             elif gather.outstanding == 0:
@@ -824,7 +753,7 @@ class ResilienceManager:
                 f"need {config.k} (want v{version}; arrivals: {', '.join(detail)})"
             )
 
-        yield Timeout(self.sim, self._completion_k_us)
+        yield Timeout(self.sim, self._completion_us[config.k])
         phases.mark("completion")
 
         # In-place coding guard: the k-th valid arrival deregisters the
@@ -840,50 +769,29 @@ class ResilienceManager:
         page: Optional[bytes] = None
         if config.payload_mode == "real":
             if suspected:
-                page = yield from self._read_with_correction(
-                    address_range, offset, page_id, version, gather, span
-                )
+                # Inline verified read: wait for the full (k + 2Δ + 1)
+                # fanout and decode through the correction path.
+                yield gather.wait_all()
+                usable = gather.real_payloads()
+                try:
+                    page = self.codec.decode_verified(usable)
+                    self.events.incr("verified_reads")
+                except CorruptionDetected:
+                    page, _corrupted = yield from self._correct_and_heal(
+                        address_range, offset, page_id, version, usable, span
+                    )
                 phases.mark("correction")
             else:
                 page = self.codec.decode(first_k)
                 if config.verify_reads:
-                    verify_span = (
-                        span.child("rm.verify", cat="background")
-                        if span is not None
-                        else None
-                    )
                     self._schedule_background_verify(
-                        address_range, offset, page_id, version, gather,
-                        verify_span,
+                        address_range, offset, page_id, version, gather, span
                     )
 
         if self._observers:
             self._notify("on_read_done", page_id, version, page, start)
         self.read_latency.record(self.sim.now - start)
         self.ops_window.record(self.sim.now)
-        return page
-
-    def _read_with_correction(
-        self,
-        address_range: AddressRange,
-        offset: int,
-        page_id: int,
-        version: int,
-        gather: _SplitGather,
-        span: Optional[Span] = None,
-    ):
-        """Inline verified read for suspected machines: wait for the full
-        (k + 2Δ + 1) fanout and decode through the correction path."""
-        yield gather.wait_all()
-        try:
-            page = self.codec.decode_verified(gather.real_payloads())
-            self.events.incr("verified_reads")
-            return page
-        except CorruptionDetected:
-            pass
-        page, _corrupted = yield from self._correct_and_heal(
-            address_range, offset, page_id, version, gather.real_payloads(), span
-        )
         return page
 
     def _schedule_background_verify(
@@ -893,7 +801,7 @@ class ResilienceManager:
         page_id: int,
         version: int,
         gather: _SplitGather,
-        span: Optional[Span] = None,
+        parent: Optional[Span] = None,
     ) -> None:
         """§4.3 detection path: once the Δ extra splits arrive, check
         consistency off the critical path; on detection, correct and heal.
@@ -903,6 +811,18 @@ class ResilienceManager:
         keeps the (overwhelmingly common) consistent case off the event
         queue entirely."""
         config = self.config
+        span = (
+            parent.child("rm.verify", cat="background") if parent is not None else None
+        )
+
+        def correct_then_finish(usable):
+            try:
+                yield from self._correct_and_heal(
+                    address_range, offset, page_id, version, usable, span
+                )
+            finally:
+                if span is not None:
+                    span.finish()
 
         def check(_done: Event) -> None:
             spawned = False
@@ -916,12 +836,7 @@ class ResilienceManager:
                 if span is not None:
                     span.set_tag("corruption_detected", True)
                 spawned = True
-                self.sim.process(
-                    self._correct_heal_finish(
-                        address_range, offset, page_id, version, usable, span
-                    ),
-                    name=f"hydra-verify:{page_id}",
-                )
+                self.sim.process(correct_then_finish(usable), name=f"hydra-verify:{page_id}")
             finally:
                 if span is not None and not spawned:
                     span.finish()
@@ -933,23 +848,6 @@ class ResilienceManager:
             check(waiter)
         else:
             waiter.callbacks.append(check)
-
-    def _correct_heal_finish(
-        self,
-        address_range: AddressRange,
-        offset: int,
-        page_id: int,
-        version: int,
-        usable: Dict[int, object],
-        span: Optional[Span] = None,
-    ):
-        try:
-            yield from self._correct_and_heal(
-                address_range, offset, page_id, version, usable, span
-            )
-        finally:
-            if span is not None:
-                span.finish()
 
     def _correct_and_heal(
         self,
@@ -963,6 +861,7 @@ class ResilienceManager:
         """Fetch Δ + 1 extra splits, locate/correct errors, rewrite the
         corrupted splits, and update per-machine error scores."""
         config = self.config
+        slots = address_range.slots
         # Corruption recovery is rare and high-value: trace it whenever the
         # tracer is on at all, even if the triggering read lost the sample.
         span = (
@@ -983,18 +882,10 @@ class ResilienceManager:
                     for p in address_range.available_positions()
                     if p not in splits
                 ][: extra_needed + config.delta]
-                extra = _SplitGather(
-                    self.sim, lambda p: isinstance(p, np.ndarray)
-                )
                 if extra_positions:
-                    extra.post_all(
-                        extra_positions,
-                        self._post_splits(
-                            address_range, offset, extra_positions, span=span
-                        ),
-                    )
+                    extra = self._post_splits(slots, offset, extra_positions, span=span)
                     yield extra.wait_all()
-                splits.update(extra.real_payloads())
+                    splits.update(extra.real_payloads())
 
             # Best-effort localization when the k + 2Δ + 1 guarantee cannot
             # be met with the splits that exist (e.g. r < 2Δ + 1): the
@@ -1025,7 +916,7 @@ class ResilienceManager:
                 self._record_error(machine, 1.0, address_range, position)
                 # Heal the stored split in place.
                 payload = self.codec.code.reencode_split(data_splits, position)
-                self._post_splits(address_range, offset, (position,), (payload,), span)
+                self._post_splits(slots, offset, (position,), (payload,), span)
                 self.events.incr("healed_splits")
             if span is not None:
                 span.set_tag("outcome", "corrected")
@@ -1049,12 +940,9 @@ class ResilienceManager:
             self.error_scores[machine_id] = 0.0
             self.events.incr("regen_for_errors")
             self._start_regeneration(address_range, position)
-        if self._meta is not None:
-            self._meta.append(
-                "error_score", machine_id=machine_id,
-                score=self.error_scores[machine_id],
-            )
-            self._meta.commit_async()
+        self._log_meta(
+            "error_score", machine_id=machine_id, score=self.error_scores[machine_id]
+        )
 
     def _on_machine_down(self, machine_id: int) -> None:
         """RDMA connection-manager notification: fail over every range that
@@ -1214,15 +1102,13 @@ class ResilienceManager:
             yield from self._apply_catchup(address_range, position, new_handle)
             phases.mark("catchup")
             address_range.replace(position, new_handle)
-            if self._meta is not None:
-                self._meta.append(
-                    "position_replaced",
-                    range_id=address_range.range_id,
-                    position=position,
-                    machine_id=new_handle.machine_id,
-                    slab_id=new_handle.slab_id,
-                )
-                self._meta.commit_async()
+            self._log_meta(
+                "position_replaced",
+                range_id=address_range.range_id,
+                position=position,
+                machine_id=new_handle.machine_id,
+                slab_id=new_handle.slab_id,
+            )
             # The replacement may live on a machine we have never talked
             # to: watch its connection too, or later failures of that
             # machine would go unnoticed.
@@ -1263,7 +1149,7 @@ class ResilienceManager:
                 )
             else:
                 payload = PhantomSplit(version=version)
-            self._post_splits(address_range, offset, (position,), (payload,))
+            self._post_splits(address_range.slots, offset, (position,), (payload,))
             self.events.incr("catchup_direct_posts")
             return
         self._catchup.setdefault((address_range.range_id, position), {})[
@@ -1276,12 +1162,14 @@ class ResilienceManager:
         """Bring a regenerated slab fully up to date before it goes live.
 
         Re-encodes the buffered page content recorded by writes that ran
-        while the position was down and writes the splits directly to the
-        replacement slab. Loops until the buffer drains — writes landing
-        mid-drain re-enter it because the position is still marked failed.
+        while the position was down and writes the splits to ``handle``,
+        the replacement slab that is not in the range's slot table yet.
+        Loops until the buffer drains — writes landing mid-drain re-enter
+        it because the position is still marked failed.
         """
         config = self.config
         key = (address_range.range_id, position)
+        replacement = {position: handle}
         while True:
             buffered = self._catchup.pop(key, None)
             if not buffered:
@@ -1303,32 +1191,24 @@ class ResilienceManager:
                     payloads = dict(zip(real_ids, rows))
             for page_id, (version, data) in buffered.items():
                 if self._versions.get(page_id, 0) > version:
-                    # A newer write exists; its own catch-up entry (or the
-                    # live write, once the position is available) wins.
-                    if key in self._catchup and page_id in self._catchup[key]:
-                        continue
-                    # Newer version recorded nowhere for this position can
-                    # only mean the position went live in between — which
-                    # cannot happen before replace(); skip defensively.
+                    # A newer write exists; its own catch-up entry wins (the
+                    # position cannot have gone live before replace()).
                     continue
                 _range_id, offset = self.space.locate(page_id)
                 if config.payload_mode == "real" and data is not None:
                     payload = payloads[page_id]
                 else:
                     payload = PhantomSplit(version=version)
-                machine = self.fabric.machine(handle.machine_id)
-                qp = self.fabric.qp(self.machine_id, handle.machine_id)
-                yield qp.post_write(
-                    config.split_size,
-                    apply=lambda m=machine, h=handle, o=offset, p=payload: (
-                        m.write_split(h.slab_id, o, p)
-                    ),
-                )
+                written = self._post_splits(replacement, offset, (position,), (payload,))
+                yield written.wait_all()
+                if not written.valid:
+                    # The replacement died: abandon the attempt, position still failed.
+                    raise RemoteMemoryUnavailable(
+                        f"catch-up write to machine {handle.machine_id} failed"
+                    )
                 self.events.incr("catchup_writes")
 
-    def _retry_regeneration_later(
-        self, address_range: AddressRange, position: int, delay: Optional[float] = None
-    ) -> None:
+    def _retry_regeneration_later(self, address_range: AddressRange, position: int) -> None:
         """Schedule another regeneration attempt after a backoff (runs
         after the current attempt's cleanup has released the dedup key).
 
@@ -1339,15 +1219,13 @@ class ResilienceManager:
         control period later. ``_regen_retry_pending`` dedupes the timers;
         ``_start_regeneration`` dedupes the regenerations themselves.
         """
-        if delay is None:
-            delay = self.config.control_period_us
         key = (address_range.range_id, position)
         if key in self._regen_retry_pending:
             return
         self._regen_retry_pending.add(key)
 
         def retry():
-            yield self.sim.timeout(delay)
+            yield self.sim.timeout(self.config.control_period_us)
             self._regen_retry_pending.discard(key)
             if self._fenced:
                 return
@@ -1394,9 +1272,7 @@ class ResilienceManager:
             except RpcError:
                 pass
         self.space.drop(range_id)
-        if self._meta is not None:
-            self._meta.append("range_dropped", range_id=range_id)
-            self._meta.commit_async()
+        self._log_meta("range_dropped", range_id=range_id)
         self.events.incr("ranges_reclaimed")
         return pages
 
@@ -1454,32 +1330,21 @@ class ResilienceManager:
             qp = self.fabric.qp(self.machine_id, handle.machine_id)
             qp.on_disconnect(self._on_machine_down)
 
-    def _page_bytes_from_splits(self, data_splits) -> Optional[bytes]:
-        if data_splits is None:
-            return None
-        return self.codec.join(data_splits)
-
-    def _endpoint(self, machine_id: int):
-        pair = self._endpoints.get(machine_id)
-        if pair is None:
-            pair = (
-                self.fabric.machine(machine_id),
-                self.fabric.qp(self.machine_id, machine_id),
-            )
-            self._endpoints[machine_id] = pair
-        return pair
-
     def _post_splits(
         self,
-        address_range: AddressRange,
+        slots,
         offset: int,
         positions,
         payloads=None,
         span: Optional[Span] = None,
-    ) -> List[Event]:
+        gather: Optional[_SplitGather] = None,
+    ) -> _SplitGather:
         """The split fan-out: one one-sided verb per position — a WRITE of
-        ``payloads[i]`` when ``payloads`` is given, else a READ — returning
-        the completion events in posting order.
+        ``payloads[i]`` when ``payloads`` is given, else a READ — tracked
+        by the returned gather: ``gather`` when the caller adds to one it
+        holds, else a fresh one counting successful completions. ``slots``
+        maps a position to its slab handle: a range's slot table, or
+        ``{position: handle}`` for a replacement slab not installed yet.
 
         Walks the verb layers once for the whole fan-out, hoisting the
         handle/endpoint lookups off the per-split path. Verbs are posted in
@@ -1487,7 +1352,6 @@ class ResilienceManager:
         draw order.
         """
         split_size = self.config.split_size
-        slots = address_range.slots
         endpoints = self._endpoints
         kind = "read" if payloads is None else "write"
         events = []
@@ -1496,7 +1360,10 @@ class ResilienceManager:
             handle = slots[position]
             pair = endpoints.get(handle.machine_id)
             if pair is None:
-                pair = self._endpoint(handle.machine_id)
+                pair = endpoints[handle.machine_id] = (
+                    self.fabric.machine(handle.machine_id),
+                    self.fabric.qp(self.machine_id, handle.machine_id),
+                )
             machine, qp = pair
             if payloads is None:
                 action = lambda m=machine, s=handle.slab_id: m.read_split(s, offset)
@@ -1505,47 +1372,22 @@ class ResilienceManager:
                     m.write_split(s, offset, p)
                 )
             append(qp._post(split_size, action, True, span, kind))
-        return events
+        if gather is None:
+            gather = _SplitGather(self.sim, _succeeded)
+        gather.post_all(positions, events)
+        return gather
 
     def _split_validator(self, version: int):
-        """Per-read closure telling the gather whether an arrived split
-        counts toward k. Phantom corruption models *detectable*
+        """Per-read closure telling the gather whether a completed split
+        read counts toward k. Phantom corruption models *detectable*
         (integrity-checked) corruption; silent corruption needs real mode."""
 
-        def valid(payload, _phantom=PhantomSplit, _ndarray=np.ndarray) -> bool:
-            if payload is None:
+        def valid(done: Event, _phantom=PhantomSplit, _ndarray=np.ndarray) -> bool:
+            if not done._ok:
                 return False
+            payload = done._value
             if isinstance(payload, _phantom):
                 return not payload.corrupt and payload.version == version
             return isinstance(payload, _ndarray)
 
         return valid
-
-    def _await_acks(self, events: List[Event], need: int):
-        """Wait until ``need`` of ``events`` succeed (or all finish);
-        failures just reduce the achievable count. Returns the success
-        count. Implemented with completion callbacks — one waiter event
-        total, however many acks are in flight."""
-        if not events:
-            return 0
-        need = min(need, len(events))
-        waiter = self.sim.event(name="acks")
-        counts = [0, 0]  # [succeeded, finished]
-        total = len(events)
-
-        def on_done(event: Event) -> None:
-            counts[1] += 1
-            if event._ok:
-                counts[0] += 1
-            if not waiter.triggered and (counts[0] >= need or counts[1] == total):
-                waiter.succeed_now()
-
-        for event in events:
-            if event.processed:
-                on_done(event)
-            else:
-                event.callbacks.append(on_done)
-        if not waiter.triggered and (counts[0] >= need or counts[1] == total):
-            waiter.succeed_now()
-        yield waiter
-        return counts[0]

@@ -27,7 +27,7 @@ from ..cluster import Machine, PhantomSplit, Slab, SlabState
 from ..ec import ReedSolomonCode
 from ..ec.vectorized import rebuild_position
 from ..net import RDMAError, RemoteAccessError
-from ..obs import MetricsRegistry, Tracer
+from ..obs import MetricsRegistry, Tracer, default_obs
 from ..sim import RandomSource
 from .config import HydraConfig
 from .rpc import RpcEndpoint, RpcError
@@ -58,13 +58,8 @@ class ResourceMonitor:
         self.endpoint = endpoint
         self.rng = rng
         self.reclaim_sink = reclaim_sink
-        obs = getattr(machine.fabric, "obs", None)
-        if tracer is None:
-            tracer = obs.tracer if obs is not None else Tracer(self.sim, sample_every=0)
-        if metrics is None:
-            metrics = obs.metrics if obs is not None else MetricsRegistry()
-        self.tracer = tracer
-        self.metrics = metrics
+        self.tracer, self.metrics = default_obs(machine.fabric, self.sim, tracer, metrics)
+        metrics = self.metrics
         self.events = metrics.counter_group(f"monitor.{machine.id}.events")
         # Headroom over time: one point per ControlPeriod, the watermark
         # series the health monitor and ``repro top`` read.

@@ -43,6 +43,7 @@ from ..cluster import PhantomSplit, SlabState
 from ..ec import CorruptionDetected, DecodeError
 from ..net import RemoteAccessError
 from .address_space import AddressRange, SlabHandle
+from .resilience_manager import _SplitGather, _succeeded
 
 __all__ = [
     "MetadataQuorumError",
@@ -126,32 +127,6 @@ class MetadataReplica:
         """Host DRAM lost: the log goes, the protected term word stays."""
         self.log.clear()
         self.committed_lsn = 0
-
-
-def _await_all(sim, events):
-    """Generator: wait until every event in ``events`` has completed
-    (succeeded or failed) using one waiter, like RM ``_await_acks``."""
-    events = [e for e in events if e is not None]
-    if not events:
-        return 0
-    waiter = sim.event(name="meta-await-all")
-    state = {"finished": 0}
-    total = len(events)
-
-    def on_done(_event) -> None:
-        state["finished"] += 1
-        if state["finished"] == total and not waiter.triggered:
-            waiter.succeed_now()
-
-    for event in events:
-        if event.processed:
-            on_done(event)
-        else:
-            event.callbacks.append(on_done)
-    if state["finished"] == total and not waiter.triggered:
-        waiter.succeed_now()
-    yield waiter
-    return total
 
 
 class ReplicatedMetadataStore:
@@ -558,13 +533,9 @@ def _recover_page(rm, page_id: int, versions: Tuple[int, ...]):
                 local[position] = payload
     if len(available) + len(local) < config.k:
         return None, False
-    events = rm._post_splits(address_range, offset, available)
-    yield from _await_all(rm.sim, events)
-    arrivals = {
-        position: (event._value if event._ok else None)
-        for position, event in zip(available, events)
-    }
-    arrivals.update(local)
+    gather = rm._post_splits(address_range.slots, offset, available)
+    yield gather.wait_all()
+    arrivals = {**gather.arrivals, **local}
     if config.payload_mode != "real":
         counts: Dict[int, int] = {}
         for payload in arrivals.values():
@@ -639,9 +610,7 @@ def seal_pages(rm, info: dict):
         content, ok = yield from _recover_page(rm, page, versions)
         if not ok:
             rm._versions.pop(page, None)
-            if rm._meta is not None:
-                rm._meta.append("page_dropped", page_id=page)
-                rm._meta.commit_async()
+            rm._log_meta("page_dropped", page_id=page)
             rm._notify("on_page_lost", page)
             counts["lost"] += 1
             continue
@@ -825,23 +794,26 @@ class ControlPlane:
         acked = 1  # the successor's own replica
         logs: Dict[int, List[dict]] = {successor: list(my_replica.log)}
         size = _META_BASE_BYTES + _META_RECORD_BYTES * len(my_replica.log)
-        posted = []
+        # Per host: bump the term word (the fence), then read its log back.
+        gather = _SplitGather(sim, _succeeded)
         for host in hosts:
             replica = self.replica_hosts[host][domain]
             qp = self.fabric.qp(successor, host)
-            fence_ev = qp.post_write(
-                _META_BASE_BYTES,
-                apply=lambda r=replica, t=new_term: r.apply_term(t),
+            gather.post_all(
+                (("fence", host), ("log", host)),
+                (
+                    qp.post_write(
+                        _META_BASE_BYTES,
+                        apply=lambda r=replica, t=new_term: r.apply_term(t),
+                    ),
+                    qp.post_read(size, fetch=lambda r=replica: list(r.log)),
+                ),
             )
-            read_ev = qp.post_read(size, fetch=lambda r=replica: list(r.log))
-            posted.append((host, fence_ev, read_ev))
-        yield from _await_all(
-            sim, [ev for _h, fence_ev, read_ev in posted for ev in (fence_ev, read_ev)]
-        )
-        for host, fence_ev, read_ev in posted:
-            if fence_ev._ok and read_ev._ok:
+        yield gather.wait_all()
+        for host in hosts:
+            if ("fence", host) in gather.valid and ("log", host) in gather.valid:
                 acked += 1
-                logs[host] = read_ev._value
+                logs[host] = gather.arrivals[("log", host)]
         if acked < majority:
             if self.flight is not None:
                 self.flight.note(

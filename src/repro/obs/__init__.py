@@ -35,7 +35,7 @@ from .flight import FlightRecorder
 from .health import HealthMonitor, SloRule, default_slo_rules
 from .metrics import CounterGroup, MetricsRegistry, ScalarCounter
 from .sampler import ClusterSampler
-from .tracing import NULL_PHASES, PhaseClock, Span, Tracer
+from .tracing import NULL_PHASES, PhaseClock, Span, Tracer, request_span, traced
 
 __all__ = [
     "Observability",
@@ -43,6 +43,9 @@ __all__ = [
     "Span",
     "PhaseClock",
     "NULL_PHASES",
+    "request_span",
+    "traced",
+    "default_obs",
     "MetricsRegistry",
     "ScalarCounter",
     "CounterGroup",
@@ -61,6 +64,18 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
 ]
+
+
+def default_obs(owner, sim, tracer=None, metrics=None):
+    """The ``(tracer, metrics)`` a component records into: explicit
+    arguments win (isolated tests), else the cluster-wide bundle found on
+    ``owner.obs``, else a disabled tracer and a private registry."""
+    obs = getattr(owner, "obs", None)
+    if tracer is None:
+        tracer = obs.tracer if obs is not None else Tracer(sim, sample_every=0)
+    if metrics is None:
+        metrics = obs.metrics if obs is not None else MetricsRegistry()
+    return tracer, metrics
 
 
 @dataclass

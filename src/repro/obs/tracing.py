@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional
 
 from ..sim import RandomSource
 
-__all__ = ["Span", "Tracer", "PhaseClock", "NULL_PHASES"]
+__all__ = ["Span", "Tracer", "PhaseClock", "NULL_PHASES", "request_span", "traced"]
 
 
 class Span:
@@ -312,3 +312,31 @@ class PhaseClock:
         )
         self.last = now
         return child
+
+
+def request_span(
+    tracer: Tracer, name: str, machine_id: int, page_id: int, parent: Optional[Span] = None
+) -> Optional[Span]:
+    """Span of one pool request (``rm.read``, ``replication.write``, ...):
+    adopted into ``parent``'s trace (a sampled span, e.g. a VMM fault) when
+    one is given; otherwise the tracer's sampler decides."""
+    if parent is not None:
+        return parent.child(
+            name, cat="request", machine_id=machine_id, tags={"page": page_id}
+        )
+    return tracer.start_trace(name, machine_id=machine_id, tags={"page": page_id})
+
+
+def traced(gen, span: Optional[Span]):
+    """Wrap a request generator so its span always finishes, tagging the
+    outcome; ``gen`` itself when the request is untraced."""
+    if span is None:
+        return gen
+    return _finishing(gen, span)
+
+
+def _finishing(gen, span: Span):
+    with span:  # tags the error type if ``gen`` raises, finishes either way
+        result = yield from gen
+        span.set_tag("outcome", "ok")
+    return result

@@ -12,10 +12,12 @@ from repro.core import (
     DatapathConfig,
     HydraConfig,
     HydraDeployment,
+    HydraError,
     RemoteMemoryUnavailable,
 )
+from repro.core.resilience_manager import _SplitGather
 from repro.net import NetworkConfig
-from repro.sim import RandomSource
+from repro.sim import RandomSource, Simulator
 
 from .conftest import drive, make_page
 
@@ -55,6 +57,87 @@ def deploy(
     return cluster, deployment.manager(0)
 
 
+# Gather table. A post is (position, lands_at_us, outcome): outcome "ok" and
+# "stale" succeed (only "ok" is valid), "fail" fails, and lands_at_us None is
+# an event already processed when posted. The waiter wakes on
+# wait_valid(need); each wake logs (now, valid positions so far); while short
+# of `need` it posts the next batch of `more` from inside that synchronous
+# delivery and waits again (the read escalation loop); wait_all follows.
+GATHER_CASES = {
+    "need met before all land": dict(
+        posts=[(0, 3.0, "ok"), (1, 1.0, "ok"), (2, 9.0, "ok")], need=2,
+        wakes=[(3.0, [1, 0])], all_at=9.0,
+    ),
+    "everything lands short of need": dict(
+        posts=[(0, 2.0, "ok"), (1, 4.0, "stale")], need=2,
+        wakes=[(4.0, [0])], all_at=4.0,
+    ),
+    "failed events finish but are never valid": dict(
+        posts=[(0, 1.0, "fail"), (1, 2.0, "ok"), (2, 5.0, "fail")], need=2,
+        wakes=[(5.0, [1])], all_at=5.0,
+    ),
+    "events already processed at post time": dict(
+        posts=[(0, None, "ok"), (1, None, "ok"), (2, 6.0, "ok")], need=2,
+        wakes=[(0.0, [0, 1])], all_at=6.0,
+    ),
+    "zero posts": dict(posts=[], need=1, wakes=[(0.0, [])], all_at=0.0),
+    "waiter re-registered inside the delivery": dict(
+        posts=[(0, 1.0, "ok"), (1, 2.0, "stale")], need=2,
+        more=[[(2, 3.0, "fail")], [(3, 4.0, "ok"), (4, 8.0, "ok")]],
+        wakes=[(2.0, [0]), (5.0, [0]), (9.0, [0, 3])], all_at=13.0,
+    ),
+    "first_valid keeps arrival order": dict(
+        posts=[(0, 7.0, "ok"), (1, 5.0, "ok"), (2, 6.0, "stale"), (3, 2.0, "ok")],
+        need=3, wakes=[(7.0, [3, 1, 0])], all_at=7.0, first_two={3: "ok", 1: "ok"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GATHER_CASES)
+def test_split_gather(name):
+    case = GATHER_CASES[name]
+    sim = Simulator()
+    gather = _SplitGather(sim, lambda done: done._ok and done._value == "ok")
+    wakes, finished = [], []
+
+    def post(batch):
+        events = [sim.event(name=f"split:{position}") for position, _, _ in batch]
+        for event, (_position, lands_at, outcome) in zip(events, batch):
+            if lands_at is None:
+                event.succeed_now(outcome)
+            elif outcome == "fail":
+                sim.call_later(lands_at, lambda e=event: e.fail(RuntimeError("lost")))
+            else:
+                sim.call_later(lands_at, lambda e=event, o=outcome: e.succeed_now(o))
+        gather.post_all([position for position, _, _ in batch], events)
+
+    def waiter():
+        post(case["posts"])
+        escalations = iter(case.get("more", []))
+        while True:
+            yield gather.wait_valid(case["need"])
+            wakes.append((sim.now, list(gather.valid)))
+            batch = next(escalations, None)
+            if len(gather.valid) >= case["need"] or batch is None:
+                break
+            post(batch)  # delays are relative to this wake
+        yield gather.wait_all()
+        finished.append(sim.now)
+
+    sim.process(waiter(), name="waiter")
+    sim.run()
+    assert wakes == case["wakes"]
+    assert finished == [case["all_at"]] and gather.outstanding == 0
+    posted = [p for batch in [case["posts"], *case.get("more", [])] for p in batch]
+    assert gather.arrivals == {
+        position: (None if outcome == "fail" else outcome)
+        for position, _, outcome in posted
+    }
+    if "first_two" in case:
+        assert gather.first_valid(2) == case["first_two"]
+        assert list(gather.first_valid(2)) == list(case["first_two"])
+
+
 class TestReadWrite:
     def test_roundtrip_real_bytes(self):
         cluster, rm = deploy()
@@ -71,6 +154,36 @@ class TestReadWrite:
         assert drive(cluster.sim, proc()) == "ok"
         assert rm.events["writes"] == 16
         assert rm.events["reads"] == 16
+
+    @pytest.mark.parametrize("metadata_replicas", [0, 2])
+    def test_rejected_write_leaves_no_trace(self, metadata_replicas):
+        """A malformed page is refused before placement: no range, no slab
+        mapped on any machine, no metadata record — and the page's next
+        valid write is version 1."""
+        cluster, rm = deploy(metadata_replicas=metadata_replicas)
+
+        def mapped_slabs():
+            return sum(
+                1
+                for machine in cluster.machines
+                for slab in machine.hosted_slabs.values()
+                if slab.owner_id is not None
+            )
+
+        def proc():
+            for bad in (b"short", None, bytes(2 * rm.config.page_size)):
+                with pytest.raises(HydraError, match="bytes of data"):
+                    yield rm.write(0, bad)
+            assert rm.events["ranges_placed"] == 0 and not rm.space.all_ranges()
+            assert mapped_slabs() == 0
+            if rm._meta is not None:
+                assert rm._meta.log == []
+            yield rm.write(0, make_page(0))
+            assert rm._versions[0] == 1
+            assert mapped_slabs() == rm.config.n
+            return (yield rm.read(0))
+
+        assert drive(cluster.sim, proc()) == make_page(0)
 
     def test_overwrite_returns_latest(self):
         cluster, rm = deploy()

@@ -2,7 +2,7 @@
 
 CI runs the script directly; this test keeps it honest for local
 ``pytest`` runs and pins the checker's own behavior on a known-dead
-link.
+link and a known-missing code symbol.
 """
 import importlib.util
 from pathlib import Path
@@ -33,3 +33,23 @@ class TestDocsLinks:
         assert any("GONE.md" in e for e in errors)
         assert any("nope" in e for e in errors)
         assert len(errors) == 2  # https skipped, image skipped, anchor ok
+
+    def test_checker_resolves_code_symbols(self, tmp_path, monkeypatch):
+        (tmp_path / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / "src" / "pkg" / "mod.py").write_text(
+            "LIMIT = 3\n\n\ndef helper():\n    pass\n\n\n"
+            "class Pool:\n    size: int = 0\n\n    def read(self):\n        pass\n"
+        )
+        (tmp_path / "README.md").write_text(
+            "`Pool` (`src/pkg/mod.py`), `Pool.read` (`src/pkg/mod.py`),\n"
+            "`Pool.size` (`src/pkg/mod.py`), `helper`\n(`src/pkg/mod.py`) and "
+            "`LIMIT` (`src/pkg/mod.py`) resolve;\n"
+            "`Pool.write` (`src/pkg/mod.py`), `read` (`src/pkg/mod.py`) and "
+            "`Pool` (`src/pkg/gone.py`) do not.\n"
+        )
+        monkeypatch.setattr(check_docs_links, "REPO", tmp_path)
+        assert check_docs_links.check() == [
+            "README.md: no `Pool.write` in src/pkg/mod.py",
+            "README.md: no `read` in src/pkg/mod.py",
+            "README.md: `Pool` cites a missing file: src/pkg/gone.py",
+        ]
