@@ -88,9 +88,9 @@ class _SplitGather:
         """Track the verbs posted for ``positions`` (parallel sequences)."""
         posted = self.posted
         on_done = self._on_done
+        self.outstanding += len(events)
         for position, event in zip(positions, events):
             posted[event] = position
-            self.outstanding += 1
             if event.processed:
                 on_done(event)
             else:
@@ -102,32 +102,32 @@ class _SplitGather:
         self.arrivals[position] = done._value if done._ok else None
         if self.is_valid(done):
             self.valid.append(position)
-        self._fire()
+        waiter = self._waiter
+        if waiter is not None and (
+            len(self.valid) >= self._need or self.outstanding == 0
+        ):
+            # Detach before delivering: succeed_now resumes the waiting
+            # process synchronously, which may register a fresh waiter
+            # (escalation loop) — the slot must already be clear.
+            self._waiter = None
+            waiter.succeed_now()
 
     def wait_valid(self, need: int) -> Event:
         """An event firing when ``need`` valid completions have arrived — or
         when nothing is outstanding anymore (the caller sees fewer in
         ``valid`` and decides: escalate, retry, fail). One waiter at a time."""
         assert self._waiter is None, "a gather serves one waiter at a time"
-        self._need = need
-        waiter = self._waiter = self.sim.event(name="gather")
-        self._fire()  # may clear the slot and fire synchronously
+        waiter = self.sim.event(name="gather")
+        if len(self.valid) >= need or self.outstanding == 0:
+            waiter.succeed_now()
+        else:
+            self._need = need
+            self._waiter = waiter
         return waiter
 
     def wait_all(self) -> Event:
         """An event firing once every posted verb has completed."""
         return self.wait_valid(_ALL)
-
-    def _fire(self) -> None:
-        # Detach the waiter before delivering: succeed_now resumes the
-        # waiting process synchronously, which may re-register a fresh
-        # waiter (escalation loop) — the slot must already be clear.
-        waiter = self._waiter
-        if waiter is not None and (
-            len(self.valid) >= self._need or self.outstanding == 0
-        ):
-            self._waiter = None
-            waiter.succeed_now()
 
     def first_valid(self, count: int) -> Dict[int, object]:
         """The first ``count`` valid splits in arrival order — exactly what
