@@ -22,13 +22,18 @@ SlabRegenerationLimit), and background slab regeneration hand-off.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..cluster import PhantomSplit
-from ..ec import CorruptionDetected, DecodeError, PageCodec, reencode_split_pages
+from ..ec import (
+    CorruptionDetected,
+    DecodeError,
+    PageCodec,
+    ReedSolomonCode,
+    reencode_split_pages,
+)
 from ..net import RdmaFabric
 from ..obs import MetricsRegistry, Span, Tracer, default_obs, request_span, traced
 from ..sim import Event, RandomSource, Simulator, Timeout
@@ -52,56 +57,43 @@ _ALL = float("inf")  # a gather `need` no valid count reaches: wait for every po
 
 
 class _SplitGather:
-    """The one fan-out-and-gather of ``repro.core``: n posted completions
-    tracked by position, one waiter woken at the need-th *valid* one.
+    """The one fan-out-and-gather of ``repro.core``: n posted verbs tracked
+    by position, one waiter woken at the need-th *valid* completion.
 
     A write returns at k acks of (k + r) (§4.2.1), a late-binding read at
     k valid splits of (k + Δ) (§4.2.2); verification, seal recovery and
-    takeover wait for everything they posted. ``is_valid`` judges the
-    completion *event*, so write acks (value ``None``) and read payloads
-    share the class. One bound callback per gather and one waiter event
-    per wait keep the event count per page operation small.
+    takeover wait for everything they posted. The gather is the *sink* of
+    its verbs: the poster adds to ``outstanding`` and hands
+    :meth:`_arrive` and a position to ``QueuePair._post``, whose completion
+    record calls it back — no event, callback list or closure per split.
+    A verb that succeeded is valid when ``is_valid`` accepts its value
+    (every success counts when there is no predicate, as for write acks
+    and metadata verbs); a failed verb finishes but is never valid. One
+    waiter event per wait keeps the event count per page operation small.
     """
 
-    __slots__ = (
-        "sim",
-        "is_valid",
-        "posted",
-        "arrivals",
-        "valid",
-        "outstanding",
-        "_need",
-        "_waiter",
-    )
+    __slots__ = ("sim", "is_valid", "arrivals", "valid", "outstanding", "_need", "_waiter")
 
-    def __init__(self, sim: Simulator, is_valid):
+    def __init__(self, sim: Simulator, is_valid=None):
         self.sim = sim
         self.is_valid = is_valid
-        self.posted: Dict[Event, int] = {}  # completion event -> position
-        self.arrivals: Dict[int, object] = {}  # position -> payload (None: failed)
-        self.valid: List[int] = []  # valid positions in arrival order
-        self.outstanding = 0
+        self.arrivals: Dict[object, object] = {}  # position -> payload (None: failed)
+        self.valid: List[object] = []  # valid positions in arrival order
+        self.outstanding = 0  # posted, not yet arrived
         self._need = 0
         self._waiter: Optional[Event] = None
 
-    def post_all(self, positions, events) -> None:
-        """Track the verbs posted for ``positions`` (parallel sequences)."""
-        posted = self.posted
-        on_done = self._on_done
-        self.outstanding += len(events)
-        for position, event in zip(positions, events):
-            posted[event] = position
-            if event.processed:
-                on_done(event)
-            else:
-                event.callbacks.append(on_done)
-
-    def _on_done(self, done: Event) -> None:
+    def _arrive(self, position, ok: bool, value) -> None:
+        """The verb posted for ``position`` completed (``QueuePair._post``
+        sink): ``value`` is what it returned, or its exception."""
         self.outstanding -= 1
-        position = self.posted[done]
-        self.arrivals[position] = done._value if done._ok else None
-        if self.is_valid(done):
-            self.valid.append(position)
+        if ok:
+            self.arrivals[position] = value
+            is_valid = self.is_valid
+            if is_valid is None or is_valid(value):
+                self.valid.append(position)
+        else:
+            self.arrivals[position] = None
         waiter = self._waiter
         if waiter is not None and (
             len(self.valid) >= self._need or self.outstanding == 0
@@ -142,8 +134,29 @@ class _SplitGather:
         }
 
 
-# The gather predicate of write acks and metadata verbs: the verb succeeded.
-_succeeded = attrgetter("_ok")
+def _consistent_with_decode(
+    code: ReedSolomonCode,
+    arrivals: Dict[int, object],
+    first_k: Dict[int, object],
+    data_splits: np.ndarray,
+) -> bool:
+    """True when every real split of ``arrivals`` outside ``first_k`` lies
+    on the codeword ``data_splits`` was decoded from ``first_k`` — the
+    verdict of ``code.verify`` on the real splits, whichever k of them one
+    takes as the base. A data position is a row of ``data_splits``, a
+    parity position one re-encoded split."""
+    for position, payload in arrivals.items():
+        if position in first_k or not isinstance(payload, np.ndarray):
+            continue
+        payload = code._check_vector(payload)
+        if position < code.k:
+            expected = data_splits[position]
+        else:
+            expected = code.reencode_split(data_splits, position)
+        # Both are 1-D uint8: equal bytes is equal length and content.
+        if expected.tobytes() != payload.tobytes():
+            return False
+    return True
 
 
 class HydraError(Exception):
@@ -162,8 +175,12 @@ class ResilienceManager:
     the baselines: :meth:`write` and :meth:`read` return simulation
     processes; ``yield`` them from workload code. Underneath, every path
     that touches splits posts through :meth:`_post_splits` and waits on
-    the :class:`_SplitGather` it returns, and a write is
-    :meth:`_write_attempt` retried, whichever slabs are up.
+    the :class:`_SplitGather` it returns — the gather is the sink the
+    posted verbs complete into, so a split is handled once, by
+    ``_SplitGather._arrive`` — and a write is :meth:`_write_attempt`
+    retried, whichever slabs are up. A healthy read decodes once: the
+    background check of the Δ extras compares them with the codeword that
+    decode produced (:func:`_consistent_with_decode`).
     """
 
     name = "hydra"
@@ -717,13 +734,13 @@ class ResilienceManager:
             yield gather.wait_valid(config.k)
             if len(gather.valid) >= config.k:
                 break
-            # Escalate: everything in flight has landed and we still lack
-            # k valid splits — request the untried positions.
-            tried = set(gather.posted.values())
+            # Escalate: everything in flight has landed (each posted
+            # position is in `arrivals`) and we still lack k valid splits —
+            # request the untried positions.
             untried = [
                 position
                 for position in address_range.available_positions()
-                if position not in tried
+                if position not in gather.arrivals
             ]
             if untried:
                 self._post_splits(slots, offset, untried, span=span, gather=gather)
@@ -782,10 +799,12 @@ class ResilienceManager:
                     )
                 phases.mark("correction")
             else:
-                page = self.codec.decode(first_k)
+                data_splits = self.codec.code.decode(first_k)
+                page = self.codec.join(data_splits)
                 if config.verify_reads:
                     self._schedule_background_verify(
-                        address_range, offset, page_id, version, gather, span
+                        address_range, offset, page_id, version, gather,
+                        first_k, data_splits, span,
                     )
 
         if self._observers:
@@ -801,16 +820,22 @@ class ResilienceManager:
         page_id: int,
         version: int,
         gather: _SplitGather,
+        first_k: Dict[int, object],
+        data_splits: np.ndarray,
         parent: Optional[Span] = None,
     ) -> None:
         """§4.3 detection path: once the Δ extra splits arrive, check
         consistency off the critical path; on detection, correct and heal.
 
+        The read already decoded ``data_splits`` from ``first_k``, and k
+        splits determine the codeword: the arrivals are mutually consistent
+        exactly when each later one equals that codeword's split at its
+        position (:func:`_consistent_with_decode`) — no second decode.
+
         The check runs as a callback on the gather's wait-all event — no
         process is spawned unless corruption is actually detected, which
         keeps the (overwhelmingly common) consistent case off the event
         queue entirely."""
-        config = self.config
         span = (
             parent.child("rm.verify", cat="background") if parent is not None else None
         )
@@ -827,11 +852,11 @@ class ResilienceManager:
         def check(_done: Event) -> None:
             spawned = False
             try:
+                if _consistent_with_decode(
+                    self.codec.code, gather.arrivals, first_k, data_splits
+                ):
+                    return  # nothing to do (or no extra split to detect with)
                 usable = gather.real_payloads()
-                if len(usable) <= config.k:
-                    return  # not enough for detection
-                if self.codec.verify(usable):
-                    return  # consistent; nothing to do
                 self.events.incr("corruption_detected")
                 if span is not None:
                     span.set_tag("corruption_detected", True)
@@ -1340,11 +1365,12 @@ class ResilienceManager:
         gather: Optional[_SplitGather] = None,
     ) -> _SplitGather:
         """The split fan-out: one one-sided verb per position — a WRITE of
-        ``payloads[i]`` when ``payloads`` is given, else a READ — tracked
-        by the returned gather: ``gather`` when the caller adds to one it
-        holds, else a fresh one counting successful completions. ``slots``
-        maps a position to its slab handle: a range's slot table, or
-        ``{position: handle}`` for a replacement slab not installed yet.
+        ``payloads[i]`` when ``payloads`` is given, else a READ — each
+        completing into the returned gather: ``gather`` when the caller
+        adds to one it holds, else a fresh one counting successful
+        completions. ``slots`` maps a position to its slab handle: a
+        range's slot table, or ``{position: handle}`` for a replacement
+        slab not installed yet.
 
         Walks the verb layers once for the whole fan-out, hoisting the
         handle/endpoint lookups off the per-split path. Verbs are posted in
@@ -1353,9 +1379,11 @@ class ResilienceManager:
         """
         split_size = self.config.split_size
         endpoints = self._endpoints
+        if gather is None:
+            gather = _SplitGather(self.sim)
+        gather.outstanding += len(positions)
+        arrive = gather._arrive
         kind = "read" if payloads is None else "write"
-        events = []
-        append = events.append
         for index, position in enumerate(positions):
             handle = slots[position]
             pair = endpoints.get(handle.machine_id)
@@ -1366,26 +1394,19 @@ class ResilienceManager:
                 )
             machine, qp = pair
             if payloads is None:
-                action = lambda m=machine, s=handle.slab_id: m.read_split(s, offset)
+                fn, args = machine.read_split, (handle.slab_id, offset)
             else:
-                action = lambda m=machine, s=handle.slab_id, p=payloads[index]: (
-                    m.write_split(s, offset, p)
-                )
-            append(qp._post(split_size, action, True, span, kind))
-        if gather is None:
-            gather = _SplitGather(self.sim, _succeeded)
-        gather.post_all(positions, events)
+                fn = machine.write_split
+                args = (handle.slab_id, offset, payloads[index])
+            qp._post(split_size, arrive, position, fn, args, True, span, kind)
         return gather
 
     def _split_validator(self, version: int):
-        """Per-read closure telling the gather whether a completed split
+        """Per-read closure telling the gather whether a split that was
         read counts toward k. Phantom corruption models *detectable*
         (integrity-checked) corruption; silent corruption needs real mode."""
 
-        def valid(done: Event, _phantom=PhantomSplit, _ndarray=np.ndarray) -> bool:
-            if not done._ok:
-                return False
-            payload = done._value
+        def valid(payload, _phantom=PhantomSplit, _ndarray=np.ndarray) -> bool:
             if isinstance(payload, _phantom):
                 return not payload.corrupt and payload.version == version
             return isinstance(payload, _ndarray)

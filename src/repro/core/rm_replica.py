@@ -43,7 +43,7 @@ from ..cluster import PhantomSplit, SlabState
 from ..ec import CorruptionDetected, DecodeError
 from ..net import RemoteAccessError
 from .address_space import AddressRange, SlabHandle
-from .resilience_manager import _SplitGather, _succeeded
+from .resilience_manager import _SplitGather
 
 __all__ = [
     "MetadataQuorumError",
@@ -795,20 +795,16 @@ class ControlPlane:
         logs: Dict[int, List[dict]] = {successor: list(my_replica.log)}
         size = _META_BASE_BYTES + _META_RECORD_BYTES * len(my_replica.log)
         # Per host: bump the term word (the fence), then read its log back.
-        gather = _SplitGather(sim, _succeeded)
+        gather = _SplitGather(sim)
+        gather.outstanding = 2 * len(hosts)
         for host in hosts:
             replica = self.replica_hosts[host][domain]
             qp = self.fabric.qp(successor, host)
-            gather.post_all(
-                (("fence", host), ("log", host)),
-                (
-                    qp.post_write(
-                        _META_BASE_BYTES,
-                        apply=lambda r=replica, t=new_term: r.apply_term(t),
-                    ),
-                    qp.post_read(size, fetch=lambda r=replica: list(r.log)),
-                ),
+            qp._post(
+                _META_BASE_BYTES, gather._arrive, ("fence", host),
+                replica.apply_term, (new_term,),
             )
+            qp._post(size, gather._arrive, ("log", host), list, (replica.log,))
         yield gather.wait_all()
         for host in hosts:
             if ("fence", host) in gather.valid and ("log", host) in gather.valid:

@@ -983,7 +983,8 @@ def main(argv=None) -> int:
     With ``--compare`` the run is gated against a baseline document
     (see :func:`compare_results`); regressions exit 3. The baseline is
     read *before* the suite runs, so comparing against the same path
-    ``--output`` overwrites is safe.
+    ``--output`` overwrites is safe, and unless ``--repeats`` is given
+    the run takes the baseline's recorded ``repeats``.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     quick = False
@@ -1052,6 +1053,10 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
+        if repeats is None and isinstance(baseline.get("repeats"), int):
+            # Best-of-N rates only compare against best-of-N: one quick run
+            # of a ~1 ms kernel timing reads far under a best of five.
+            repeats = max(1, baseline["repeats"])
     doc = run_perf_suite(quick=quick, repeats=repeats, jobs=jobs, progress=print)
     with open(output, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -1060,15 +1065,17 @@ def main(argv=None) -> int:
     print(f"wrote {output}")
     if baseline is not None:
         failures = compare_results(doc, baseline, tolerance=tolerance)
+        sides = (
+            f"best of {doc.get('repeats', '?')} vs baseline best of "
+            f"{baseline.get('repeats', '?')}, tolerance {tolerance:.2f}"
+        )
         if failures:
-            print(f"perf regression vs {compare} (tolerance {tolerance:.2f}):",
-                  file=sys.stderr)
+            print(f"perf regression vs {compare} ({sides}):", file=sys.stderr)
             for failure in failures:
                 print(f"  {failure}", file=sys.stderr)
             return 3
         print(
             f"compare vs {compare}: ok "
-            f"({len(baseline.get('benchmarks', {}))} benchmarks, "
-            f"tolerance {tolerance:.2f})"
+            f"({len(baseline.get('benchmarks', {}))} benchmarks, {sides})"
         )
     return 0

@@ -32,12 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import Observability, Span
 from ..sim import Event, RandomSource, Simulator
-from ..sim.engine import _PENDING, _PROCESSED, _TRIGGERED
-
-# Verb completions are the sim's highest-volume Event allocation;
-# building them via __new__ + direct slot stores skips the type.__call__
-# and __init__ frames on every post. Same fields, same initial state.
-_EVENT_NEW = Event.__new__
+from ..sim.engine import _PROCESSED
 from .config import NetworkConfig
 
 __all__ = [
@@ -118,6 +113,30 @@ class Nic:
         return self.bytes_sent + self.bytes_received
 
 
+def _deliver(event: Event, ok: bool, value: Any) -> None:
+    """The sink of the public verbs: the token is the verb's event, which
+    is triggered and processed in place (the caller is the queue record)."""
+    event._ok = ok
+    event._value = value
+    event._state = _PROCESSED
+    callbacks = event.callbacks
+    event.callbacks = []
+    for callback in callbacks:
+        callback(event)
+
+
+def _finishing(verb_span: Span, sink):
+    """``sink`` behind the end of a traced verb's span."""
+
+    def finish_then_deliver(token, ok, value):
+        if not ok:
+            verb_span.set_tag("error", type(value).__name__)
+        verb_span.finish()
+        sink(token, ok, value)
+
+    return finish_then_deliver
+
+
 class QueuePair:
     """A reliable connection between two machines.
 
@@ -172,7 +191,7 @@ class QueuePair:
         self.rng = rng
         self.connected = True
         self._last_completion = 0.0
-        self._pending: List[Event] = []
+        self._pending: List[Tuple[Callable, Any]] = []  # (sink, token) in post order
         self._disconnect_listeners: List[Callable[[int], None]] = []
         # Hot-path caches: the event name is constant per QP, and the
         # endpoint NICs are stable once machines are registered (filled
@@ -234,7 +253,9 @@ class QueuePair:
         ``span`` (a sampled request span) parents a per-verb trace span
         carrying the queueing/wire/congestion latency breakdown.
         """
-        return self._post(size_bytes, action=fetch, one_sided=True, span=span, kind="read")
+        event = Event(self.sim, self._event_name)
+        self._post(size_bytes, _deliver, event, fetch, (), True, span, "read")
+        return event
 
     def post_write(
         self,
@@ -244,18 +265,26 @@ class QueuePair:
     ) -> Event:
         """One-sided RDMA WRITE; ``apply`` mutates remote memory at
         completion time. Event value is ``apply``'s return (usually None)."""
-        return self._post(size_bytes, action=apply, one_sided=True, span=span, kind="write")
+        event = Event(self.sim, self._event_name)
+        self._post(size_bytes, _deliver, event, apply, (), True, span, "write")
+        return event
 
     def post_send(
         self, message: Any, size_bytes: int = 64, span: Optional[Span] = None
     ) -> Event:
         """Two-sided SEND: delivers ``message`` to the remote inbox."""
-
-        def deliver():
-            self.fabric.deliver_message(self.remote_id, self.local_id, message)
-            return None
-
-        return self._post(size_bytes, action=deliver, one_sided=False, span=span, kind="send")
+        event = Event(self.sim, self._event_name)
+        self._post(
+            size_bytes,
+            _deliver,
+            event,
+            self.fabric.deliver_message,
+            (self.remote_id, self.local_id, message),
+            False,
+            span,
+            "send",
+        )
+        return event
 
     # -- notifications -----------------------------------------------------
     def on_disconnect(self, callback: Callable[[int], None]) -> None:
@@ -268,17 +297,19 @@ class QueuePair:
         if not self.connected:
             return
         self.connected = False
+        # Detached from the QP: a completion record that fires inside the
+        # detection window finds its entry gone and delivers nothing.
         pending, self._pending = self._pending, []
-        detect = self.config.failure_detect_us
 
         def fail_pending():
-            for event in pending:
-                if not event.triggered:
-                    event.fail(RDMADisconnect(reason, machine_id=self.remote_id))
+            for sink, token in pending:
+                self._fail(
+                    sink, token, RDMADisconnect(reason, machine_id=self.remote_id)
+                )
             for listener in self._disconnect_listeners:
                 listener(self.remote_id)
 
-        self.sim.call_later(detect, fail_pending)
+        self.sim.call_later(self.config.failure_detect_us, fail_pending)
 
     def reconnect(self) -> None:
         """Re-establish the RC after the remote recovers."""
@@ -289,19 +320,28 @@ class QueuePair:
     def _post(
         self,
         size_bytes: int,
-        action: Callable[[], Any],
-        one_sided: bool,
+        sink: Callable[[Any, bool, Any], None],
+        token: Any,
+        fn: Callable[..., Any],
+        args: tuple = (),
+        one_sided: bool = True,
         span: Optional[Span] = None,
         kind: str = "op",
-    ) -> Event:
-        event = _EVENT_NEW(Event)
-        event.sim = self.sim
-        event.callbacks = []
-        event._state = _PENDING
-        event._value = None
-        event._ok = True
-        event.name = self._event_name
-        verb_span: Optional[Span] = None
+    ) -> None:
+        """The one verb implementation: draw the latency, schedule the one
+        completion record, report the outcome to ``sink``.
+
+        At completion time the record pops the verb off the QP's pending
+        list, runs ``fn(*args)`` against the remote machine and calls
+        ``sink(token, True, value)`` in place. A failed verb
+        (:class:`RemoteAccessError` from ``fn``, unreachable at post time,
+        connection torn down while pending) reports
+        ``sink(token, False, exception)`` through :meth:`_fail`. ``sink``
+        is called exactly once per post, always from the dispatch loop.
+        The public verbs pass an :class:`Event` as the token; the
+        Resilience Manager's fan-out passes its gather and a split
+        position, so a split costs no event of its own.
+        """
         if span is not None:
             verb_span = span.child(
                 f"rdma.{kind}",
@@ -309,13 +349,7 @@ class QueuePair:
                 machine_id=self.local_id,
                 tags={"target": self.remote_id, "bytes": size_bytes},
             )
-
-            def _finish_verb(done: Event, _s=verb_span) -> None:
-                if not done._ok:
-                    _s.set_tag("error", type(done._value).__name__)
-                _s.finish()
-
-            event.callbacks.append(_finish_verb)
+            sink = _finishing(verb_span, sink)
         if self.connected:
             fabric = self.fabric
             epoch = fabric._topology_epoch
@@ -327,17 +361,18 @@ class QueuePair:
             reachable = False
         if not reachable:
             # Immediately broken: fail after the RC retry timeout.
-            def fail_later():
-                if not event.triggered:
-                    event.fail(
-                        RDMADisconnect(
-                            f"machine {self.remote_id} unreachable",
-                            machine_id=self.remote_id,
-                        )
-                    )
-
-            self.sim.call_later(self.config.failure_detect_us, fail_later)
-            return event
+            self.sim.call_later(
+                self.config.failure_detect_us,
+                lambda: self._fail(
+                    sink,
+                    token,
+                    RDMADisconnect(
+                        f"machine {self.remote_id} unreachable",
+                        machine_id=self.remote_id,
+                    ),
+                ),
+            )
+            return
 
         # Traffic accounting (a verb moves size_bytes across both NICs),
         # bumping the raw counters inline — same totals as
@@ -353,9 +388,9 @@ class QueuePair:
         self._tx_ops.value += 1
         self._rx_bytes.value += size_bytes
 
-        if verb_span is None:
-            # Inlined :meth:`_op_latency` — identical float-op sequence and
-            # RNG draw order, minus the method calls on the untraced path.
+        if span is None:
+            # The latency model, inline: the float-op sequence and RNG draw
+            # order of :meth:`_op_latency_parts` without its decomposition.
             hot = self._det_hot
             if hot is not None and hot[0] == size_bytes and hot[1] == one_sided:
                 latency = hot[2]
@@ -371,6 +406,12 @@ class QueuePair:
                 else:
                     latency, transfer = cached
                 self._det_hot = (size_bytes, one_sided, latency, transfer)
+            # Congestion from background flows on either endpoint NIC.
+            # Queuing delay grows with the *bytes* this op must push
+            # through the busy link (plus a small fixed queue-entry cost) —
+            # small split-sized messages interleave past bulk flows far
+            # better than whole pages, which is part of why Hydra divides
+            # pages (§4.1).
             local_nic = self._local_nic
             remote_nic = self._remote_nic
             if local_nic.background_flows or remote_nic.background_flows:
@@ -379,9 +420,9 @@ class QueuePair:
                     latency += (inflation - 1.0) * (
                         transfer + 0.2 * self._base_latency_us
                     )
-            # Kinderman–Monahan normal draw, inlined from
-            # random.normalvariate — same generator, same draw order, same
-            # float ops, so the jitter sequence is bit-identical.
+            # Ordinary fabric jitter: a Kinderman–Monahan normal draw,
+            # inlined from random.normalvariate — same generator, same draw
+            # order, same float ops, so the jitter sequence is bit-identical.
             draw = self._draw_uniform
             while True:
                 u1 = draw()
@@ -390,6 +431,7 @@ class QueuePair:
                 if z * z / 4.0 <= -log(u2):
                     break
             latency *= exp(0.0 + z * self._jitter_sigma)
+            # Rare straggler events with a heavy tail.
             cfg = self.config
             if cfg.straggler_prob > 0 and draw() < cfg.straggler_prob:
                 latency += cfg.straggler_scale_us * self._draw_pareto(
@@ -406,46 +448,40 @@ class QueuePair:
             for part, value in parts.items():
                 verb_span.set_tag(f"{part}_us", round(value, 4))
         self._last_completion = completion
-        self._pending.append(event)
+        entry = (sink, token)
+        self._pending.append(entry)
 
         def complete():
-            if event._state >= _TRIGGERED:
-                return  # already failed by a disconnect
             # Per-QP ordering means completions run in post order, so the
-            # event is almost always at the head of the pending deque.
+            # verb is almost always at the head of the pending list.
             pending = self._pending
-            if pending and pending[0] is event:
+            if pending and pending[0] is entry:
                 del pending[0]
             else:
-                try:
-                    pending.remove(event)
-                except ValueError:
+                for index, other in enumerate(pending):
+                    if other is entry:
+                        del pending[index]
+                        break
+                else:
                     # The QP disconnected before this op's completion time:
-                    # the data never arrived; fail_pending will fail it.
+                    # the data never arrived; fail_pending reports the verb.
                     return
             try:
-                result = action()
+                value = fn(*args)
             except RemoteAccessError as exc:
-                event.fail(exc)
+                self._fail(sink, token, exc)
                 return
             # Fused delivery: this callable *is* the scheduled completion
-            # entry, so trigger and process the ack in place rather than
-            # pushing a second same-timestamp queue entry for the dispatch
-            # loop. Same-time ordering is unchanged: every other queue
-            # entry already holds an earlier sequence number either way.
-            event._ok = True
-            event._value = result
-            event._state = _PROCESSED
-            callbacks = event.callbacks
-            event.callbacks = []
-            for callback in callbacks:
-                callback(event)
+            # entry, so the sink runs in place rather than behind a second
+            # same-timestamp queue entry. Same-time ordering is unchanged:
+            # every other queue entry already holds an earlier sequence
+            # number either way.
+            sink(token, True, value)
 
         # Inlined sim.call_later(completion - now, complete): the same
         # `now + (completion - now)` float dance and one (when, seq, fn)
         # record, minus the call — verbs are the engine's highest-volume
-        # scheduling source. Works in both scheduler modes (heap mode keeps
-        # _limit at -inf, routing every insert to the overflow heap).
+        # scheduling source.
         sim = self.sim
         sim._seq = seq = sim._seq + 1
         when = now + (completion - now)
@@ -458,45 +494,13 @@ class QueuePair:
             sim._count += 1
         else:
             _heappush(sim._queue, (when, seq, complete))
-        return event
 
-    def _op_latency(self, size_bytes: int, one_sided: bool) -> float:
-        """Latency of one verb — scalar hot path, no parts bookkeeping.
-
-        Float-op sequence and RNG draw order are bit-identical to
-        :meth:`_op_latency_parts`; only the decomposition dict and the
-        intermediate part variables are skipped.
-        """
-        cfg = self.config
-        cached = self._det_latency.get((size_bytes, one_sided))
-        if cached is None:
-            transfer = size_bytes / self._bytes_per_us
-            latency = self._base_latency_us + transfer
-            if not one_sided:
-                latency += self._send_recv_overhead_us
-            self._det_latency[(size_bytes, one_sided)] = (latency, transfer)
-        else:
-            latency, transfer = cached
-        # Congestion from background flows on either endpoint NIC. Queuing
-        # delay grows with the *bytes* this op must push through the busy
-        # link (plus a small fixed queue-entry cost) — small split-sized
-        # messages interleave past bulk flows far better than whole pages,
-        # which is part of why Hydra divides pages (§4.1).
-        local_nic = self._local_nic
-        if local_nic is None:
-            local_nic = self._local_nic = self.fabric.nic(self.local_id)
-            self._remote_nic = self.fabric.nic(self.remote_id)
-        remote_nic = self._remote_nic
-        if local_nic.background_flows or remote_nic.background_flows:
-            inflation = max(local_nic.inflation(), remote_nic.inflation())
-            if inflation > 1.0:
-                latency += (inflation - 1.0) * (transfer + 0.2 * self._base_latency_us)
-        # Ordinary fabric jitter.
-        latency *= exp(self._draw_normal(0.0, self._jitter_sigma))
-        # Rare straggler events with a heavy tail.
-        if cfg.straggler_prob > 0 and self._draw_uniform() < cfg.straggler_prob:
-            latency += cfg.straggler_scale_us * self._draw_pareto(cfg.straggler_shape)
-        return latency
+    def _fail(self, sink, token: Any, exc: RDMAError) -> None:
+        """Report a failed verb to its sink. An error completion is its own
+        queue record at the current time: it surfaces behind whatever is
+        already queued for this instant, and the seeded histories (queue
+        entry counts, same-time ordering) depend on that."""
+        self.sim.call_later(0.0, lambda: sink(token, False, exc))
 
     def _op_latency_parts(self, size_bytes: int, one_sided: bool):
         """Latency of one verb plus the additive wire/congestion/jitter/

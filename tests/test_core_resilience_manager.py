@@ -15,7 +15,8 @@ from repro.core import (
     HydraError,
     RemoteMemoryUnavailable,
 )
-from repro.core.resilience_manager import _SplitGather
+from repro.core.resilience_manager import _SplitGather, _consistent_with_decode
+from repro.ec import DecodeError, ReedSolomonCode, native
 from repro.net import NetworkConfig
 from repro.sim import RandomSource, Simulator
 
@@ -59,10 +60,12 @@ def deploy(
 
 # Gather table. A post is (position, lands_at_us, outcome): outcome "ok" and
 # "stale" succeed (only "ok" is valid), "fail" fails, and lands_at_us None is
-# an event already processed when posted. The waiter wakes on
-# wait_valid(need); each wake logs (now, valid positions so far); while short
-# of `need` it posts the next batch of `more` from inside that synchronous
-# delivery and waits again (the read escalation loop); wait_all follows.
+# a delivery made before anybody waits. Each post reaches the gather the way
+# QueuePair._post reports a verb: one sink call, _arrive(position, ok, value).
+# The waiter wakes on wait_valid(need); each wake logs (now, valid positions
+# so far); while short of `need` it posts the next batch of `more` from
+# inside that synchronous delivery and waits again (the read escalation
+# loop); wait_all follows.
 GATHER_CASES = {
     "need met before all land": dict(
         posts=[(0, 3.0, "ok"), (1, 1.0, "ok"), (2, 9.0, "ok")], need=2,
@@ -90,6 +93,18 @@ GATHER_CASES = {
         posts=[(0, 7.0, "ok"), (1, 5.0, "ok"), (2, 6.0, "stale"), (3, 2.0, "ok")],
         need=3, wakes=[(7.0, [3, 1, 0])], all_at=7.0, first_two={3: "ok", 1: "ok"},
     ),
+    "k-th valid wakes the waiter once": dict(
+        posts=[(0, 1.0, "ok"), (1, 2.0, "ok"), (2, 3.0, "ok"), (3, 4.0, "ok")],
+        need=2, wakes=[(2.0, [0, 1])], all_at=4.0,
+    ),
+    "wait_all after the last arrival": dict(
+        posts=[(0, 1.0, "ok"), (1, 2.0, "ok")], need=2,
+        wakes=[(2.0, [0, 1])], all_at=2.0,
+    ),
+    "no predicate: every success is valid": dict(
+        posts=[(0, 1.0, "stale"), (1, 2.0, "fail"), (2, 3.0, "ok")], need=2,
+        predicate=None, wakes=[(3.0, [0, 2])], all_at=3.0,
+    ),
 }
 
 
@@ -97,19 +112,25 @@ GATHER_CASES = {
 def test_split_gather(name):
     case = GATHER_CASES[name]
     sim = Simulator()
-    gather = _SplitGather(sim, lambda done: done._ok and done._value == "ok")
+    gather = _SplitGather(sim, case.get("predicate", lambda value: value == "ok"))
     wakes, finished = [], []
 
     def post(batch):
-        events = [sim.event(name=f"split:{position}") for position, _, _ in batch]
-        for event, (_position, lands_at, outcome) in zip(events, batch):
+        before = gather.outstanding
+        gather.outstanding += len(batch)
+        for position, lands_at, outcome in batch:
+            ok = outcome != "fail"
+            value = outcome if ok else RuntimeError("lost")
             if lands_at is None:
-                event.succeed_now(outcome)
-            elif outcome == "fail":
-                sim.call_later(lands_at, lambda e=event: e.fail(RuntimeError("lost")))
+                gather._arrive(position, ok, value)
             else:
-                sim.call_later(lands_at, lambda e=event, o=outcome: e.succeed_now(o))
-        gather.post_all([position for position, _, _ in batch], events)
+                sim.call_later(
+                    lands_at, lambda p=position, o=ok, v=value: gather._arrive(p, o, v)
+                )
+        # Whatever its outcome will be, a verb is outstanding until it arrives.
+        assert gather.outstanding == before + sum(
+            1 for _p, lands_at, _o in batch if lands_at is not None
+        )
 
     def waiter():
         post(case["posts"])
@@ -129,13 +150,107 @@ def test_split_gather(name):
     assert wakes == case["wakes"]
     assert finished == [case["all_at"]] and gather.outstanding == 0
     posted = [p for batch in [case["posts"], *case.get("more", [])] for p in batch]
+    # A failed verb arrives as None and is never valid.
     assert gather.arrivals == {
         position: (None if outcome == "fail" else outcome)
         for position, _, outcome in posted
     }
+    assert not {p for p, _, outcome in posted if outcome == "fail"} & set(gather.valid)
     if "first_two" in case:
         assert gather.first_valid(2) == case["first_two"]
         assert list(gather.first_valid(2)) == list(case["first_two"])
+
+
+@pytest.fixture(params=["numpy", "native"])
+def ec_backend(request, monkeypatch):
+    """Run the test on one GF(2^8) backend: the numpy one always, the
+    native one when it loads on this host."""
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "_KERNEL", native.NumpyGF())
+    elif native.load_native() is None:
+        pytest.skip("native GF(2^8) kernel did not load")
+    return request.param
+
+
+def test_check_against_decode_agrees_with_verify(ec_backend):
+    """The background check compares the extras with the codeword the read
+    already decoded; its verdict must be ``verify``'s on the same splits —
+    for any code, arrival order, extras at data and parity positions, and
+    corruption inside or outside the first k arrivals."""
+    rng = np.random.default_rng(20220222)
+    verdicts = {True: 0, False: 0}
+    for case in range(400):
+        k = int(rng.integers(2, 9))
+        r = int(rng.integers(1, 5))
+        delta = int(rng.integers(1, r + 1))
+        code = ReedSolomonCode(k, r)
+        assert type(code.kernel).__name__ == (
+            "NumpyGF" if ec_backend == "numpy" else "NativeGF"
+        )
+        codeword = code.encode_page(rng.integers(0, 256, (k, 24), dtype=np.uint8))
+        # Arrival order over the k + delta sampled positions.
+        order = [int(p) for p in rng.permutation(k + r)[: k + delta]]
+        arrivals = {p: codeword[p].copy() for p in order}
+        for p in rng.choice(order, size=int(rng.integers(0, 3)), replace=False):
+            arrivals[int(p)][int(rng.integers(0, 24))] ^= int(rng.integers(1, 256))
+        if case % 7 == 0:
+            arrivals[order[-1]] = None  # a failed verb among the extras
+        first_k = {p: arrivals[p] for p in order[:k]}
+        usable = {p: v for p, v in arrivals.items() if v is not None}
+        verdict = _consistent_with_decode(code, arrivals, first_k, code.decode(first_k))
+        assert verdict == code.verify(usable), (k, r, delta, order)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) > 50  # both outcomes well covered
+
+    code = ReedSolomonCode(4, 2)
+    codeword = code.encode_page(rng.integers(0, 256, (4, 16), dtype=np.uint8))
+    first_k = {p: codeword[p] for p in range(4)}
+    with pytest.raises(DecodeError, match="1-D"):  # extras stay validated
+        _consistent_with_decode(
+            code, {**first_k, 5: codeword[4:6]}, first_k, code.decode(first_k)
+        )
+    short = {**first_k, 4: codeword[4][:8].copy()}  # truncated, never "equal"
+    assert not _consistent_with_decode(code, short, first_k, code.decode(first_k))
+
+
+@pytest.mark.parametrize("position", [1, 5], ids=["data extra", "parity extra"])
+def test_corrupted_extra_is_detected_corrected_and_healed(position, ec_backend):
+    """A corrupted split that arrives after the k-th valid one (its NIC is
+    congested, so it is always among the extras) never reaches the reader,
+    and the background check still drives detection -> correction ->
+    healing -> regeneration exactly as ``verify`` did: the event counts
+    below were recorded on the commit before the check-against-decode."""
+    cluster, rm = deploy(k=4, r=2, machines=10)
+    pages = {pid: make_page(pid) for pid in range(12)}
+
+    def proc():
+        for pid, data in pages.items():
+            yield rm.write(pid, data)
+        yield cluster.sim.timeout(1000)
+        victim = cluster.machine(rm.space.get(0).handle(position).machine_id)
+        CorruptionInjector(cluster.sim, RandomSource(9)).corrupt_machine(victim)
+        victim.nic.background_flows = 40
+        got = []
+        for pid in pages:
+            got.append((yield rm.read(pid)))
+        yield cluster.sim.timeout(10_000_000)
+        return got
+
+    assert drive(cluster.sim, proc()) == list(pages.values())
+    detected, decoded, suspicious = {1: (4, 12, 4), 5: (5, 9, 3)}[position]
+    assert dict(sorted(rm.events.counts.items())) == {
+        "corrected_reads": 8,
+        "corruption_detected": detected,
+        "decoded_reads": decoded,
+        "healed_splits": 8,
+        "parity_writes": 24,
+        "ranges_placed": 1,
+        "reads": 12,
+        "regen_for_errors": 1,
+        "regenerations": 1,
+        "suspicious_reads": suspicious,
+        "writes": 12,
+    }
 
 
 class TestReadWrite:

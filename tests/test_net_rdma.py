@@ -8,6 +8,7 @@ from repro.net import (
     RDMADisconnect,
     RemoteAccessError,
 )
+from repro.obs import Tracer
 from repro.sim import RandomSource
 
 from .conftest import drive
@@ -247,6 +248,155 @@ class TestFailures:
         slab = machine.allocate_slab(1 << 20)
         machine.fail()
         assert machine.hosted_slabs == {}
+
+
+class TestSinkVerbs:
+    """``QueuePair._post`` reports each verb to a sink exactly once — the
+    path the Resilience Manager's fan-out uses, with no event per verb."""
+
+    @staticmethod
+    def recording_sink(sim):
+        calls = []
+
+        def sink(token, ok, value):
+            calls.append((sim.now, token, ok, value))
+
+        return sink, calls
+
+    def test_pending_verbs_fail_once_after_detection(self, cluster):
+        """Verbs pending on a QP whose machine dies are each failed exactly
+        once after ``failure_detect_us``; a completion record that falls
+        inside the detection window delivers nothing."""
+        sim = cluster.sim
+        qp = cluster.fabric.qp(0, 1)
+        sink, calls = self.recording_sink(sim)
+        fetched = []
+        detect = cluster.fabric.config.failure_detect_us
+
+        def proc():
+            for token in ("a", "b", "c"):
+                qp._post(512, sink, token, fetched.append, (token,))
+            assert cluster.fabric.queue_depth(0) == 3
+            cluster.machine(1).fail()
+            assert cluster.fabric.queue_depth(0) == 0
+            # The three completion records fire now, within the window.
+            yield sim.timeout(detect / 2)
+            assert calls == [] and fetched == []
+            yield sim.timeout(detect)
+
+        drive(sim, proc())
+        assert fetched == []  # the data never arrived
+        assert [(at, token, ok) for at, token, ok, _ in calls] == [
+            (detect, "a", False), (detect, "b", False), (detect, "c", False)
+        ]
+        assert all(
+            isinstance(exc, RDMADisconnect) and exc.machine_id == 1
+            for *_, exc in calls
+        )
+
+    def test_unreachable_post_costs_the_same_queue_entries_as_an_event(self):
+        """A post to an unreachable machine fails through the sink after the
+        detection delay, with the two queue entries (the retry timeout,
+        then the error completion) the ``Event`` path takes."""
+        entries = {}
+        for path in ("sink", "event"):
+            cluster = Cluster(machines=4, network=quiet_config(), seed=1)
+            sim = cluster.sim
+            cluster.machine(1).fail()
+            qp = cluster.fabric.qp(0, 1)
+            sink, calls = self.recording_sink(sim)
+            before = sim._active
+            if path == "sink":
+                qp._post(64, sink, "t", lambda: None)
+            else:
+                event = qp.post_read(64, fetch=lambda: None)
+                event.callbacks.append(
+                    lambda done: sink("t", done._ok, done._value)
+                )
+            assert cluster.fabric.queue_depth(0) == 0
+            sim.run()
+            entries[path] = sim._active - before
+            ((at, token, ok, exc),) = calls
+            assert (at, token, ok) == (cluster.fabric.config.failure_detect_us, "t", False)
+            assert isinstance(exc, RDMADisconnect)
+        assert entries == {"sink": 2, "event": 2}
+
+    def test_remote_access_error_arrives_not_ok(self, cluster):
+        sim = cluster.sim
+        qp = cluster.fabric.qp(0, 1)
+        sink, calls = self.recording_sink(sim)
+        qp._post(64, sink, 7, cluster.machine(1).read_split, (999, 0))  # unmapped slab
+        qp._post(64, sink, 8, int, ("42",))
+        sim.run()
+        # Same completion instant on this jitter-free network: the error
+        # completion is its own queue record, behind the one already queued.
+        (_, token2, ok2, value2), (_, token, ok, exc) = calls
+        assert (token, ok) == (7, False) and isinstance(exc, RemoteAccessError)
+        assert (token2, ok2, value2) == (8, True, 42)
+        assert cluster.fabric.queue_depth(0) == 0
+
+    def test_queue_depth_counts_outstanding_sink_verbs(self, cluster):
+        sim = cluster.sim
+        fabric = cluster.fabric
+        sink, calls = self.recording_sink(sim)
+        depths = []
+        for target in (1, 2):
+            for token in range(3):
+                fabric.qp(0, target)._post(
+                    512, sink, (target, token),
+                    lambda: depths.append(fabric.queue_depth(0)),
+                )
+        fabric.qp(0, 3).post_read(512, fetch=lambda: None)  # event verbs count too
+        assert fabric.queue_depth(0) == 7
+        sim.run()
+        assert len(calls) == 6 and all(ok for _, _, ok, _ in calls)
+        # Each verb had already left the queue when its fn ran; the event
+        # verb, posted last, was still out.
+        assert depths == [6, 5, 4, 3, 2, 1]
+        assert fabric.queue_depth(0) == 0
+
+
+def test_traced_and_untraced_verbs_complete_at_identical_times():
+    """The untraced inline latency model and the traced
+    ``_op_latency_parts`` consume the same RNG stream with the same float
+    operations: a same-seed QP gives bit-identical completion times
+    whether or not every verb carries a sampled span."""
+    sizes = [64, 512, 512, 4096, 1 << 16, 512, 100, 1 << 20] * 8
+
+    def completion_times(traced):
+        cluster = Cluster(
+            machines=3,
+            network=NetworkConfig(straggler_prob=0.2, jitter_sigma=0.3),
+            seed=9,
+        )
+        sim = cluster.sim
+        cluster.machine(1).nic.background_flows = 2  # congestion term live
+        tracer = Tracer(sim)
+        qp = cluster.fabric.qp(0, 1)
+        times = []
+
+        def proc():
+            for i, size in enumerate(sizes):
+                span = tracer.start_span("req") if traced else None
+                post = (qp.post_read, qp.post_write)[i % 2]
+                done = post(size, lambda: None, span=span)
+                done.callbacks.append(lambda _e: times.append(sim.now))
+                if i % 5 == 4:
+                    yield done  # let the QP drain now and then
+                if i % 7 == 6:
+                    yield qp.post_send("m", size_bytes=size, span=span)
+                    times.append(sim.now)
+
+        drive(sim, proc())
+        sim.run()
+        if traced:
+            verbs = [s for s in tracer.spans if s.name.startswith("rdma.")]
+            assert len(verbs) == len(sizes) + len(sizes) // 7
+        return times
+
+    untraced = completion_times(traced=False)
+    assert len(untraced) == len(sizes) + len(sizes) // 7
+    assert completion_times(traced=True) == untraced
 
 
 class TestPerQpOrderingStress:

@@ -108,9 +108,56 @@ class TestCli:
     @pytest.fixture
     def fake_suite(self, monkeypatch):
         doc = _doc()
-        monkeypatch.setattr(perf, "run_perf_suite", lambda **kw: copy.deepcopy(doc))
+        calls = []
+
+        def run_perf_suite(**kwargs):
+            calls.append(kwargs)
+            ran = copy.deepcopy(doc)
+            ran["repeats"] = kwargs["repeats"] or (1 if kwargs["quick"] else 3)
+            return ran
+
+        monkeypatch.setattr(perf, "run_perf_suite", run_perf_suite)
         monkeypatch.setattr(perf, "format_results", lambda d: "(fake results)")
-        return doc
+        return calls  # the keyword arguments of each suite run
+
+    @pytest.mark.parametrize(
+        "recorded, flags, ran",
+        [
+            (5, [], 5),  # the baseline's best-of-N, not --quick's best of 1
+            (5, ["--repeats", "2"], 2),  # an explicit --repeats wins
+            (None, [], 1),  # a baseline without the field: the mode's default
+        ],
+    )
+    def test_compare_runs_with_the_baselines_repeats(
+        self, tmp_path, fake_suite, capsys, recorded, flags, ran
+    ):
+        baseline = _doc()
+        if recorded is not None:
+            baseline["repeats"] = recorded
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(baseline))
+        out = tmp_path / "out.json"
+        argv = ["--quick", "--compare", str(base), "--output", str(out), *flags]
+        assert perf.main(argv) == 0
+        (call,) = fake_suite
+        assert (call["repeats"] or 1) == ran
+        shown = "?" if recorded is None else recorded
+        assert f"best of {ran} vs baseline best of {shown}" in capsys.readouterr().out
+
+    def test_regression_report_names_both_repeats(self, tmp_path, fake_suite, capsys):
+        baseline = _doc()
+        baseline["repeats"] = 5
+        baseline["benchmarks"]["ec_correct"]["mb_per_sec"] = 4000.0
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(baseline))
+        argv = ["--quick", "--repeats", "1", "--compare", str(base),
+                "--output", str(tmp_path / "out.json")]
+        assert perf.main(argv) == 3
+        assert "best of 1 vs baseline best of 5" in capsys.readouterr().err
+
+    def test_without_compare_the_mode_default_repeats_stand(self, tmp_path, fake_suite):
+        assert perf.main(["--quick", "--output", str(tmp_path / "out.json")]) == 0
+        assert fake_suite[0]["repeats"] is None
 
     def test_green_gate_exits_zero(self, tmp_path, fake_suite):
         base = tmp_path / "base.json"
