@@ -62,7 +62,7 @@ def test_rack_scale_sweep(benchmark):
     assert memory["table_bytes"] + memory["topology_bytes"] < config.machines * 1024
     assert memory["table_bytes"] * 10 <= memory["object_model_estimate_bytes"]
 
-    # Engine traffic: the calendar scheduler carried the completion storm.
+    # Engine traffic: the scheduler carried the completion storm.
     engine = result["engine"]
     assert engine["events"] >= config.engine_events
     assert engine["sim_now_us"] > 0

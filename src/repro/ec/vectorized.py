@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .galois import MUL_TABLE
-from .matrix import gf_matmul
 from .rs import DecodeError, ReedSolomonCode
 
 __all__ = [
@@ -55,43 +54,44 @@ def rebuild_position(
     """Rebuild the target split of every recoverable page.
 
     ``sources`` maps split position -> {page_id -> split payload}. A page
-    is recoverable when at least ``k`` positions hold it; pages are
-    grouped by their (first k) source-position tuple so each group costs
-    one matmul.
+    is recoverable when at least ``k`` positions hold it well-formed (a
+    ``split_size`` array); pages are grouped by their (lowest k)
+    source-position tuple so each group costs one kernel call over every
+    page of the group laid side by side.
 
-    Returns {page_id -> rebuilt split}.
+    Returns {page_id -> rebuilt split}; the splits of one group are row
+    views of that group's product.
     """
-    groups: Dict[Tuple[int, ...], List[int]] = {}
+    k = code.k
+    held: Dict[int, List[int]] = {}
+    for position in sorted(sources):
+        for page_id, payload in sources[position].items():
+            if isinstance(payload, np.ndarray) and len(payload) == split_size:
+                holders = held.get(page_id)
+                if holders is None:
+                    held[page_id] = [position]
+                elif len(holders) < k:
+                    holders.append(position)
+    # Group in the order a set of the page ids iterates: the returned
+    # dict's order becomes the rebuilt slab's page order, which seeded
+    # fault injection walks.
     universe: set = set()
     for snapshot in sources.values():
         universe.update(snapshot)
+    groups: Dict[Tuple[int, ...], List[int]] = {}
     for page_id in universe:
-        positions = tuple(
-            sorted(
-                position
-                for position, snapshot in sources.items()
-                if isinstance(snapshot.get(page_id), np.ndarray)
-                and len(snapshot[page_id]) == split_size
-            )[: code.k]
-        )
-        if len(positions) == code.k:
-            groups.setdefault(positions, []).append(page_id)
+        holders = held.get(page_id)
+        if holders is not None and len(holders) == k:
+            groups.setdefault(tuple(holders), []).append(page_id)
 
     rebuilt: Dict[int, np.ndarray] = {}
     for positions, pages in groups.items():
-        transform = rebuild_transform(code, positions, target_position)
-        stacked = np.zeros((code.k, len(pages) * split_size), dtype=np.uint8)
-        for row, position in enumerate(positions):
-            snapshot = sources[position]
-            for column, page_id in enumerate(pages):
-                stacked[
-                    row, column * split_size : (column + 1) * split_size
-                ] = snapshot[page_id]
-        out = gf_matmul(transform, stacked)[0]
-        for column, page_id in enumerate(pages):
-            rebuilt[page_id] = out[
-                column * split_size : (column + 1) * split_size
-            ].copy()
+        stack = np.empty((k, len(pages) * split_size), dtype=np.uint8)
+        for row, position in zip(stack, positions):
+            np.concatenate([*map(sources[position].__getitem__, pages)], out=row)
+        rebuild_row = rebuild_transform(code, positions, target_position)
+        product = code.kernel.apply(rebuild_row, stack)
+        rebuilt.update(zip(pages, product.reshape(len(pages), split_size)))
     return rebuilt
 
 

@@ -60,7 +60,7 @@ _MB = 1024 * 1024
 # Canonical benchmark order; also the shard decomposition for ``-j``.
 PERF_BENCH_NAMES = (
     "engine_events",
-    "engine_events_calendar",
+    "engine_events_batch",
     "ec_encode",
     "ec_decode",
     "ec_verify",
@@ -99,7 +99,7 @@ _SLAB_PAGES = 256
 # (``seconds`` and the rates derived from it) are deliberately absent.
 _ANCHOR_FIELDS: Dict[str, Tuple[str, ...]] = {
     "engine_events": ("events", "sim_now_us"),
-    "engine_events_calendar": ("events", "sim_now_us"),
+    "engine_events_batch": ("events", "sim_now_us"),
     "ec_encode": ("pages", "mb"),
     "ec_decode": ("pages", "mb"),
     "ec_verify": ("pages", "mb"),
@@ -143,15 +143,15 @@ _RATE_FIELDS = ("events_per_sec", "mb_per_sec", "pages_per_sec", "posts_per_sec"
 
 
 def _suite_sizes(quick: bool) -> Tuple[int, int, int, int, int, int]:
-    """(engine_events, calendar_events, ec_pages, correct_pages, rm_ops,
+    """(engine_events, batch_events, ec_pages, correct_pages, rm_ops,
     rm_corrupt_ops).
 
     ``correct_pages`` sized for a multi-millisecond timed region: the
     guided localizer corrects a page in ~0.1 ms, so the old 8-page
     workload (sized for the combinatorial scan) timed mostly noise.
-    ``calendar_events`` is larger than ``engine_events`` because the
-    calendar burst path dispatches an order of magnitude faster — the
-    timed region has to stay in the milliseconds.
+    ``batch_events`` is larger than ``engine_events`` because the fused
+    burst path dispatches an order of magnitude faster — the timed region
+    has to stay in the milliseconds.
     """
     if quick:
         return 40_000, 200_000, 256, 64, 300, 120
@@ -201,15 +201,14 @@ def bench_engine(n_events: int, repeats: int) -> dict:
     }
 
 
-def bench_engine_calendar(n_events: int, repeats: int) -> dict:
-    """Completion-burst throughput of the calendar-queue scheduler.
+def bench_engine_batch(n_events: int, repeats: int) -> dict:
+    """Completion-burst throughput of the scheduler's fused records.
 
     The workload is shaped like the RDMA completion traffic that dominates
     event volume at rack scale: 8 staggered chains, each re-arming a
-    64-wide fused completion batch (``call_later_batch``) at sub-bucket
-    delays, so the scheduler sees O(1) bucket appends on insert and
-    sorted batch drains on dispatch — the two paths the calendar design
-    exists for. No payload work; the number is pure engine overhead.
+    64-wide fused completion batch (``call_later_batch``) a few
+    microseconds out, so the scheduler pays one heap push and one pop per
+    64 callables. No payload work; the number is pure engine overhead.
 
     Deterministic: the chains re-arm until ``_active`` reaches
     ``n_events``, so the anchor fields (``events``, ``sim_now_us``) are a
@@ -775,16 +774,12 @@ def run_perf_shard(name: str, quick: bool, repeats: int) -> Dict[str, dict]:
     merges into the suite document; the payload is identical to what the
     serial suite computes for that benchmark.
     """
-    (engine_events, calendar_events, ec_pages, correct_pages,
+    (engine_events, batch_events, ec_pages, correct_pages,
      rm_ops, rm_corrupt_ops) = _suite_sizes(quick)
     if name == "engine_events":
         return {"engine_events": bench_engine(engine_events, repeats)}
-    if name == "engine_events_calendar":
-        return {
-            "engine_events_calendar": bench_engine_calendar(
-                calendar_events, repeats
-            )
-        }
+    if name == "engine_events_batch":
+        return {"engine_events_batch": bench_engine_batch(batch_events, repeats)}
     if name in _EC_OPS:
         return bench_ec(ec_pages, correct_pages, repeats, ops=(name,))
     if name == "rdma_completion_batch":
@@ -936,11 +931,11 @@ def format_results(doc: dict) -> str:
         f"  {'engine':<22} {b['engine_events']['events_per_sec']:>12,} events/s"
         f"  ({b['engine_events']['events']:,} queue entries)"
     )
-    if "engine_events_calendar" in b:
-        cal = b["engine_events_calendar"]
+    if "engine_events_batch" in b:
+        batch = b["engine_events_batch"]
         lines.append(
-            f"  {'engine (calendar)':<22} {cal['events_per_sec']:>12,} events/s"
-            f"  ({cal['events']:,} fused completions)"
+            f"  {'engine (batch)':<22} {batch['events_per_sec']:>12,} events/s"
+            f"  ({batch['events']:,} fused completions)"
         )
     for name in _EC_OPS:
         row = b[name]

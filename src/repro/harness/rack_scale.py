@@ -13,7 +13,7 @@ paper argues about, on the packed-array data plane
   slab→machine matrix, plus a *rack blast* campaign (whole racks fail
   together) that shows what rack-distinct placement buys;
 * **engine traffic** — a completion-storm workload over the topology's
-  three latency classes driven through the calendar scheduler with
+  three latency classes driven through the engine's scheduler with
   fused ``call_later_batch`` records, sized in events so the sweep
   doubles as an engine throughput probe.
 
@@ -174,9 +174,9 @@ def _rack_blast(
 def _engine_traffic(
     config: RackScaleConfig, topology: RackTopology, hosts: np.ndarray
 ) -> Dict[str, float]:
-    """Drive ``engine_events`` fused completions through the calendar
-    scheduler: each client issues a k+r-wide read to one range's hosts,
-    grouped into one ``call_later_batch`` per interconnect latency class."""
+    """Drive ``engine_events`` fused completions through the scheduler:
+    each client issues a k+r-wide read to one range's hosts, grouped into
+    one ``call_later_batch`` per interconnect latency class."""
     sim = Simulator()
     n_events = config.engine_events
     n_ranges = hosts.shape[0]

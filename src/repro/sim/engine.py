@@ -24,21 +24,17 @@ Core concepts
 
 Scheduling
 ----------
-The default scheduler is a **calendar queue**: time is divided into
-fixed-width buckets (the *bucket width*, a power of two so the float
-``time -> bucket`` mapping is exact), the buckets form a ring (the *year*),
-and events beyond the ring's horizon wait in an overflow heap that is
-drained into buckets as the clock approaches them. Inserting an event is an
-O(1) list append; extracting is a batched, sorted drain of one bucket at a
-time, written once (``Simulator._drain``) and shared by ``run`` and
-``run_until_triggered``.
+The scheduler is one **binary heap** of ``(time, seq, obj)`` records:
+scheduling is a sequence-number bump plus a ``heappush``, and dispatch is a
+peek-then-pop loop written once (``Simulator._drain``) and shared by
+``run`` and ``run_until_triggered``.
 
 Dispatch order is a total order: ``(time, seq)`` where ``seq`` is a
 monotonically increasing sequence number assigned at scheduling. Events at
-the same instant therefore run in FIFO order of scheduling, exactly as
-they would surface from a binary heap (pinned against a heap oracle by
+the same instant therefore run in FIFO order of scheduling (pinned against
+a linear-scan oracle that relies on no heap invariant by
 ``tests/test_scheduler_equivalence.py``). See ``docs/SCALING.md`` for the
-design and its invariants.
+design, its invariants and the measurements it was chosen on.
 
 Example
 -------
@@ -54,9 +50,7 @@ Example
 
 from __future__ import annotations
 
-from bisect import bisect_right as _bisect_right
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
-from math import frexp as _frexp
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -107,7 +101,7 @@ _INF = float("inf")
 # exact class check skips the isinstance(Event) probe for the common case.
 _FunctionType = type(lambda: None)
 
-# Cancelled-entry compaction: sweep the calendar once at least this many
+# Cancelled-entry compaction: sweep the queue once at least this many
 # cancelled entries are buffered AND they outnumber the live entries.
 _COMPACT_MIN = 64
 
@@ -219,7 +213,7 @@ class Event:
         and the eventual pop neither advances the clock nor runs anything.
         Cancelled entries are additionally *compacted* — once they
         outnumber the live entries (and exceed a small floor), one sweep
-        reclaims their bucket and overflow slots so a cancel-heavy workload
+        reclaims their queue slots so a cancel-heavy workload
         (timeout races) cannot pin memory until the simulated deadline
         arrives. Cancelling an event that has not been scheduled (pending)
         or has already been processed is an error.
@@ -230,7 +224,7 @@ class Event:
         self.callbacks = []
         sim = self.sim
         sim._cancel_pending = pending = sim._cancel_pending + 1
-        if pending >= _COMPACT_MIN and pending * 2 > sim._count + len(sim._queue):
+        if pending >= _COMPACT_MIN and pending * 2 > len(sim._queue):
             sim._compact()
         return self
 
@@ -245,8 +239,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN, which would wedge the heap's head
+            raise SimulationError(f"invalid timeout delay: {delay}")
         # Timeouts dominate event volume; initialize the slots directly
         # (no super().__init__), schedule inline (no _schedule call), and
         # leave the display name to __repr__ so the hot path never formats
@@ -259,16 +253,7 @@ class Timeout(Event):
         self.name = ""
         self.delay = delay
         sim._seq = seq = sim._seq + 1
-        when = sim.now + delay
-        if when < sim._limit:  # calendar bucket
-            idx = int(when * sim._inv)
-            if idx < sim._cursor:
-                sim._cursor = idx
-                sim._limit = (idx + sim._nbuckets) * sim._width
-            sim._buckets[idx & sim._mask].append((when, seq, self))
-            sim._count += 1
-        else:
-            _heappush(sim._queue, (when, seq, self))
+        _heappush(sim._queue, (sim.now + delay, seq, self))
 
     def __repr__(self) -> str:
         return f"<Timeout({self.delay:g}) {_STATE_NAMES[self._state]}>"
@@ -453,49 +438,17 @@ class Simulator:
     processed in FIFO order of scheduling (a monotonically increasing
     sequence number breaks ties), so the dispatch order is ascending
     ``(time, seq)``.
-
-    Parameters
-    ----------
-    bucket_width:
-        Calendar bucket width in simulated microseconds. Must be a power
-        of two (possibly fractional: 0.5, 1.0, 2.0 ...) so that the
-        ``time -> bucket`` float mapping is exact and an event can never
-        straddle a bucket boundary through rounding.
-    buckets:
-        Number of buckets in the calendar ring (a power of two). The ring
-        spans ``bucket_width * buckets`` microseconds (the *year*); events
-        farther out wait in the overflow heap and are pulled into buckets
-        as the year advances.
     """
 
-    def __init__(self, bucket_width: float = 2.0, buckets: int = 2048):
-        if not (bucket_width > 0 and _frexp(bucket_width)[0] == 0.5):
-            raise SimulationError(
-                f"bucket_width must be a positive power of two, got {bucket_width!r}"
-            )
-        if buckets < 2 or buckets & (buckets - 1):
-            raise SimulationError(f"buckets must be a power of two >= 2, got {buckets}")
+    def __init__(self):
         self.now: float = 0.0
         self._seq = 0
-        # `_queue` is the far-future overflow heap. Entries here and in the
-        # buckets are (time, seq, obj) where obj is an Event, a bare
-        # callable, or a list of callables (one fused `call_later_batch`
-        # record, seqs consecutive from seq).
+        # The heap. Entries are (time, seq, obj) where obj is an Event, a
+        # bare callable, or a list of callables (one fused
+        # `call_later_batch` record, seqs consecutive from seq).
         self._queue: List[tuple] = []
+        # Cancelled events still resident in `_queue` (see Event.cancel).
         self._cancel_pending = 0
-        self._width = float(bucket_width)
-        self._inv = 1.0 / self._width  # exact: width is a power of two
-        self._mask = buckets - 1
-        self._nbuckets = buckets
-        self._buckets: List[list] = [[] for _ in range(buckets)]
-        # `_cursor` is the *absolute* bucket number currently being drained
-        # (slot = cursor & mask); `_limit` is the end of the year that
-        # starts at the cursor: (_cursor + _nbuckets) * _width. Inserts
-        # below _limit go into buckets, at/above it into the overflow heap.
-        # `_count` is the number of records resident in buckets.
-        self._cursor = 0
-        self._count = 0
-        self._limit = buckets * self._width
 
     @property
     def _active(self) -> int:
@@ -509,22 +462,10 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
+        if not delay >= 0:
+            raise SimulationError(f"invalid delay: {delay}")
         self._seq = seq = self._seq + 1
-        when = self.now + delay
-        if when < self._limit:  # calendar bucket
-            idx = int(when * self._inv)
-            if idx < self._cursor:
-                # Insert behind the cursor (possible after run(until=...)
-                # parked the cursor ahead of the clock): pull the year back
-                # so the advance loop revisits this bucket. Entries already
-                # placed under the larger old year stay put — the drain's
-                # year check defers them to their own window.
-                self._cursor = idx
-                self._limit = (idx + self._nbuckets) * self._width
-            self._buckets[idx & self._mask].append((when, seq, event))
-            self._count += 1
-        else:
-            _heappush(self._queue, (when, seq, event))
+        _heappush(self._queue, (self.now + delay, seq, event))
 
     # -- factories -------------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -539,19 +480,10 @@ class Simulator:
         The callable goes on the queue bare — no Event, no callback list,
         no closure — and the drain invokes it directly.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"invalid delay: {delay}")
         self._seq = seq = self._seq + 1
-        when = self.now + delay
-        if when < self._limit:  # calendar bucket
-            idx = int(when * self._inv)
-            if idx < self._cursor:
-                self._cursor = idx
-                self._limit = (idx + self._nbuckets) * self._width
-            self._buckets[idx & self._mask].append((when, seq, fn))
-            self._count += 1
-        else:
-            _heappush(self._queue, (when, seq, fn))
+        _heappush(self._queue, (self.now + delay, seq, fn))
 
     def call_later_batch(self, delay: float, fns: Iterable[Callable[[], None]]) -> None:
         """Schedule a fused batch of bare callables at the same instant.
@@ -561,27 +493,18 @@ class Simulator:
         dispatch order (and ``_active``) are exactly those of the unfused
         calls — but the whole burst costs one queue record. This is the
         delivery primitive for completion bursts (a NIC draining a CQ):
-        the batch is appended, sorted and dispatched as a unit, which is
-        where the bulk of the events/s headroom in
-        ``engine_events_calendar`` comes from.
+        the batch is pushed, popped and dispatched as a unit, which is
+        where the bulk of the events/s headroom in ``engine_events_batch``
+        comes from.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"invalid delay: {delay}")
         fns = list(fns)
         if not fns:
             return
         seq = self._seq + 1
         self._seq += len(fns)
-        when = self.now + delay
-        if when < self._limit:  # calendar bucket
-            idx = int(when * self._inv)
-            if idx < self._cursor:
-                self._cursor = idx
-                self._limit = (idx + self._nbuckets) * self._width
-            self._buckets[idx & self._mask].append((when, seq, fns))
-            self._count += 1
-        else:
-            _heappush(self._queue, (when, seq, fns))
+        _heappush(self._queue, (self.now + delay, seq, fns))
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that succeeds after ``delay`` simulated microseconds."""
@@ -597,50 +520,21 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    # -- calendar internals ----------------------------------------------
-    def _refill(self, limit: float) -> None:
-        """Move overflow entries due before ``limit`` into their buckets."""
-        queue = self._queue
-        buckets = self._buckets
-        inv = self._inv
-        mask = self._mask
-        moved = 0
-        while queue and queue[0][0] < limit:
-            entry = _heappop(queue)
-            buckets[int(entry[0] * inv) & mask].append(entry)
-            moved += 1
-        self._count += moved
-
     def _compact(self) -> None:
-        """Drop cancelled entries from buckets and overflow in one sweep.
+        """Drop cancelled entries from the queue in one sweep.
 
         Observationally free: a cancelled entry would have been discarded
         at dispatch with no clock advance and no callbacks, so removing it
-        early changes nothing but memory. Dispatch order of live entries is
-        untouched.
+        early changes nothing but memory. The list is rewritten in place —
+        a running drain holds a reference to it.
         """
-        removed = 0
-        for bucket in self._buckets:
-            if not bucket:
-                continue
-            kept = [
-                entry
-                for entry in bucket
-                if not (isinstance(entry[2], Event) and entry[2]._state == _CANCELLED)
-            ]
-            if len(kept) != len(bucket):
-                removed += len(bucket) - len(kept)
-                bucket[:] = kept
-        self._count -= removed
         queue = self._queue
-        kept = [
+        queue[:] = [
             entry
             for entry in queue
             if not (isinstance(entry[2], Event) and entry[2]._state == _CANCELLED)
         ]
-        if len(kept) != len(queue):
-            _heapify(kept)
-            self._queue[:] = kept
+        _heapify(queue)
         self._cancel_pending = 0
 
     # -- execution -------------------------------------------------------
@@ -673,130 +567,34 @@ class Simulator:
         pending, the queue is non-empty and the next record is due at or
         before ``horizon``.
 
-        One bucket at a time: snapshot, sort (the explicit ``(time, seq)``
-        records make the sort the exact global order), then dispatch record
-        by record. Entries scheduled during dispatch into the live bucket
-        are merged in before the snapshot moves to a later timestamp, so
-        same-time arrivals join this drain exactly as they would surface
-        from a heap. Cancelled
-        entries are discarded without advancing the clock. On a stop,
-        undispatched entries are put back verbatim (they keep their
-        records, so the next drain re-sorts them into the identical global
-        order).
+        Peek, then pop: a record beyond the horizon (or behind a triggered
+        target) is never removed, so a stopped drain leaves the queue
+        exactly as the next one needs it. Entries scheduled during
+        dispatch — same-time arrivals included — land in the heap behind
+        every earlier sequence number. Cancelled entries are discarded
+        without advancing the clock.
         """
         queue = self._queue
-        buckets = self._buckets
-        mask = self._mask
-        width = self._width
-        while target._state == _PENDING and (self._count or queue):
-            if not self._count:
-                if queue[0][0] > horizon:
-                    return
-                # Jump the cursor straight to the first overflow year
-                # instead of scanning empty buckets toward it.
-                cursor = int(queue[0][0] * self._inv)
-                self._cursor = cursor
-                self._limit = (cursor + self._nbuckets) * width
-                self._refill(self._limit)
-            elif queue and queue[0][0] < self._limit:
-                # The drain-end cursor advance below grows the year window
-                # one bucket at a time without touching the overflow; pull
-                # in anything that fell inside the window before reading
-                # the bucket, or a same-timestamp overflow entry could
-                # dispatch a whole year late.
-                self._refill(self._limit)
-            cursor = self._cursor
-            slot = cursor & mask
-            bucket = buckets[slot]
-            if not bucket:
-                # Advance to the next non-empty bucket, pulling overflow
-                # entries in as the year window slides.
-                limit = self._limit
-                nxt = queue[0][0] if queue else _INF
-                while True:
-                    cursor += 1
-                    limit += width
-                    if nxt < limit:
-                        self._cursor = cursor
-                        self._limit = limit
-                        self._refill(limit)
-                        nxt = queue[0][0] if queue else _INF
-                    slot = cursor & mask
-                    bucket = buckets[slot]
-                    if bucket:
-                        break
-                self._cursor = cursor
-                self._limit = limit
-            # Drain this bucket. Records whose time falls beyond this
-            # year's window (possible only after a cursor pull-back) are
-            # split off and deferred to their own window.
-            bucket.sort()
-            end = (cursor + 1) * width
-            residue = None
-            if bucket[-1][0] >= end:
-                cut = _bisect_right(bucket, (end,))
-                if cut == 0:
-                    self._cursor = cursor + 1
-                    self._limit += width
-                    continue
-                residue = bucket[cut:]
-                del bucket[cut:]
-            entries = bucket
-            buckets[slot] = fresh = []
-            self._count -= len(entries)
-            i = 0
-            n = len(entries)
-            stopped = False
-            while i < n:
-                when, _seq, obj = entries[i]
-                if when > horizon or target._state != _PENDING:
-                    stopped = True
-                    break
-                i += 1
-                cls = obj.__class__
-                if cls is _FunctionType:
+        while target._state == _PENDING and queue and queue[0][0] <= horizon:
+            when, _seq, obj = _heappop(queue)
+            cls = obj.__class__
+            if cls is _FunctionType:
+                self.now = when
+                obj()  # bare call_later closure — the common case
+            elif cls is list:
+                self.now = when
+                for fn in obj:
+                    fn()
+            elif isinstance(obj, Event):
+                if obj._state != _CANCELLED:
                     self.now = when
-                    obj()  # bare call_later closure — the common case
-                elif cls is list:
-                    self.now = when
-                    for fn in obj:
-                        fn()
-                elif isinstance(obj, Event):
-                    if obj._state != _CANCELLED:
-                        self.now = when
-                        callbacks = obj.callbacks
-                        obj.callbacks = []
-                        obj._state = _PROCESSED
-                        for callback in callbacks:
-                            callback(obj)
-                    elif self._cancel_pending:  # revoked: no clock advance
-                        self._cancel_pending -= 1
-                else:
-                    self.now = when
-                    obj()  # bare call_later callable
-                if fresh and (i == n or entries[i][0] != when):
-                    # Same-bucket arrivals during dispatch: merge and
-                    # re-sort so they interleave in exact (time, seq)
-                    # order with what is left of the snapshot. Arrivals
-                    # carry later seqs than anything in it, so the merge
-                    # can wait until the snapshot moves past `when`.
-                    rest = entries[i:]
-                    rest += fresh
-                    rest.sort()
-                    entries = rest
-                    self._count -= len(fresh)
-                    buckets[slot] = fresh = []
-                    i = 0
-                    n = len(entries)
-            if stopped or residue:
-                put_back = buckets[slot]
-                if stopped:
-                    put_back += entries[i:]
-                    self._count += n - i
-                if residue:
-                    # Still counted: only `entries` left `_count` above.
-                    put_back += residue
-                if stopped:
-                    return
-            self._cursor = cursor + 1
-            self._limit += width
+                    callbacks = obj.callbacks
+                    obj.callbacks = []
+                    obj._state = _PROCESSED
+                    for callback in callbacks:
+                        callback(obj)
+                elif self._cancel_pending:  # revoked: no clock advance
+                    self._cancel_pending -= 1
+            else:
+                self.now = when
+                obj()  # bare call_later callable

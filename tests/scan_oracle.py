@@ -1,33 +1,31 @@
-"""Binary-heap reference scheduler: the oracle the calendar queue is
+"""Definitional reference scheduler: the oracle the production heap is
 differentially tested against (``test_scheduler_equivalence.py``).
 
-Every insert lands in one global ``(time, seq, obj)`` heap and dispatch is
-a plain pop loop, so the order is ascending ``(time, seq)`` by
-construction — no buckets, no year window, no refill, no compaction.
+Dispatch is *the minimum ``(time, seq)`` record, found by scanning the
+whole queue*, so ascending ``(time, seq)`` holds by definition and
+nothing here depends on the list being a heap: the production inserts
+(``heappush``) are just appends as far as this drain is concerned, and
+``remove`` leaves whatever order it leaves.
 """
-
-from heapq import heappop
 
 from repro.sim import Event, Simulator
 from repro.sim.engine import _PENDING, _PROCESSED
 
 
-class HeapSimulator(Simulator):
-    """``Simulator`` with the calendar replaced by a lazy-deletion heap."""
-
-    def __init__(self):
-        super().__init__()
-        # Inserts go to buckets only when `when < _limit`; -inf routes all
-        # of them to the overflow heap, which is then the whole queue.
-        self._limit = float("-inf")
+class ScanSimulator(Simulator):
+    """``Simulator`` whose drain picks ``min(queue)`` by linear scan."""
 
     def _compact(self) -> None:
-        """Reference behaviour: cancelled entries are only skipped at pop."""
+        """Reference behaviour: cancelled entries are only skipped at dispatch."""
 
     def _drain(self, target: Event, horizon: float) -> None:
         queue = self._queue
-        while target._state == _PENDING and queue and queue[0][0] <= horizon:
-            when, _seq, obj = heappop(queue)
+        while target._state == _PENDING and queue:
+            entry = min(queue)
+            when, _seq, obj = entry
+            if when > horizon:
+                return
+            queue.remove(entry)
             if isinstance(obj, list):  # fused call_later_batch record
                 self.now = when
                 for fn in obj:

@@ -1,0 +1,88 @@
+"""The A/B table (tools/ab_bench.py) is computed as documented.
+
+Only the pure summary is tested here, on canned run records; CI runs the
+script end to end on one short pair as its self-check.
+"""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("ab_bench", REPO / "tools" / "ab_bench.py")
+ab_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_bench)
+
+_METRICS = [
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+]
+
+
+def _run(side, pair, ops, setup, failed=0, workload="w"):
+    return {
+        "side": side, "workload": workload, "pair": pair,
+        "result": {
+            "correct": True, "attempted": 1000, "failed": failed,
+            "metrics": {
+                "ops_per_s": {"value": ops, "unit": "1/s"},
+                "setup_s": {"value": setup, "unit": "s"},
+            },
+        },
+    }
+
+
+def _rows(runs):
+    return {(r["workload"], r["metric"]): r for r in ab_bench.summarise(runs, _METRICS)}
+
+
+def test_medians_delta_and_quartile_distance():
+    parent_ops = [100.0, 104.0, 96.0, 108.0, 92.0]
+    runs = []
+    for pair, ops in enumerate(parent_ops):
+        runs.append(_run("parent", pair, ops, 0.5))
+        runs.append(_run("change", pair, ops * 1.5, 0.5))
+    row = _rows(runs)[("w", "ops_per_s")]
+    assert row["parent_median"] == 100.0 and row["change_median"] == 150.0
+    assert row["delta_pct"] == pytest.approx(50.0)
+    # Inclusive quartiles of 92, 96, 100, 104, 108 are 96 and 104.
+    assert row["parent_iqr_pct"] == pytest.approx(8.0)
+    assert (row["won"], row["tied"], row["pairs"]) == (5, 0, 5)
+
+
+def test_wins_follow_the_metric_direction_and_ties_count_for_neither():
+    runs = [
+        _run("parent", 0, 100.0, 0.50), _run("change", 0, 90.0, 0.40),   # ops lost, setup won
+        _run("change", 1, 100.0, 0.60), _run("parent", 1, 100.0, 0.50),  # ops tied, setup lost
+        _run("parent", 2, 100.0, 0.50), _run("change", 2, 110.0, 0.50),  # ops won, setup tied
+    ]
+    rows = _rows(runs)
+    ops, setup = rows[("w", "ops_per_s")], rows[("w", "setup_s")]
+    assert (ops["won"], ops["tied"], ops["pairs"]) == (1, 1, 3)
+    assert (setup["won"], setup["tied"], setup["pairs"]) == (1, 1, 3)
+    assert setup["delta_pct"] == pytest.approx(0.0)
+
+
+def test_a_run_without_a_result_is_a_failure_and_its_pair_is_not_scored():
+    runs = [
+        _run("parent", 0, 100.0, 0.5), _run("change", 0, 120.0, 0.5, failed=3),
+        _run("parent", 1, 100.0, 0.5),
+        {"side": "change", "workload": "w", "pair": 1, "result": None},
+    ]
+    row = _rows(runs)[("w", "ops_per_s")]
+    assert (row["won"], row["tied"], row["pairs"]) == (1, 0, 1)
+    assert (row["failed_parent"], row["failed_change"]) == (0, 4)
+    assert row["change_median"] == 120.0  # from the run that has a value
+    assert "0/4" in ab_bench.format_table([row])
+
+
+def test_workloads_are_reported_separately_and_single_runs_have_no_spread():
+    runs = [
+        _run("parent", 0, 100.0, 0.5, workload="a"), _run("change", 0, 101.0, 0.5, workload="a"),
+        _run("parent", 0, 10.0, 0.5, workload="b"), _run("change", 0, 9.0, 0.5, workload="b"),
+    ]
+    rows = _rows(runs)
+    assert rows[("a", "ops_per_s")]["won"] == 1 and rows[("b", "ops_per_s")]["won"] == 0
+    assert rows[("a", "ops_per_s")]["parent_iqr_pct"] == 0.0
+    table = ab_bench.format_table(list(rows.values()))
+    assert len(table.splitlines()) == 2 + 4

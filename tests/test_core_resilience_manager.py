@@ -16,7 +16,7 @@ from repro.core import (
     RemoteMemoryUnavailable,
 )
 from repro.core.resilience_manager import _SplitGather, _consistent_with_decode
-from repro.ec import DecodeError, ReedSolomonCode, native
+from repro.ec import DecodeError, ReedSolomonCode
 from repro.net import NetworkConfig
 from repro.sim import RandomSource, Simulator
 
@@ -159,17 +159,6 @@ def test_split_gather(name):
     if "first_two" in case:
         assert gather.first_valid(2) == case["first_two"]
         assert list(gather.first_valid(2)) == list(case["first_two"])
-
-
-@pytest.fixture(params=["numpy", "native"])
-def ec_backend(request, monkeypatch):
-    """Run the test on one GF(2^8) backend: the numpy one always, the
-    native one when it loads on this host."""
-    if request.param == "numpy":
-        monkeypatch.setattr(native, "_KERNEL", native.NumpyGF())
-    elif native.load_native() is None:
-        pytest.skip("native GF(2^8) kernel did not load")
-    return request.param
 
 
 def test_check_against_decode_agrees_with_verify(ec_backend):

@@ -82,6 +82,63 @@ class TestRebuildPosition:
         for page in range(6):
             assert np.array_equal(rebuilt[page], full[page, target])
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gapped_snapshots_match_the_per_page_codec(self, ec_backend, seed):
+        """Snapshots with holes: a page may be absent at a position, held
+        mis-sized or as a non-array, or held well-formed but wrong (so
+        *which* k holders are used shows in the bytes). Every page must
+        come out exactly as decode + reencode over its lowest k
+        well-formed positions would build it, or not at all."""
+        rng = np.random.default_rng(seed)
+        code = ReedSolomonCode(4, 2)
+        assert type(code.kernel).__name__ == (
+            "NumpyGF" if ec_backend == "numpy" else "NativeGF"
+        )
+        split_size = 16
+        page_ids = [1000 + 7 * page for page in range(40)]
+        full = encode_pages(code, _random_pages(code, len(page_ids), split_size, seed))
+        target = int(rng.integers(code.n))
+        # Snapshot order is arrival order, not position order.
+        sources = {int(p): {} for p in rng.permutation(code.n) if p != target}
+        for row, page_id in enumerate(page_ids):
+            for position, snapshot in sources.items():
+                roll = rng.random()
+                if roll < 0.2:
+                    continue
+                if roll < 0.27:
+                    snapshot[page_id] = full[row, position][: split_size - 3].copy()
+                elif roll < 0.34:
+                    snapshot[page_id] = bytes(split_size) if roll < 0.3 else None
+                elif roll < 0.41:
+                    snapshot[page_id] = rng.integers(0, 256, split_size, dtype=np.uint8)
+                else:
+                    snapshot[page_id] = full[row, position]
+
+        def holders(page_id):
+            return sorted(
+                position
+                for position, snapshot in sources.items()
+                if isinstance(snapshot.get(page_id), np.ndarray)
+                and len(snapshot[page_id]) == split_size
+            )[: code.k]
+
+        rebuilt = rebuild_position(code, sources, target, split_size)
+        # Result order: the page ids as a set iterates them, grouped by
+        # holder tuple (a rebuilt slab's page order feeds seeded injection).
+        universe = set()
+        for snapshot in sources.values():
+            universe.update(snapshot)
+        groups = {}
+        for page_id in universe:
+            if len(holders(page_id)) == code.k:
+                groups.setdefault(tuple(holders(page_id)), []).append(page_id)
+        assert list(rebuilt) == [page_id for group in groups.values() for page_id in group]
+        assert len(groups) > 1 and 0 < len(rebuilt) < len(page_ids)
+        for page_id in rebuilt:
+            data = code.decode({p: sources[p][page_id] for p in holders(page_id)})
+            expected = code.reencode_split(data, target)
+            assert rebuilt[page_id].tobytes() == expected.tobytes()
+
     def test_pages_with_too_few_sources_skipped(self):
         code = ReedSolomonCode(4, 2)
         split_size = 8

@@ -13,7 +13,7 @@ from repro.sim import (
 )
 
 from .conftest import drive
-from .heap_oracle import HeapSimulator
+from .scan_oracle import ScanSimulator
 
 
 class TestEvent:
@@ -309,6 +309,25 @@ class TestSimulatorRun:
         with pytest.raises(SimulationError):
             sim.call_later(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_invalid_delay_is_loud_on_every_entry_point(self, sim, delay):
+        """A NaN key compares false against everything: on the heap it
+        would sit at the head and end every later drain early, silently
+        dropping what is queued behind it."""
+        seen = []
+        sim.call_later(1.0, lambda: seen.append(sim.now))
+        for schedule in (
+            lambda: sim.call_later(delay, int),
+            lambda: sim.call_later_batch(delay, [int]),
+            lambda: sim.timeout(delay),
+            lambda: sim._schedule(sim.event(), delay),
+        ):
+            with pytest.raises(SimulationError):
+                schedule()
+        assert sim._active == 1  # nothing was queued, no seq consumed
+        sim.run()
+        assert seen == [1.0]
+
 
 class TestCancel:
     def test_cancel_skips_callbacks_and_clock(self, sim):
@@ -420,32 +439,34 @@ class TestBatchedDispatch:
 
 
 class TestCalendarStorage:
-    """Calendar-specific storage contracts: cancelled entries must not
-    pin their bucket's ring slot forever, and fused batches must be
-    observationally identical to a chain of ``call_later`` calls."""
+    """Storage contracts of the queue: cancelled entries must not pin
+    their slots until the simulated deadline, and an insert earlier than
+    the record a drain stopped at dispatches first.
+
+    The class and test names date from the calendar-ring scheduler and are
+    kept so the suite's recorded test list stays comparable: "bucket
+    slots" is the near-deadline case, "overflow heap" the far-deadline one,
+    "pull back" a schedule behind a parked clock."""
+
+    @staticmethod
+    def _mass_cancel(sim, deadline):
+        keeper = sim.timeout(5.0)
+        doomed = [sim.timeout(deadline) for _ in range(200)]
+        assert len(sim._queue) == 201
+        for timeout in doomed:
+            timeout.cancel()
+        # A sweep runs once 64 cancelled entries are the majority, so what
+        # is left is the live entry plus fewer than one floor's worth.
+        assert len(sim._queue) < 1 + 64
+        sim.run()
+        assert keeper.processed
+        assert sim.now == 5.0  # cancelled entries never advance time
 
     def test_mass_cancel_compacts_bucket_slots(self, sim):
-        keeper = sim.timeout(5.0)
-        doomed = [sim.timeout(5.0) for _ in range(200)]
-        for timeout in doomed:
-            timeout.cancel()
-        resident = sum(len(b) for b in sim._buckets) + len(sim._queue)
-        assert resident < 100  # the cancelled majority was swept out
-        sim.run()
-        assert keeper.processed
-        assert sim.now == 5.0
+        self._mass_cancel(sim, deadline=5.0)
 
     def test_mass_cancel_compacts_overflow_heap(self, sim):
-        horizon = sim._nbuckets * sim._width  # beyond this -> overflow heap
-        keeper = sim.timeout(5.0)
-        doomed = [sim.timeout(horizon * 3) for _ in range(200)]
-        assert len(sim._queue) == 200
-        for timeout in doomed:
-            timeout.cancel()
-        assert len(sim._queue) < 100
-        sim.run()
-        assert keeper.processed
-        assert sim.now == 5.0  # cancelled far-future entries never advance time
+        self._mass_cancel(sim, deadline=1e6)
 
     def test_compaction_resets_pending_counter(self, sim):
         doomed = [sim.timeout(1.0) for _ in range(300)]
@@ -453,29 +474,29 @@ class TestCalendarStorage:
             timeout.cancel()
         # Whatever tail is still resident, the counter matches it: every
         # sweep zeroed the counter alongside the storage.
-        resident = sum(len(b) for b in sim._buckets) + len(sim._queue)
-        assert sim._cancel_pending == resident
+        resident = [entry[2] for entry in sim._queue]
+        assert resident and all(event.cancelled for event in resident)
+        assert sim._cancel_pending == len(resident)
 
     def test_pull_back_defers_later_year_records(self):
-        """A schedule behind a parked cursor pulls the year back; records
-        already bucketed under the old, later year share ring slots with
-        the new year and must wait for their own window."""
-        for make_sim in (lambda: Simulator(bucket_width=0.5, buckets=4), HeapSimulator):
+        """``run(until)`` parks the clock short of the next record; what is
+        scheduled afterwards may be due before it."""
+        for make_sim in (Simulator, ScanSimulator):
             sim = make_sim()
             order = []
             sim.call_later(1.9, lambda: order.append(sim.now))
-            sim.run(until=0.6)  # stops at the 1.9 bucket: cursor ahead of the clock
-            sim.call_later(2.6, lambda: order.append(sim.now))  # old year, alone in slot 2
-            sim.call_later(2.1, lambda: order.append(sim.now))  # old year, slot 1
-            sim.call_later(0.0, lambda: order.append(sim.now))  # slot 1: pulls the year back
+            sim.run(until=0.6)
+            sim.call_later(2.6, lambda: order.append(sim.now))
+            sim.call_later(2.1, lambda: order.append(sim.now))
+            sim.call_later(0.0, lambda: order.append(sim.now))
             sim.run()
             assert order == [0.6, 1.9, 2.7, 3.2]
-            assert sim._count == 0  # deferred records are not double-counted
+            assert not sim._queue
 
 
 class TestCallLaterBatch:
     def test_batch_matches_unfused_order(self):
-        for make_sim in (Simulator, HeapSimulator):
+        for make_sim in (Simulator, ScanSimulator):
             sim = make_sim()
             seen = []
             sim.call_later(5.0, lambda: seen.append("a"))
@@ -493,12 +514,14 @@ class TestCallLaterBatch:
         assert sim._active == base + 3
 
     def test_batch_beyond_the_year_lands_in_overflow(self, sim):
-        horizon = sim._nbuckets * sim._width
+        """Ring-era name: a far-future batch is one record and dispatches
+        at its time."""
         seen = []
-        sim.call_later_batch(horizon * 2, [lambda: seen.append(sim.now)])
-        assert len(sim._queue) == 1
+        sim.call_later_batch(8192.0, [lambda: seen.append(sim.now)])
+        sim.call_later(4096.0, lambda: seen.append(sim.now))
+        assert len(sim._queue) == 2  # a batch is one record
         sim.run()
-        assert seen == [horizon * 2]
+        assert seen == [4096.0, 8192.0]
 
     def test_empty_batch_is_a_noop(self, sim):
         base = sim._active
