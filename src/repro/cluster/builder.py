@@ -69,13 +69,6 @@ class Cluster:
     def machine(self, machine_id: int) -> Machine:
         return self.machines[machine_id]
 
-    def alive_machines(self) -> List[Machine]:
-        return [m for m in self.machines if m.alive]
-
-    def peers_of(self, machine_id: int) -> List[Machine]:
-        """All alive machines except ``machine_id``."""
-        return [m for m in self.machines if m.alive and m.id != machine_id]
-
     def metadata_peers(self, machine_id: int, count: int) -> List[int]:
         """The ``count`` machine ids after ``machine_id`` in id order
         (wrapping) — the deterministic replica set for that machine's RM

@@ -155,12 +155,6 @@ class Machine:
         slab.last_access_us = self.sim.now
         slab.pages[page_id] = payload
 
-    def _slab_for_access(self, slab_id: int) -> Slab:
-        slab = self.hosted_slabs.get(slab_id)
-        if slab is None or slab.state not in _ACCESSIBLE_STATES:
-            raise self._access_fault(slab_id, slab)
-        return slab
-
     def _access_fault(self, slab_id: int, slab: Optional[Slab]) -> RemoteAccessError:
         if slab is None:
             return RemoteAccessError(f"no slab {slab_id} on machine {self.id}")

@@ -90,9 +90,6 @@ class Slab:
         self.pages.clear()
         self.access_count = 0
 
-    def mark_unavailable(self) -> None:
-        self.state = SlabState.UNAVAILABLE
-
     def begin_regeneration(self) -> None:
         """Writes are disabled during rebuild; reads may continue (§4.4)."""
         self.state = SlabState.REGENERATING

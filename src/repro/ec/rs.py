@@ -212,20 +212,6 @@ class ReedSolomonCode:
             expected[data_rows] = decoded[[indices[row] for row in data_rows]]
         return expected
 
-    def _mismatching_indices(
-        self, splits: Dict[int, np.ndarray], decoded: np.ndarray
-    ) -> List[int]:
-        """Indices of received splits inconsistent with ``decoded``.
-
-        One batched re-encode replaces a per-split matmul + comparison;
-        results are identical.
-        """
-        indices = sorted(splits)
-        payloads = np.stack([self._check_vector(splits[i]) for i in indices])
-        expected = self._reencode_rows(indices, decoded)
-        bad_rows = np.nonzero((expected != payloads).any(axis=1))[0]
-        return [indices[int(row)] for row in bad_rows]
-
     def verify(self, splits: Dict[int, np.ndarray]) -> bool:
         """True when all received splits are mutually consistent.
 

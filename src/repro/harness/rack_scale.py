@@ -26,7 +26,7 @@ the shard byte-identically at any worker count.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import floor
 from typing import Dict, List
 
@@ -400,12 +400,3 @@ def format_rack_scale(result: dict) -> str:
         f"3 latency classes, sim clock {engine['sim_now_us']:,} us"
     )
     return text
-
-
-def smoke_config() -> RackScaleConfig:
-    return RackScaleConfig.smoke()
-
-
-def full_config(machines: int = 1000) -> RackScaleConfig:
-    config = RackScaleConfig()
-    return config if machines == config.machines else replace(config, machines=machines)

@@ -494,8 +494,9 @@ class Simulator:
         calls — but the whole burst costs one queue record. This is the
         delivery primitive for completion bursts (a NIC draining a CQ):
         the batch is pushed, popped and dispatched as a unit, which is
-        where the bulk of the events/s headroom in ``engine_events_batch``
-        comes from.
+        where the headroom of the repo benchmark's
+        ``sim.direct_batch_events_per_s`` over
+        ``sim.direct_process_events_per_s`` comes from.
         """
         if not delay >= 0:
             raise SimulationError(f"invalid delay: {delay}")

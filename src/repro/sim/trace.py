@@ -348,9 +348,6 @@ class TimeSeries:
             raise ValueError(f"series {self.name!r} is empty")
         return float(np.mean(self.values))
 
-    def as_arrays(self):
-        return np.asarray(self.times), np.asarray(self.values)
-
 
 class ThroughputWindow:
     """Counts completions in fixed windows — throughput-over-time figures.

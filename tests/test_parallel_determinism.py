@@ -34,6 +34,18 @@ def test_perf_suite_parallel_matches_serial_anchors():
     assert serial["jobs"] == 1 and parallel["jobs"] == 2
     assert deterministic_anchors(parallel) == deterministic_anchors(serial)
 
+    # The committed baseline pins the same anchors: a model drift fails
+    # here, in tier-1, not only in the CI perf-smoke job.
+    committed = json.loads(
+        (Path(__file__).parent.parent / "BENCH_perf.json").read_text()
+    )
+    assert committed["quick"] is True
+    pinned = json.loads(deterministic_anchors(committed))["benchmarks"]
+    ran = json.loads(deterministic_anchors(serial))["benchmarks"]
+    assert {"rm_end_to_end", "rm_corrupted"} <= pinned.keys() & ran.keys()
+    for name in pinned.keys() & ran.keys():
+        assert ran[name] == pinned[name], name
+
     # The end-to-end latency distributions are anchored as full HDR
     # histogram dumps: every bucket count and every derived percentile
     # must be byte-identical between the serial and sharded runs.

@@ -14,7 +14,13 @@ import json
 import pytest
 
 from repro.harness import perf
-from repro.harness.perf import compare_results
+from repro.harness.perf import (
+    PERF_BENCH_NAMES,
+    compare_results,
+    deterministic_anchors,
+    format_results,
+    run_perf_suite,
+)
 
 
 def _doc(quick=True):
@@ -90,6 +96,20 @@ def test_anchor_drift_fails_at_any_tolerance():
     assert "anchor pages_sha256 moved" in failures[0]
 
 
+def test_anchor_drift_is_tagged_model_or_mechanism():
+    # A mechanism anchor may move in a PR that declares it; a model anchor
+    # never may. The gate fails on both and says which kind moved.
+    baseline = _doc()
+    baseline["benchmarks"]["rm_end_to_end"]["queue_entries"] = 8484
+    current = copy.deepcopy(baseline)
+    current["benchmarks"]["rm_end_to_end"]["queue_entries"] = 8000
+    current["benchmarks"]["rm_end_to_end"]["sim_now_us"] = 2700.0
+    failures = compare_results(current, baseline)
+    assert len(failures) == 2
+    assert any("model anchor sim_now_us moved" in f for f in failures)
+    assert any("mechanism anchor queue_entries moved" in f for f in failures)
+
+
 def test_anchors_not_compared_across_modes():
     current = _doc(quick=False)
     current["benchmarks"]["rm_end_to_end"]["pages_sha256"] = "def456"
@@ -102,6 +122,18 @@ def test_anchor_fields_absent_from_baseline_are_skipped():
     baseline = _doc()
     del baseline["benchmarks"]["rm_end_to_end"]["pages_sha256"]
     assert compare_results(_doc(), baseline) == []
+
+
+def test_row_table_is_the_single_source():
+    # Shards, the anchor map and the printed lines all come from one
+    # table: a row missing from any of them is a hand-kept list again.
+    doc = run_perf_suite(quick=True, repeats=1)
+    names = set(PERF_BENCH_NAMES)
+    assert len(names) == len(PERF_BENCH_NAMES)
+    assert set(doc["benchmarks"]) == names
+    assert set(json.loads(deterministic_anchors(doc))["benchmarks"]) == names
+    printed = [line.split()[0] for line in format_results(doc).splitlines()[1:]]
+    assert printed == list(PERF_BENCH_NAMES)
 
 
 class TestCli:
@@ -187,6 +219,17 @@ class TestCli:
         path = tmp_path / "BENCH_perf.json"
         path.write_text(json.dumps(_doc()))
         assert perf.main(["--compare", str(path), "--output", str(path)]) == 0
+
+    def test_output_keeps_the_bench_parallel_section(self, tmp_path, fake_suite):
+        # `repro bench --record F` merges its speedup summary into the
+        # same file; rewriting F must not drop it.
+        path = tmp_path / "BENCH_perf.json"
+        recorded = {"jobs": 2, "wall_seconds": 31.5}
+        path.write_text(json.dumps({**_doc(), "bench_parallel": recorded}))
+        assert perf.main(["--quick", "--output", str(path)]) == 0
+        written = json.loads(path.read_text())
+        assert written["bench_parallel"] == recorded
+        assert written["benchmarks"] == _doc()["benchmarks"]
 
     def test_unreadable_baseline_exits_two(self, tmp_path, fake_suite):
         assert (
