@@ -31,7 +31,6 @@ from ..ec import (
     CorruptionDetected,
     DecodeError,
     PageCodec,
-    ReedSolomonCode,
     reencode_split_pages,
 )
 from ..net import RdmaFabric
@@ -134,31 +133,6 @@ class _SplitGather:
         }
 
 
-def _consistent_with_decode(
-    code: ReedSolomonCode,
-    arrivals: Dict[int, object],
-    first_k: Dict[int, object],
-    data_splits: np.ndarray,
-) -> bool:
-    """True when every real split of ``arrivals`` outside ``first_k`` lies
-    on the codeword ``data_splits`` was decoded from ``first_k`` — the
-    verdict of ``code.verify`` on the real splits, whichever k of them one
-    takes as the base. A data position is a row of ``data_splits``, a
-    parity position one re-encoded split."""
-    for position, payload in arrivals.items():
-        if position in first_k or not isinstance(payload, np.ndarray):
-            continue
-        payload = code._check_vector(payload)
-        if position < code.k:
-            expected = data_splits[position]
-        else:
-            expected = code.reencode_split(data_splits, position)
-        # Both are 1-D uint8: equal bytes is equal length and content.
-        if expected.tobytes() != payload.tobytes():
-            return False
-    return True
-
-
 class HydraError(Exception):
     """Base error of the resilience layer."""
 
@@ -180,7 +154,7 @@ class ResilienceManager:
     ``_SplitGather._arrive`` — and a write is :meth:`_write_attempt`
     retried, whichever slabs are up. A healthy read decodes once: the
     background check of the Δ extras compares them with the codeword that
-    decode produced (:func:`_consistent_with_decode`).
+    decode produced (``ReedSolomonCode.consistent_with_decode``).
     """
 
     name = "hydra"
@@ -830,7 +804,8 @@ class ResilienceManager:
         The read already decoded ``data_splits`` from ``first_k``, and k
         splits determine the codeword: the arrivals are mutually consistent
         exactly when each later one equals that codeword's split at its
-        position (:func:`_consistent_with_decode`) — no second decode.
+        position (``ReedSolomonCode.consistent_with_decode``) — no second
+        decode.
 
         The check runs as a callback on the gather's wait-all event — no
         process is spawned unless corruption is actually detected, which
@@ -852,8 +827,8 @@ class ResilienceManager:
         def check(_done: Event) -> None:
             spawned = False
             try:
-                if _consistent_with_decode(
-                    self.codec.code, gather.arrivals, first_k, data_splits
+                if self.codec.code.consistent_with_decode(
+                    gather.arrivals, first_k, data_splits
                 ):
                     return  # nothing to do (or no extra split to detect with)
                 usable = gather.real_payloads()

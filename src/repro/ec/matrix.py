@@ -40,11 +40,9 @@ def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
-    if a.ndim != 2 or b.ndim != 2:
+    if b.ndim != 2:  # a 3-D ``b`` would be taken for a stack of pages
         raise ValueError(f"gf_matmul needs 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    return load_kernel().apply(a, b)
+    return load_kernel().apply(a, b)  # refuses a non-2-D ``a`` and mismatched shapes
 
 
 def gf_mat_inverse(matrix: np.ndarray) -> np.ndarray:

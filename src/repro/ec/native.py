@@ -4,12 +4,19 @@ Every coding operation in this package is the same product — apply a
 small coefficient matrix to the rows of each page, ``out[p] = coef @
 src[p]`` — and reaches it through one object with two methods:
 
-* ``apply(coef, src, out=None)`` for ``(pages, rows, bytes)`` stacks
-  (contiguous or strided by page), single 2-D pages (a batch of one), and
-  lists of raw ``bytes`` pages read in place through a pointer table;
+* ``apply(coef, src, out=None)`` for stacks read in place by address —
+  ``(pages, rows, bytes)`` arrays (contiguous or strided by page), a 2-D
+  array as a batch of one, a list of raw ``bytes`` pages through a
+  pointer table — and for one raw ``bytes`` page, the per-page form;
 * ``apply_rows(coef, rows, out=None)`` for the scattered 1-D splits the
-  per-page ``decode`` / ``verify`` / ``correct`` receive, staged into one
-  persistent buffer.
+  per-page ``decode`` / ``verify`` / ``correct`` receive.
+
+The two per-page forms take their source as ``bytes`` and return a *view
+of a persistent staging buffer*, valid until the next per-page call: the
+codec copies it out exactly once, as an owned array or straight into the
+page's ``bytes`` (:class:`NativeGF` says what that saves). The kernel is
+process-wide, so per-page calls are not thread-safe; the shard runner
+parallelises by process.
 
 :func:`load_kernel` picks the backend once per process. :class:`NativeGF`
 is the SSSE3/AVX2 ``pshufb`` nibble-table kernel ISA-L (the library
@@ -283,18 +290,15 @@ def _load_library(source: str) -> Tuple[Optional[ctypes.CDLL], str]:
 
 
 def _prepare(coef, src, out):
-    """Shared front end of both backends' ``apply``: validate shapes and
-    allocate ``out`` — ``(nr, n)`` for one 2-D page, ``(pages, nr, n)`` for
-    a stack or page list. Returns ``(coef, src, out)``."""
-    coef = np.asarray(coef, dtype=np.uint8)
-    if coef.ndim != 2:
-        raise ValueError(f"coefficient matrix must be 2-D, got {coef.shape}")
+    """Shared front end of both backends' in-place ``apply``: validate
+    shapes and allocate ``out`` — ``(nr, n)`` for one 2-D page, ``(pages,
+    nr, n)`` for a stack or page list. Returns ``out``."""
+    if coef.ndim != 2 or coef.dtype is not _UINT8:
+        raise ValueError(f"matrix must be 2-D uint8, got {coef.dtype} {coef.shape}")
     nr, ns = coef.shape
     if isinstance(src, np.ndarray):
-        if src.dtype is not _UINT8:
-            src = src.astype(np.uint8)
-        if src.ndim not in (2, 3) or src.shape[-2] != ns:
-            raise ValueError(f"cannot apply {coef.shape} matrix to {src.shape} source")
+        if src.dtype is not _UINT8 or src.ndim not in (2, 3) or src.shape[-2] != ns:
+            raise ValueError(f"cannot apply {coef.shape} matrix to {src.dtype} {src.shape}")
         shape = src.shape[:-2] + (nr, src.shape[-1])
     else:
         # Raw page buffers, each ``ns`` rows back to back.
@@ -309,7 +313,16 @@ def _prepare(coef, src, out):
         out = np.empty(shape, dtype=np.uint8)
     elif out.shape != shape or out.dtype is not _UINT8:
         raise ValueError(f"out must be uint8 {shape}, got {out.dtype} {out.shape}")
-    return coef, src, out
+    return out
+
+
+def _join(rows) -> bytes:
+    """Scattered 1-D uint8 rows back to back as one ``bytes`` object; a
+    strided row exports no contiguous buffer and is copied first."""
+    try:
+        return b"".join(rows)
+    except TypeError:
+        return b"".join([row.tobytes() for row in rows])
 
 
 # gf_apply's shape descriptor: six native size_t.
@@ -324,9 +337,9 @@ class NativeGF:
     Marshalling is kept off the hot path here and nowhere else:
     ``.ctypes.data`` costs ~1 us per access (it builds a fresh ctypes
     interface object) and every ctypes argument ~0.13 us, comparable to
-    the kernel's own time on one page, so the coefficient matrix travels
-    as ``bytes`` (ctypes passes the buffer address), the six sizes as one
-    packed descriptor, and the staging buffer's address is cached.
+    the kernel's own time on one page, so the coefficient matrix and a
+    per-page source travel as ``bytes``, the six sizes as one packed
+    descriptor, and only whole stacks pay ``.ctypes.data``.
     """
 
     def __init__(self, lib: ctypes.CDLL):
@@ -344,23 +357,26 @@ class NativeGF:
             nibs[c, 16:] = MUL_TABLE[c, low << 4]
         lib.gf_set_tables(nibs.tobytes())
         self._gf_apply = lib.gf_apply
-        # Scattered-row staging buffer (source rows first, product rows
-        # after them) with its address cached: copying k ~512 B rows into
-        # one block costs ~2.5 us, k raw pointers ~1 us each.
-        self._stage: Optional[np.ndarray] = None
+        # Per-page staging buffer (product rows of one length), its
+        # shape and its address, each taken once per allocation.
+        self._stage = np.empty((0, 0), dtype=np.uint8)
+        self._stage_shape = (0, 0)
         self._stage_ptr = 0
-        self._stage_flat: Optional[np.ndarray] = None
 
     def apply(self, coef, src, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``out[p] = coef @ src[p]`` over GF(2^8) for every page ``p``.
 
-        ``src`` is a ``(pages, ns, n)`` stack, one 2-D ``(ns, n)`` page, or
-        a list of ``bytes`` pages (``ns * n`` bytes each, read in place).
-        Stacks may be strided by page (the pivot columns of a wider
+        ``src`` is a ``(pages, ns, n)`` stack, one 2-D ``(ns, n)`` array,
+        or a list of ``bytes`` pages (``ns * n`` bytes each), all read in
+        place. Stacks may be strided by page (the pivot columns of a wider
         stack) and so may ``out`` (the parity rows of a ``(pages, k + r,
         n)`` stack); anything whose rows are not back to back is copied.
+        One raw ``bytes`` page is the per-page form: without ``out`` its
+        product is a *view of the staging buffer* (module docstring).
         """
-        coef, src, out = _prepare(coef, src, out)
+        if type(src) is bytes:
+            return self._staged(coef, src, None, out)
+        out = _prepare(coef, src, out)
         nr, ns = coef.shape
         n = out.shape[-1]
         stacked = out.ndim == 3
@@ -391,35 +407,33 @@ class NativeGF:
     def apply_rows(
         self, coef: np.ndarray, rows, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """``coef @ rows`` for ``ns`` scattered 1-D uint8 source rows (the
-        per-page codec holds splits as separate arrays; strided rows are
-        normalized by the staging copy).
+        """``coef @ rows`` for ``ns`` scattered 1-D uint8 rows of one
+        length: :meth:`apply` on the rows joined into one ``bytes`` page."""
+        return self._staged(coef, _join(rows), rows[0].shape[0], out)
 
-        Without ``out`` the product is returned as a *view of the staging
-        buffer*, valid only until the next call on this kernel: callers
-        that consume it at once (verify) skip a copy, the rest ``.copy()``.
-        """
-        if coef.dtype is not _UINT8:
-            raise ValueError(f"coefficient matrix must be uint8, got {coef.dtype}")
+    def _staged(self, coef: np.ndarray, src: bytes, n: Optional[int], out) -> np.ndarray:
+        """The per-page call on ``ns`` rows of ``n`` bytes back to back."""
+        if coef.ndim != 2 or coef.dtype is not _UINT8:
+            raise ValueError(f"matrix must be 2-D uint8, got {coef.dtype} {coef.shape}")
         nr, ns = coef.shape
-        n = rows[0].shape[0]
-        stage = self._stage
-        if stage is None or stage.shape[0] < ns + nr or stage.shape[1] != n:
-            self._stage = stage = np.empty((max(ns + nr, 24), n), dtype=np.uint8)
-            self._stage_ptr = stage.ctypes.data
-            self._stage_flat = stage.reshape(-1)
-        # Raises ValueError unless the rows total exactly ns * n bytes.
-        np.concatenate(rows, out=self._stage_flat[: ns * n])
-        if out is None:
-            out = stage[ns : ns + nr]
-            out_ptr = self._stage_ptr + ns * n
-        elif out.shape == (nr, n) and out.dtype is _UINT8 and out.flags.c_contiguous:
-            out_ptr = out.ctypes.data
-        else:
-            raise ValueError(f"out must be C-contiguous uint8 {(nr, n)}")
+        if n is None:
+            n = len(src) // (ns or 1)
+        if len(src) != ns * n:
+            raise ValueError(f"source must be {ns} rows of {n} bytes, got {len(src)}")
+        rows, width = self._stage_shape
+        if width != n or rows < nr:
+            self._stage_shape = (max(nr, rows) if width == n else nr, n)
+            self._stage = np.empty(self._stage_shape, dtype=np.uint8)
+            self._stage_ptr = self._stage.ctypes.data
         self._gf_apply(
-            coef.tobytes(), self._stage_ptr, None, out_ptr, _SHAPE(1, nr, ns, n, 0, 0)
+            coef.tobytes(), src, None, self._stage_ptr, _SHAPE(1, nr, ns, n, 0, 0)
         )
+        product = self._stage[:nr]
+        if out is None:
+            return product
+        if out.shape != (nr, n):
+            raise ValueError(f"out must be {(nr, n)}, got {out.shape}")
+        out[...] = product
         return out
 
 
@@ -464,8 +478,12 @@ class NumpyGF:
                 acc[...] = 0
 
     def apply(self, coef, src, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Same contract as :meth:`NativeGF.apply`."""
-        coef, src, out = _prepare(coef, src, out)
+        """Same contract as :meth:`NativeGF.apply` (a fresh array stands
+        in for the staging view)."""
+        if type(src) is bytes:
+            src = np.frombuffer(src, dtype=np.uint8)
+            src = src.reshape(coef.shape[1], len(src) // (coef.shape[1] or 1))
+        out = _prepare(coef, src, out)
         if not isinstance(src, np.ndarray):
             src = np.frombuffer(b"".join(src), dtype=np.uint8).reshape(
                 out.shape[0], coef.shape[1], out.shape[-1]
@@ -477,12 +495,11 @@ class NumpyGF:
     def apply_rows(
         self, coef: np.ndarray, rows, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Same contract as :meth:`NativeGF.apply_rows` (a fresh array
-        stands in for the staging view)."""
-        if out is None:
-            out = np.empty((coef.shape[0], rows[0].shape[0]), dtype=np.uint8)
-        self._product(coef, rows, out)
-        return out
+        """Same contract as :meth:`NativeGF.apply_rows`."""
+        src = _join(rows)
+        if len(src) != coef.shape[1] * rows[0].shape[0]:
+            raise ValueError(f"source must be {coef.shape[1]} rows of one length")
+        return self.apply(coef, src, out)
 
 
 _KERNEL = None

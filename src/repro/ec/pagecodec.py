@@ -12,6 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .native import _UINT8
 from .rs import ReedSolomonCode
 from .vectorized import correct_pages, decode_pages, encode_pages
 
@@ -39,44 +40,38 @@ class PageCodec:
         if k > page_size:
             raise ValueError(f"k={k} exceeds page_size={page_size}")
         self.code = ReedSolomonCode(k, r, plan_cache_capacity=plan_cache_capacity)
+        self.k, self.r, self.n = k, r, k + r
         self.page_size = page_size
         self.split_size = -(-page_size // k)  # ceil division
         self.padded_size = self.split_size * k
 
-    @property
-    def k(self) -> int:
-        return self.code.k
-
-    @property
-    def r(self) -> int:
-        return self.code.r
-
-    @property
-    def n(self) -> int:
-        return self.code.n
-
     # ------------------------------------------------------------------
-    def split(self, page: bytes) -> np.ndarray:
-        """Divide a page into the (k, split_size) data-split matrix."""
+    def _padded(self, page) -> bytes:
+        """``page`` as ``bytes`` (any other buffer is copied into one),
+        checked for size and zero-padded to ``k`` whole splits."""
+        if type(page) is not bytes:
+            page = bytes(page)
         if len(page) != self.page_size:
             raise ValueError(
                 f"page must be exactly {self.page_size} bytes, got {len(page)}"
             )
-        if self.padded_size == self.page_size:
-            source = np.frombuffer(page, dtype=np.uint8)
-            return source.reshape(self.k, self.split_size).copy()
-        buffer = np.zeros(self.padded_size, dtype=np.uint8)
-        buffer[: self.page_size] = np.frombuffer(page, dtype=np.uint8)
-        return buffer.reshape(self.k, self.split_size)
+        return page.ljust(self.padded_size, b"\0")  # a full-length page as it is
+
+    def split(self, page: bytes) -> np.ndarray:
+        """Divide a page into the (k, split_size) data-split matrix."""
+        source = np.frombuffer(self._padded(page), dtype=np.uint8)
+        return source.reshape(self.k, self.split_size).copy()
 
     def join(self, data_splits: np.ndarray) -> bytes:
         """Reassemble a page from its k data splits (dropping padding)."""
-        data_splits = np.asarray(data_splits, dtype=np.uint8)
+        if type(data_splits) is not np.ndarray or data_splits.dtype is not _UINT8:
+            data_splits = np.asarray(data_splits, dtype=np.uint8)
         if data_splits.shape != (self.k, self.split_size):
             raise ValueError(
                 f"expected shape {(self.k, self.split_size)}, got {data_splits.shape}"
             )
-        return data_splits.reshape(-1)[: self.page_size].tobytes()
+        page = data_splits.tobytes()
+        return page if self.padded_size == self.page_size else page[: self.page_size]
 
     # -- batch operations ----------------------------------------------
     def split_pages(self, pages: Sequence[bytes]) -> np.ndarray:
@@ -181,12 +176,16 @@ class PageCodec:
 
     # ------------------------------------------------------------------
     def encode(self, page: bytes) -> np.ndarray:
-        """Page -> all (k + r) splits, data first then parity."""
-        return self.code.encode_page(self.split(page))
+        """Page -> all (k + r) splits, data first then parity; the kernel
+        reads a ``bytes`` page where it lies, as ``encode_batch`` does."""
+        code = self.code
+        return code.kernel.apply(code.generator, self._padded(page)).copy()
 
     def decode(self, splits: Dict[int, np.ndarray]) -> bytes:
-        """Any k splits -> original page bytes."""
-        return self.join(self.code.decode(splits))
+        """Any k splits -> original page bytes (the kernel's product goes
+        straight into them, with no owned array in between)."""
+        code = self.code
+        return self.join(code._decode_rows(*code._gather(splits, code.k)))
 
     def decode_verified(self, splits: Dict[int, np.ndarray]) -> bytes:
         """Decode with consistency checking (raises CorruptionDetected)."""

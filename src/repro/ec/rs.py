@@ -26,12 +26,8 @@ from .matrix import (
     gf_matmul,
     systematic_generator,
 )
-from .native import load_kernel
+from .native import _UINT8, _join, load_kernel
 from .plancache import PlanCache
-
-# numpy interns builtin dtypes, so identity is an exact (and much cheaper)
-# stand-in for ``dtype == np.uint8`` on the per-split validation path.
-_UINT8 = np.dtype(np.uint8)
 
 # Process-wide plan caches for default-capacity codes, keyed by (k, r).
 # Compiled plans are deterministic in (k, r, pattern), so sharing them
@@ -47,14 +43,16 @@ __all__ = [
 
 class _ExtrasPlan:
     """Precompiled consistency plan for one received-index tuple: the
-    (d x k) extras transform and the residual ratio tables the
-    pivot-error localizer reads — one LRU entry instead of parallel
-    dicts keyed by the same tuple."""
+    first-k inverse stacked over the (d x k) extras transform (one kernel
+    call yields the data splits and, under them, the extras a consistent
+    set must hold) and the residual ratio tables the pivot-error
+    localizer reads — one LRU entry, not parallel dicts on one key."""
 
-    __slots__ = ("transform", "_ratios")
+    __slots__ = ("stacked", "transform", "_ratios")
 
-    def __init__(self, transform: np.ndarray):
-        self.transform = np.ascontiguousarray(transform, dtype=np.uint8)
+    def __init__(self, inverse: np.ndarray, transform: np.ndarray):
+        self.stacked = np.concatenate([inverse, transform])
+        self.transform = self.stacked[len(inverse) :]
         self._ratios = None
 
     @property
@@ -120,11 +118,11 @@ class ReedSolomonCode:
         self.k = k
         self.r = r
         self.n = k + r
+        self._systematic = tuple(range(k))
         self.generator = systematic_generator(k, r)
-        # One bounded LRU replaces the former unbounded per-kind dicts
-        # (decode matrices, extras transforms, residual ratios, rebuild
-        # rows); entries are namespaced by kind within the shared budget.
-        # Plans are pure functions of (k, r, pattern), so default-capacity
+        # One bounded LRU holds every plan kind (decode matrices, extras
+        # plans, rebuild rows), namespaced by kind in one budget. Plans
+        # are pure functions of (k, r, pattern), so default-capacity
         # codes share one process-wide cache per (k, r): a 12-machine
         # cluster compiles each decode plan once, not once per RM. An
         # explicit capacity opts out into a private cache.
@@ -140,6 +138,9 @@ class ReedSolomonCode:
         self.kernel = load_kernel()
 
     # ------------------------------------------------------------------
+    # Every per-page product below is one staged kernel call (see
+    # :mod:`.native`): ``bytes`` in, a view of the kernel's staging buffer
+    # back, copied out exactly once by the public method that returns it.
     def encode(self, data_splits: np.ndarray) -> np.ndarray:
         """Compute the ``r`` parity splits for ``k`` data splits.
 
@@ -147,16 +148,44 @@ class ReedSolomonCode:
         (r, split_len) uint8 array. With ``r == 0`` returns an empty array.
         """
         data_splits = self._check_splits(data_splits, expected_rows=self.k)
-        return self.kernel.apply(self.generator[self.k :], data_splits)
+        return self.kernel.apply(self.generator[self.k :], data_splits.tobytes()).copy()
 
     def encode_page(self, data_splits: np.ndarray) -> np.ndarray:
         """All ``k + r`` splits (data stacked above parity): the full
         systematic generator in one kernel call, whose unit rows copy the
         data splits."""
         data_splits = self._check_splits(data_splits, expected_rows=self.k)
-        return self.kernel.apply(self.generator, data_splits)
+        return self.kernel.apply(self.generator, data_splits.tobytes()).copy()
 
     # ------------------------------------------------------------------
+    def _gather(
+        self, splits: Dict[int, np.ndarray], count: Optional[int] = None
+    ) -> Tuple[Tuple[int, ...], List[np.ndarray]]:
+        """The received indices in ascending order (exactly the first
+        ``count`` when given) and their payloads, validated in one pass:
+        each a 1-D uint8 array and all of one length — unequal splits
+        whose total happens to be right would otherwise code to garbage."""
+        indices = sorted(splits)[:count]
+        if count is not None and len(indices) < count:
+            raise DecodeError(f"need {count} splits to decode, got {len(indices)}")
+        rows = [*map(splits.__getitem__, indices)]
+        try:
+            n = rows[0].shape[0]
+            for row in rows:
+                if row.dtype is not _UINT8 or row.ndim != 1 or row.shape[0] != n:
+                    break
+            else:
+                return tuple(indices), rows
+        except (AttributeError, IndexError):
+            pass  # not an array, or a 0-d one: converted or refused below
+        rows = [np.asarray(row, dtype=np.uint8) for row in rows]
+        for index, row in zip(indices, rows):
+            if row.ndim != 1:
+                raise DecodeError(f"each split must be 1-D, got shape {row.shape}")
+            if len(row) != len(rows[0]):
+                raise DecodeError(f"split {index} holds {len(row)} bytes, not {len(rows[0])}")
+        return tuple(indices), rows
+
     def decode(self, splits: Dict[int, np.ndarray]) -> np.ndarray:
         """Reconstruct the ``k`` data splits from any ``k`` received splits.
 
@@ -165,24 +194,18 @@ class ReedSolomonCode:
         extra entries are ignored — use :meth:`decode_verified` when the
         extras should participate in consistency checking.
         """
-        received = sorted(splits.items())
-        if len(received) < self.k:
-            raise DecodeError(
-                f"need {self.k} splits to decode, got {len(received)}"
-            )
-        use = received[: self.k]
-        indices = tuple(index for index, _ in use)
-        payload_rows = [self._check_vector(split) for _, split in use]
-        return self._decode_rows(indices, payload_rows)
+        return self._decode_rows(*self._gather(splits, self.k)).copy()
 
     def _decode_rows(
         self, indices: Tuple[int, ...], payload_rows: Sequence[np.ndarray]
     ) -> np.ndarray:
-        """Decode from exactly ``k`` already-validated rows at ``indices``."""
-        if indices == tuple(range(self.k)):
-            return np.stack(payload_rows)  # all-systematic fast path
-        # The product is a view of the kernel's staging buffer: keep a copy.
-        return self.kernel.apply_rows(self._decode_matrix(indices), payload_rows).copy()
+        """Decode from exactly ``k`` gathered rows at ``indices``: a
+        read-only view of the joined rows when they are the data splits
+        themselves, of the kernel's staging buffer otherwise."""
+        if indices == self._systematic:
+            joined = np.frombuffer(_join(payload_rows), dtype=np.uint8)
+            return joined.reshape(self.k, payload_rows[0].shape[0])
+        return self.kernel.apply_rows(self.decode_matrix(indices), payload_rows)
 
     def reencode_split(self, data_splits: np.ndarray, index: int) -> np.ndarray:
         """Regenerate the single split ``index`` from the k data splits."""
@@ -191,55 +214,62 @@ class ReedSolomonCode:
             raise DecodeError(f"split index {index} out of range 0..{self.n - 1}")
         if index < self.k:
             return data_splits[index].copy()
-        return gf_matmul(self.generator[index : index + 1], data_splits)[0]
+        row = self.kernel.apply(self.generator[index : index + 1], data_splits.tobytes())
+        return row[0].copy()
+
+    def consistent_with_decode(
+        self, arrivals: Dict[int, object], first_k: Dict[int, object], data_splits
+    ) -> bool:
+        """True when every real split of ``arrivals`` outside ``first_k``
+        lies on the codeword ``data_splits`` was decoded from ``first_k``:
+        :meth:`verify`'s verdict on the real splits, whichever k of them
+        one takes as the base, for a caller that already holds the decode
+        (the Resilience Manager's background check). A data position is a
+        row of ``data_splits``, a parity position one re-encoded split."""
+        for position, payload in arrivals.items():
+            if position in first_k or not isinstance(payload, np.ndarray):
+                continue
+            if payload.ndim != 1:
+                raise DecodeError(f"each split must be 1-D, got shape {payload.shape}")
+            if position < self.k:
+                expected = data_splits[position]
+            else:
+                expected = self.reencode_split(data_splits, position)
+            if payload.dtype is not _UINT8:
+                payload = payload.astype(np.uint8)
+            # Equal bytes is equal length and content: a torn split differs.
+            if expected.tobytes() != payload.tobytes():
+                return False
+        return True
 
     # ------------------------------------------------------------------
     def _reencode_rows(self, indices: Sequence[int], decoded: np.ndarray) -> np.ndarray:
-        """Stacked ``reencode_split(decoded, i) for i in indices``.
+        """Stacked ``reencode_split(decoded, i) for i in indices``: the
+        generator's unit rows copy the data splits, parity rows multiply."""
+        return gf_matmul(self.generator[list(indices)], decoded)
 
-        Data rows of the systematic generator are identity rows, so those
-        splits are the decoded rows verbatim; only parity rows pay a (small)
-        batched matmul.
+    def _decode_checked(self, splits: Dict[int, np.ndarray]):
+        """The consistency check of :meth:`verify`, :meth:`decode_verified`
+        and :meth:`correct`: one gather, one kernel call of the cached
+        inverse-over-extras-transform plan on the first ``k`` received
+        splits (re-encoding those reproduces them exactly, so only the
+        ``d`` extras carry information), one comparison on bytes.
+
+        Returns ``(indices, rows, product, consistent)``; ``product`` is
+        the staging view, data splits above the expected extras.
         """
-        expected = np.empty((len(indices), decoded.shape[1]), dtype=np.uint8)
-        parity_rows = [row for row, idx in enumerate(indices) if idx >= self.k]
-        if parity_rows:
-            expected[parity_rows] = gf_matmul(
-                self.generator[[indices[row] for row in parity_rows]], decoded
-            )
-        data_rows = [row for row, idx in enumerate(indices) if idx < self.k]
-        if data_rows:
-            expected[data_rows] = decoded[[indices[row] for row in data_rows]]
-        return expected
+        indices, rows = self._gather(splits)
+        k = self.k
+        product = self.kernel.apply_rows(self._extras_entry(indices).stacked, rows[:k])
+        return indices, rows, product, product[k:].tobytes() == _join(rows[k:])
 
     def verify(self, splits: Dict[int, np.ndarray]) -> bool:
         """True when all received splits are mutually consistent.
 
         Requires at least ``k + 1`` splits to say anything beyond trivially
         True; per Table 1, ``k + d`` splits detect up to ``d`` corruptions.
-
-        The check exploits that re-encoding the first ``k`` received splits
-        reproduces them exactly (the decode matrix is their inverse), so
-        only the ``d`` extra splits carry information: the splits are
-        consistent iff each extra equals the cached (d x k) syndrome
-        transform ``G_extras @ inv(G_first_k)`` applied to the first-k
-        stack. One small matmul instead of a full decode plus per-split
-        re-encode; the accept/reject outcome is identical.
         """
-        if len(splits) <= self.k:
-            return True
-        indices = sorted(splits)
-        first = indices[: self.k]
-        extras = indices[self.k :]
-        base_rows = [self._check_vector(splits[i]) for i in first]
-        # Staging-view output: consumed before any further kernel call.
-        expected = self.kernel.apply_rows(
-            self._extras_entry(tuple(indices)).transform, base_rows
-        )
-        for row, index in enumerate(extras):
-            if not np.array_equal(expected[row], self._check_vector(splits[index])):
-                return False
-        return True
+        return len(splits) <= self.k or self._decode_checked(splits)[3]
 
     def decode_verified(self, splits: Dict[int, np.ndarray]) -> np.ndarray:
         """Decode and verify; raises :class:`CorruptionDetected` on mismatch.
@@ -248,12 +278,15 @@ class ReedSolomonCode:
         caller learns corruption happened and must fetch more splits before
         correction is possible.
         """
-        if not self.verify(splits):
+        if len(splits) <= self.k:
+            return self.decode(splits)
+        indices, _rows, product, consistent = self._decode_checked(splits)
+        if not consistent:
             raise CorruptionDetected(
-                f"inconsistent splits detected (indices {sorted(splits)})",
-                suspect_indices=sorted(splits),
+                f"inconsistent splits detected (indices {list(indices)})",
+                suspect_indices=list(indices),
             )
-        return self.decode(splits)
+        return product[: self.k].copy()
 
     def correct(
         self,
@@ -280,30 +313,22 @@ class ReedSolomonCode:
 
         Returns ``(data_splits, corrupted_indices)``.
 
-        The implementation is residual-guided: decode once from the pivot
-        (first ``k`` received) subset, re-encode through the cached extras
-        transform, and read the error location out of which residual rows
-        disagree — O(d) decodings for the corruption patterns the §5.1
-        read path actually sees, instead of the C(m, k) subset scan. The
-        guided path only accepts a candidate whose agreement provably
-        makes it the codeword the exhaustive scan would return (see
-        :meth:`_correct_guided`); every other case — ambiguous residuals,
-        deep pivot contamination, the best-effort tail — falls back to
-        :meth:`correct_reference`, so results, errors, and localization
-        lists are byte-identical to the scan by construction.
+        Residual-guided (:meth:`_correct_guided`, O(d) decodings for the
+        patterns the §5.1 read path sees); whatever that cannot settle
+        falls back to :meth:`correct_reference`, so results, errors and
+        localization lists are byte-identical to the scan by construction.
         """
         max_errors, guaranteed, accept_at = self._correction_mode(
             len(splits), max_errors, best_effort
         )
-        items = sorted(splits.items())
-        idx_list = [idx for idx, _ in items]
-        payload_rows = [self._check_vector(p) for _, p in items]
-        result = self._correct_guided(idx_list, payload_rows, max_errors, accept_at)
+        indices, rows, product, consistent = self._decode_checked(splits)
+        if consistent:
+            # Agrees with all m splits: the strongest majority in either mode.
+            return product[: self.k].copy(), []
+        result = self._correct_guided(indices, rows, product, max_errors, accept_at)
         if result is not None:
             return result
-        return self._correct_scan(
-            idx_list, payload_rows, max_errors, guaranteed, best_effort
-        )
+        return self._correct_scan(list(indices), rows, max_errors, guaranteed, best_effort)
 
     def _correction_mode(
         self, m: int, max_errors: Optional[int], best_effort: bool
@@ -358,28 +383,24 @@ class ReedSolomonCode:
         max_errors, guaranteed, _ = self._correction_mode(
             len(splits), max_errors, best_effort
         )
-        items = sorted(splits.items())
-        idx_list = [idx for idx, _ in items]
-        payload_rows = [self._check_vector(p) for _, p in items]
-        return self._correct_scan(
-            idx_list, payload_rows, max_errors, guaranteed, best_effort
-        )
+        indices, rows = self._gather(splits)
+        return self._correct_scan(list(indices), rows, max_errors, guaranteed, best_effort)
 
     def _correct_guided(
         self,
-        idx_list: List[int],
+        indices: Tuple[int, ...],
         payload_rows: List[np.ndarray],
+        product: np.ndarray,
         max_errors: int,
         accept_at: int,
     ) -> Optional[Tuple[np.ndarray, List[int]]]:
         """Residual-guided localization; ``None`` defers to the scan.
 
-        Decode the pivot (first ``k`` received) subset and compare the
-        remaining rows against the cached extras transform of the pivot.
-        The residual pattern localizes the error without searching:
+        ``product`` is :meth:`_decode_checked`'s: the decoding of the pivot
+        (first ``k`` received) subset over the extras that decoding
+        expects. The residual — expected XOR received extras, not all zero
+        here — localizes the error without searching:
 
-        * all-zero residual — the received set is consistent; the pivot
-          decoding agrees with every split.
         * exactly one nonzero residual row — that extra split alone is
           corrupt (the pivot decoding agrees with everything else).
         * every residual row nonzero — consistent with one corrupt pivot
@@ -401,50 +422,39 @@ class ReedSolomonCode:
         errors.
         """
         k = self.k
-        m = len(idx_list)
+        m = len(indices)
         extras_count = m - k
-        pivot = tuple(idx_list[:k])
-        pivot_rows = payload_rows[:k]
-        residual = np.empty((extras_count, payload_rows[0].shape[0]), dtype=np.uint8)
-        self.kernel.apply_rows(
-            self._extras_entry(tuple(idx_list)).transform, pivot_rows, residual
-        )
-        for row in range(extras_count):
-            np.bitwise_xor(residual[row], payload_rows[k + row], out=residual[row])
-        bad_rows = np.nonzero(residual.any(axis=1))[0]
-
-        if len(bad_rows) == 0:
-            # Consistent: the pivot decoding agrees with all m splits, the
-            # strongest possible majority in either mode.
-            return self._decode_rows(pivot, pivot_rows), []
-
         if m - 1 < accept_at:
             # No single-error candidate can be accepted (agreement is at
             # most m - 1 once any residual row is nonzero), and multi-error
             # candidates are weaker still.
             return None
+        # Both owned before another kernel call reuses the staging buffer.
+        decoded = product[:k].copy()
+        received = np.frombuffer(_join(payload_rows[k:]), dtype=np.uint8)
+        residual = product[k:] ^ received.reshape(extras_count, product.shape[1])
+        bad_rows = np.nonzero(residual.any(axis=1))[0]
 
         if len(bad_rows) == 1 and extras_count >= 2:
             # One corrupt extra; the pivot decoding disagrees only with it.
-            return (
-                self._decode_rows(pivot, pivot_rows),
-                [idx_list[k + int(bad_rows[0])]],
-            )
+            return decoded, [indices[k + int(bad_rows[0])]]
 
         if len(bad_rows) == extras_count and extras_count >= 2:
-            located = self._locate_pivot_error(idx_list, residual)
+            located = self._locate_pivot_error(indices, residual)
             if located is not None:
                 column, error = located
-                rows = list(pivot_rows)
+                rows = payload_rows[:k]
                 rows[column] = rows[column] ^ error
-                return self._decode_rows(pivot, rows), [pivot[column]]
+                return self._decode_rows(indices[:k], rows).copy(), [indices[column]]
 
         if max_errors >= 2:
-            return self._correct_by_swap(idx_list, payload_rows, max_errors, accept_at)
+            return self._correct_by_swap(
+                list(indices), payload_rows, max_errors, accept_at
+            )
         return None
 
     def _locate_pivot_error(
-        self, idx_list: List[int], residual: np.ndarray
+        self, indices: Tuple[int, ...], residual: np.ndarray
     ) -> Optional[Tuple[int, np.ndarray]]:
         """Find the unique (column, error) explaining an all-rows residual.
 
@@ -457,7 +467,7 @@ class ReedSolomonCode:
         explains the rows (>= 2 corruptions) or more than one does
         (ambiguous — impossible for m >= k + 2, but guarded anyway).
         """
-        entry = self._extras_entry(tuple(idx_list))
+        entry = self._extras_entry(indices)
         transform = entry.transform
         inv_row0, ratios = entry.ratios
         extras_count = residual.shape[0]
@@ -472,9 +482,8 @@ class ReedSolomonCode:
             column = int(column)
             error = MUL_TABLE[inv_row0[column]].take(row0)
             if all(
-                np.array_equal(
-                    MUL_TABLE[int(transform[j, column])].take(error), residual[j]
-                )
+                MUL_TABLE[transform[j, column]].take(error).tobytes()
+                == residual[j].tobytes()
                 for j in range(1, extras_count)
             ):
                 if located is not None:  # pragma: no cover - see docstring
@@ -498,7 +507,7 @@ class ReedSolomonCode:
         """
         k = self.k
         m = len(idx_list)
-        stacked = np.stack(payload_rows)
+        stacked = np.frombuffer(_join(payload_rows), dtype=np.uint8).reshape(m, -1)
         by_index = dict(zip(idx_list, payload_rows))
         for replacement in idx_list[k : k + max_errors]:
             for drop in range(k):
@@ -506,7 +515,7 @@ class ReedSolomonCode:
                 try:
                     candidate = self._decode_rows(
                         subset, [by_index[i] for i in subset]
-                    )
+                    ).copy()
                 except SingularMatrixError:  # pragma: no cover - Cauchy prevents this
                     continue
                 expected = self._reencode_rows(idx_list, candidate)
@@ -534,7 +543,7 @@ class ReedSolomonCode:
         candidates: Dict[bytes, Tuple[np.ndarray, List[int]]] = {}
         for subset in combinations(idx_list, self.k):
             try:
-                candidate = self._decode_rows(subset, [by_index[i] for i in subset])
+                candidate = self._decode_rows(subset, [by_index[i] for i in subset]).copy()
             except SingularMatrixError:  # pragma: no cover - Cauchy prevents this
                 continue
             key = candidate.tobytes()
@@ -590,7 +599,13 @@ class ReedSolomonCode:
         many pages that arrived with the same index combination in one
         matmul.
         """
-        return self._decode_matrix(tuple(indices))
+        key = ("decode", tuple(indices))
+        matrix = self.plan_cache.get(key)
+        if matrix is None:
+            matrix = self.plan_cache.put(
+                key, gf_mat_inverse(self.generator[list(indices)])
+            )
+        return matrix
 
     def rebuild_row(
         self, source_positions: Sequence[int], target_position: int
@@ -617,35 +632,23 @@ class ReedSolomonCode:
                 key,
                 gf_matmul(
                     self.generator[target_position : target_position + 1],
-                    self._decode_matrix(key[1]),
+                    self.decode_matrix(key[1]),
                 ),
             )
         return cached
 
     # -- internals -------------------------------------------------------
     def _extras_entry(self, indices: Tuple[int, ...]) -> _ExtrasPlan:
-        """Cached consistency plan: the (d x k) map from the first-k
-        received splits to the expected remaining ``d``, plus its
-        residual-ratio tables."""
+        """Cached consistency plan: the first-k inverse over the (d x k)
+        map from the first-k received splits to the expected remaining
+        ``d``, plus its residual-ratio tables."""
         key = ("extras", indices)
         entry = self.plan_cache.get(key)
         if entry is None:
-            first = list(indices[: self.k])
-            extras = list(indices[self.k :])
-            transform = gf_matmul(
-                self.generator[extras], self._decode_matrix(tuple(first))
-            )
-            entry = self.plan_cache.put(key, _ExtrasPlan(transform))
+            inverse = self.decode_matrix(indices[: self.k])
+            transform = gf_matmul(self.generator[list(indices[self.k :])], inverse)
+            entry = self.plan_cache.put(key, _ExtrasPlan(inverse, transform))
         return entry
-
-    def _decode_matrix(self, indices: Tuple[int, ...]) -> np.ndarray:
-        key = ("decode", indices)
-        matrix = self.plan_cache.get(key)
-        if matrix is None:
-            matrix = self.plan_cache.put(
-                key, gf_mat_inverse(self.generator[list(indices)])
-            )
-        return matrix
 
     def _check_splits(self, splits: np.ndarray, expected_rows: int) -> np.ndarray:
         splits = np.asarray(splits, dtype=np.uint8)
@@ -656,14 +659,3 @@ class ReedSolomonCode:
                 f"expected {expected_rows} splits, got {splits.shape[0]}"
             )
         return splits
-
-    @staticmethod
-    def _check_vector(split: np.ndarray) -> np.ndarray:
-        if type(split) is np.ndarray and split.dtype is _UINT8:
-            if split.ndim != 1:
-                raise DecodeError(f"each split must be 1-D, got shape {split.shape}")
-            return split
-        split = np.asarray(split, dtype=np.uint8)
-        if split.ndim != 1:
-            raise DecodeError(f"each split must be 1-D, got shape {split.shape}")
-        return split

@@ -34,15 +34,9 @@ __all__ = [
 def rebuild_transform(
     code: ReedSolomonCode, source_positions: Sequence[int], target_position: int
 ) -> np.ndarray:
-    """The 1 x k GF matrix mapping k source splits to the target split."""
-    positions = list(source_positions)
-    if len(positions) != code.k:
-        raise DecodeError(
-            f"need exactly k={code.k} source positions, got {len(positions)}"
-        )
-    if not 0 <= target_position < code.n:
-        raise DecodeError(f"target position {target_position} out of range")
-    return code.rebuild_row(positions, target_position)
+    """The 1 x k GF matrix mapping k source splits to the target split
+    (``code.rebuild_row``, which checks both arguments)."""
+    return code.rebuild_row(source_positions, target_position)
 
 
 def rebuild_position(

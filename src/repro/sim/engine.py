@@ -286,19 +286,31 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at its current yield."""
         if not self.is_alive:
             return
+        self._detach()
+        failer = Event(self.sim, name=f"interrupt:{self.name}")
+        failer._ok = False
+        failer._value = Interrupt(cause)
+        failer._state = _TRIGGERED
+        failer.callbacks.append(self._interrupted)
+        self.sim._schedule(failer)
+
+    def _detach(self) -> None:
+        """Stop waiting for the awaited event, if there is one."""
         if self._waiting_on is not None:
-            # Detach from whatever we were waiting for.
             try:
                 self._waiting_on.callbacks.remove(self._resume)
             except ValueError:
                 pass
             self._waiting_on = None
-        failer = Event(self.sim, name=f"interrupt:{self.name}")
-        failer._ok = False
-        failer._value = Interrupt(cause)
-        failer._state = _TRIGGERED
-        failer.callbacks.append(self._resume)
-        self.sim._schedule(failer)
+
+    def _interrupted(self, failer: Event) -> None:
+        """Deliver a scheduled interrupt. The process may have started
+        waiting since :meth:`interrupt` ran — its bootstrap record had not
+        fired yet, or an earlier interrupt of the same instant was caught
+        and it sleeps again — and that event must not resume it as well."""
+        if self.is_alive:
+            self._detach()
+            self._resume(failer)
 
     def _resume(self, trigger: Event) -> None:
         self._waiting_on = None

@@ -15,12 +15,15 @@ from repro.core import (
     HydraError,
     RemoteMemoryUnavailable,
 )
-from repro.core.resilience_manager import _SplitGather, _consistent_with_decode
+from repro.core.resilience_manager import _SplitGather
 from repro.ec import DecodeError, ReedSolomonCode
 from repro.net import NetworkConfig
 from repro.sim import RandomSource, Simulator
 
 from .conftest import drive, make_page
+
+# The background check lives in repro.ec; called unbound as (code, ...).
+_consistent_with_decode = ReedSolomonCode.consistent_with_decode
 
 
 def quiet_net():

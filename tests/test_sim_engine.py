@@ -192,6 +192,64 @@ class TestProcess:
         # Delivered at t=5; the orphaned timeout still drains at t=100.
         assert log == [(5.0, "wake up")]
 
+    def test_interrupt_before_the_first_resume_detaches_from_the_first_wait(self):
+        """An interrupt scheduled before the bootstrap record fired is
+        delivered at the first yield; the event awaited there must not
+        resume the process a second time."""
+        from repro.cluster import Cluster
+        from repro.net import BackgroundFlow
+
+        cluster = Cluster(machines=2, seed=1)
+        flow = BackgroundFlow(cluster.fabric, 1, message_bytes=1 << 20)
+        process = flow.start()
+        flow.stop()  # same instant: the flow has not run its first step yet
+        # Used to raise "<bgflow->1 processed> has already been triggered".
+        cluster.sim.run(until=1e6)
+        assert not process.is_alive and not flow.active
+        assert isinstance(process.exception, Interrupt)
+
+    def test_interrupted_sleeper_is_not_woken_by_its_stale_timeout(self, sim):
+        log = []
+
+        def victim():
+            try:
+                yield sim.timeout(10)
+            except Interrupt as interrupt:
+                log.append((sim.now, interrupt.cause))
+            yield sim.timeout(100)  # the 10 us timeout above must not cut this short
+            return sim.now
+
+        def twice():
+            try:
+                yield sim.timeout(10)
+            except Interrupt:
+                pass
+            try:
+                yield sim.timeout(20)
+            except Interrupt:
+                log.append((sim.now, "second"))
+            yield sim.timeout(100)
+            return sim.now
+
+        def done_at_once():
+            return "done"
+            yield  # pragma: no cover - makes this a generator
+
+        process = sim.process(victim())
+        process.interrupt("before the bootstrap")
+        # A process that ends in its first step has nothing left to interrupt.
+        quick = sim.process(done_at_once())
+        quick.interrupt()
+        # Two interrupts in one instant: the second is delivered at the
+        # yield the first one led to, and detaches from that one too.
+        double = sim.process(twice())
+        double.interrupt()
+        double.interrupt()
+        sim.run()
+        assert log == [(0.0, "before the bootstrap"), (0.0, "second")]
+        assert process.value == 100.0 and double.value == 100.0
+        assert quick.value == "done"
+
     def test_interrupt_dead_process_is_noop(self, sim):
         def quick():
             yield sim.timeout(1)
