@@ -404,9 +404,7 @@ class NativeGF:
             out[...] = target
         return out
 
-    def apply_rows(
-        self, coef: np.ndarray, rows, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def apply_rows(self, coef, rows, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``coef @ rows`` for ``ns`` scattered 1-D uint8 rows of one
         length: :meth:`apply` on the rows joined into one ``bytes`` page."""
         return self._staged(coef, _join(rows), rows[0].shape[0], out)
@@ -492,9 +490,7 @@ class NumpyGF:
         self._product(coef, src.swapaxes(0, -2), out.swapaxes(0, -2))
         return out
 
-    def apply_rows(
-        self, coef: np.ndarray, rows, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def apply_rows(self, coef, rows, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Same contract as :meth:`NativeGF.apply_rows`."""
         src = _join(rows)
         if len(src) != coef.shape[1] * rows[0].shape[0]:
@@ -521,11 +517,25 @@ def _probe_native() -> Optional[NativeGF]:
     return NativeGF(lib)
 
 
+def _keep_heap() -> None:
+    """Pin glibc's malloc thresholds (a no-op on any other libc): blocks
+    under numpy's 4 MiB huge-page boundary come from a heap trimmed only
+    past 256 MiB of free top. Left to adapt, they let heap layout decide
+    whether a freed slab-sized stack page-faults again on its next use
+    (~1.5 us per 4 KB page in a VM, 3x the cost of coding it): one
+    ``encode_batch`` pass took 64 to 2,490 faults from run to run."""
+    with contextlib.suppress(OSError, AttributeError):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def load_kernel():
     """The process-wide GF(2^8) kernel — the one place a backend is
     chosen: :class:`NativeGF` when it loads, :class:`NumpyGF` otherwise."""
     global _KERNEL
     if _KERNEL is None:
+        _keep_heap()
         _KERNEL = _probe_native() or NumpyGF()
     return _KERNEL
 

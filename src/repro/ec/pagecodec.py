@@ -208,9 +208,7 @@ class PageCodec:
         return self.join(data), corrupted
 
     # ------------------------------------------------------------------
-    def splits_required(
-        self, detect_errors: int = 0, correct_errors: int = 0
-    ) -> int:
+    def splits_required(self, detect_errors: int = 0, correct_errors: int = 0) -> int:
         """Minimum splits per Table 1 for the requested guarantee."""
         if correct_errors:
             return self.k + 2 * correct_errors + 1

@@ -20,12 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .galois import MUL_TABLE, gf_inv
-from .matrix import (
-    SingularMatrixError,
-    gf_mat_inverse,
-    gf_matmul,
-    systematic_generator,
-)
+from .matrix import SingularMatrixError, gf_mat_inverse, gf_matmul, systematic_generator
 from .native import _UINT8, _join, load_kernel
 from .plancache import PlanCache
 
@@ -34,11 +29,7 @@ from .plancache import PlanCache
 # across codec instances only changes who pays the compile.
 _SHARED_PLAN_CACHES: Dict[Tuple[int, int], PlanCache] = {}
 
-__all__ = [
-    "DecodeError",
-    "CorruptionDetected",
-    "ReedSolomonCode",
-]
+__all__ = ["DecodeError", "CorruptionDetected", "ReedSolomonCode"]
 
 
 class _ExtrasPlan:

@@ -6,6 +6,9 @@ staging buffer), every input form against the ``gf_matmul`` oracle, and
 the shared gather's validation. Every test runs on both backends.
 """
 
+import platform
+import resource
+
 import numpy as np
 import pytest
 
@@ -239,3 +242,23 @@ def test_malformed_inputs_keep_their_errors(ec_backend):
         kernel.apply_rows(code.generator, list(splits[:3]))
     with pytest.raises(ValueError):
         kernel.apply(code.generator.astype(np.int16), bytes(64))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_freed_slab_stacks_are_reused_without_page_faults():
+    """``load_kernel`` pins the malloc thresholds: eight 1.3 MB stacks held
+    together and released (a regeneration pass; together they are past the
+    default trim threshold) come back from the heap on the next pass, not
+    from the OS at one page fault per 4 KB. Counted, not timed."""
+    codec = PageCodec(8, 2)
+    slab = [make_page(i) for i in range(256)]
+    stack_pages = 256 * 10 * 512 // 4096
+
+    def one_pass():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        stacks = [codec.encode_batch(slab) for _ in range(8)]
+        del stacks
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    one_pass()  # first touch
+    assert max(one_pass() for _ in range(4)) < stack_pages
