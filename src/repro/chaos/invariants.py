@@ -365,10 +365,7 @@ class InvariantMonitor:
             if not machine.alive:
                 continue
             slab = machine.hosted_slabs.get(handle.slab_id)
-            if slab is None or slab.state not in (
-                SlabState.MAPPED,
-                SlabState.REGENERATING,
-            ):
+            if slab is None or slab.state is SlabState.FREE:
                 continue
             payload = slab.pages.get(offset)
             if expected is not None:

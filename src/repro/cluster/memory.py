@@ -5,7 +5,11 @@ remote Resilience Managers (§3.2): a fixed-size region that stores one
 split per page for some address range. Slabs move through a small state
 machine::
 
-    FREE -> MAPPED -> (UNAVAILABLE -> REGENERATING -> MAPPED) | FREE
+    FREE -> MAPPED -> (REGENERATING -> MAPPED) | FREE
+
+REGENERATING is a freshly mapped replacement being rebuilt. A *lost* slab
+(host crashed, evicted) has no state here: the host drops it and the
+owning Resilience Manager marks its handle (``SlabHandle.available``).
 
 Payloads come in two flavours:
 
@@ -34,7 +38,6 @@ class SlabState(Enum):
 
     FREE = "free"  # allocated, not yet mapped by any Resilience Manager
     MAPPED = "mapped"  # serving splits for a remote address range
-    UNAVAILABLE = "unavailable"  # marked failed/evicted by the RM
     REGENERATING = "regenerating"  # being rebuilt; writes disabled
 
 

@@ -61,10 +61,11 @@ class _SplitGather:
 
     A write returns at k acks of (k + r) (§4.2.1), a late-binding read at
     k valid splits of (k + Δ) (§4.2.2); verification, seal recovery and
-    takeover wait for everything they posted. The gather is the *sink* of
-    its verbs: the poster adds to ``outstanding`` and hands
-    :meth:`_arrive` and a position to ``QueuePair._post``, whose completion
-    record calls it back — no event, callback list or closure per split.
+    takeover and regeneration's source reads wait for everything they
+    posted. The gather is the *sink* of its verbs: :meth:`post` counts the
+    verb as outstanding and hands :meth:`_arrive` and a position to
+    ``QueuePair._post``, whose completion record calls it back — no event,
+    callback list or closure per split.
     A verb that succeeded is valid when ``is_valid`` accepts its value
     (every success counts when there is no predicate, as for write acks
     and metadata verbs); a failed verb finishes but is never valid. One
@@ -81,6 +82,12 @@ class _SplitGather:
         self.outstanding = 0  # posted, not yet arrived
         self._need = 0
         self._waiter: Optional[Event] = None
+
+    def post(self, qp, size: int, position, fn, args=(), span=None, kind="op") -> None:
+        """Post a one-sided verb on ``qp`` that completes into this gather
+        as ``position`` with ``fn(*args)``'s value, or its failure."""
+        self.outstanding += 1
+        qp._post(size, self._arrive, position, fn, args, True, span, kind)
 
     def _arrive(self, position, ok: bool, value) -> None:
         """The verb posted for ``position`` completed (``QueuePair._post``
@@ -273,9 +280,6 @@ class ResilienceManager:
         best-effort notifications; they must not mutate RM state.
         """
         self._observers.append(observer)
-
-    def remove_observer(self, observer: object) -> None:
-        self._observers.remove(observer)
 
     def _notify(self, method: str, *args) -> None:
         for observer in self._observers:
@@ -1356,6 +1360,8 @@ class ResilienceManager:
         endpoints = self._endpoints
         if gather is None:
             gather = _SplitGather(self.sim)
+        # `gather.post` per position, hoisted: ten splits per page
+        # operation pay one count update and one bound-method lookup.
         gather.outstanding += len(positions)
         arrive = gather._arrive
         kind = "read" if payloads is None else "write"

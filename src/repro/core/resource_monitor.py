@@ -21,15 +21,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-import numpy as np
-
 from ..cluster import Machine, PhantomSplit, Slab, SlabState
 from ..ec import ReedSolomonCode
 from ..ec.vectorized import rebuild_position
-from ..net import RDMAError, RemoteAccessError
+from ..net import RemoteAccessError
 from ..obs import MetricsRegistry, Tracer, default_obs
 from ..sim import RandomSource
 from .config import HydraConfig
+from .resilience_manager import _SplitGather
 from .rpc import RpcEndpoint, RpcError
 
 __all__ = ["ResourceMonitor"]
@@ -37,6 +36,15 @@ __all__ = ["ResourceMonitor"]
 # Decode throughput for regeneration, from §7.1.2: a 1 GB slab decodes in
 # ~50 ms => ~4.66e-5 µs per byte.
 _DECODE_US_PER_BYTE = 50_000.0 / float(1 << 30)
+
+
+def _snapshot_slab(machine: Machine, slab_id: int) -> dict:
+    """What a bulk READ of a regeneration source returns at completion
+    time: the slab's pages, if it is still there to be read."""
+    remote = machine.hosted_slabs.get(slab_id)
+    if remote is None or remote.state is SlabState.FREE:
+        raise RemoteAccessError(f"source slab {slab_id} unavailable")
+    return dict(remote.pages)
 
 
 class ResourceMonitor:
@@ -264,34 +272,27 @@ class ResourceMonitor:
             },
         )
         phases = self.tracer.phases(span)
-        reads = []
+        fabric = self.machine.fabric
+        gather = _SplitGather(self.sim)
         for source in sources:
-            machine = self.machine.fabric.machine(source["machine_id"])
-            qp = self.machine.fabric.qp(self.machine.id, source["machine_id"])
-
-            def snapshot(machine=machine, slab_id=source["slab_id"]):
-                remote = machine.hosted_slabs.get(slab_id)
-                if remote is None or remote.state not in (
-                    SlabState.MAPPED,
-                    SlabState.REGENERATING,
-                ):
-                    raise RemoteAccessError(f"source slab {slab_id} unavailable")
-                return dict(remote.pages)
-
+            machine = fabric.machine(source["machine_id"])
             remote_slab = machine.hosted_slabs.get(source["slab_id"])
             used = remote_slab.touched_pages if remote_slab else 0
-            size = max(1, used) * self.config.split_size
-            reads.append(
-                (source["position"], qp.post_read(size, fetch=snapshot, span=span))
+            gather.post(
+                fabric.qp(self.machine.id, source["machine_id"]),
+                max(1, used) * self.config.split_size,
+                source["position"],
+                _snapshot_slab,
+                (machine, source["slab_id"]),
+                span,
+                "read",
             )
-
-        snapshots: Dict[int, dict] = {}
-        for position, event in reads:
-            try:
-                snapshots[position] = yield event
-            except (RDMAError, RemoteAccessError):
-                pass
-        phases.mark("read_sources", sources=len(reads), usable=len(snapshots))
+        yield gather.wait_all()
+        # In source order, not arrival order: the rebuilt slab's page order
+        # follows the order the snapshots are merged in.
+        positions = [source["position"] for source in sources]
+        snapshots = {p: gather.arrivals[p] for p in positions if p in gather.valid}
+        phases.mark("read_sources", sources=len(sources), usable=len(snapshots))
         if len(snapshots) < k:
             self.events.incr("regen_aborted")
             if span is not None:

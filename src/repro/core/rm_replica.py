@@ -175,10 +175,7 @@ class ReplicatedMetadataStore:
         # A peer disconnect (crash or partition) invalidates its cursor:
         # its DRAM log may be gone, so the next commit resyncs from zero.
         for peer_id in sorted(self.peers):
-            qp = fabric.qp(domain, peer_id)
-            qp.on_disconnect(
-                lambda _remote, p=peer_id: self._reset_link(p)
-            )
+            fabric.qp(domain, peer_id).on_disconnect(self._reset_link)
 
     # -- log ----------------------------------------------------------------
     @property
@@ -220,60 +217,24 @@ class ReplicatedMetadataStore:
                 f"metadata domain {self.domain} is fenced: {self.fence_reason}"
             )
         target = len(self.log)
-        peer_ids = sorted(self._links)
-        if not peer_ids:
-            self.committed_lsn_advance(target)
-            self.lease_expiry = self.sim.now + self.lease_timeout_us
-            self.commits += 1
-            return
         needed = self.majority - 1  # the local copy is already durable
-        total = len(peer_ids)
         waiter = self.sim.event(name=f"meta-commit:{self.domain}")
-        state = {"acks": 0, "fails": 0, "stale": False}
-
-        def on_done(done, peer_id: int, target: int) -> None:
-            link = self._links[peer_id]
-            if done._ok:
-                if target > link["acked"]:
-                    link["acked"] = target
-                state["acks"] += 1
-            else:
-                exc = done.exception
-                if isinstance(exc, StaleTermError):
-                    state["stale"] = True
-                if isinstance(exc, ReplicaGapError):
-                    link["sent"] = link["acked"] = 0
-                else:
-                    link["sent"] = min(link["sent"], link["acked"])
-                state["fails"] += 1
-            if not waiter.triggered and (
-                state["acks"] >= needed or state["fails"] > total - needed
-            ):
-                waiter.succeed_now()
-
+        state = {"acks": 0, "fails": 0, "stale": False, "target": target, "waiter": waiter}
         committed = self.committed_lsn
-        for peer_id in peer_ids:
+        for peer_id in sorted(self._links):
             link = self._links[peer_id]
-            replica = self.peers[peer_id]
             base = min(link["sent"], target)
             records = [dict(r) for r in self.log[base:target]]
-            size = _META_BASE_BYTES + _META_RECORD_BYTES * len(records)
-            qp = self.fabric.qp(self.domain, peer_id)
-            event = qp.post_write(
-                size,
-                apply=(
-                    lambda r=replica, t=self.term, b=base, recs=records,
-                    c=committed: r.apply_append(t, b, recs, c)
-                ),
+            self.fabric.qp(self.domain, peer_id)._post(
+                _META_BASE_BYTES + _META_RECORD_BYTES * len(records),
+                self._on_append,
+                (state, peer_id),
+                self.peers[peer_id].apply_append,
+                (self.term, base, records, committed),
             )
             link["sent"] = max(link["sent"], target)
-            if event.processed:
-                on_done(event, peer_id, target)
-            else:
-                event.callbacks.append(
-                    lambda done, p=peer_id, t=target: on_done(done, p, t)
-                )
-        yield waiter
+        if self._links:
+            yield waiter
         if state["stale"]:
             self.commit_failures += 1
             self.fence("superseded by a higher term")
@@ -290,6 +251,31 @@ class ReplicatedMetadataStore:
         self.commits += 1
         self.committed_lsn_advance(target)
         self.lease_expiry = self.sim.now + self.lease_timeout_us
+
+    def _on_append(self, token, ok: bool, value) -> None:
+        """Sink of :meth:`commit`'s appends: move the peer's cursor, count
+        its vote, wake the commit once a majority has acked or cannot. Not
+        a ``_SplitGather``: only a commit needs the failure's type and an
+        exit when its quorum is out of reach."""
+        state, peer_id = token
+        link = self._links[peer_id]
+        if ok:
+            link["acked"] = max(link["acked"], state["target"])
+            state["acks"] += 1
+        else:
+            if isinstance(value, StaleTermError):
+                state["stale"] = True
+            if isinstance(value, ReplicaGapError):
+                link["sent"] = link["acked"] = 0
+            else:
+                link["sent"] = min(link["sent"], link["acked"])
+            state["fails"] += 1
+        needed = self.majority - 1
+        waiter = state["waiter"]
+        if not waiter.triggered and (
+            state["acks"] >= needed or state["fails"] > len(self._links) - needed
+        ):
+            waiter.succeed_now()
 
     @property
     def committed_lsn(self) -> int:
@@ -316,11 +302,9 @@ class ReplicatedMetadataStore:
         self._async_running = True
 
         def runner():
-            try:
+            try:  # a failed commit fences the store, which ends the loop
                 while not self.fenced and self.committed_lsn < len(self.log):
-                    yield from self.commit()
-            except MetadataQuorumError:
-                pass
+                    yield from self.commit_ok()
             finally:
                 self._async_running = False
 
@@ -336,11 +320,7 @@ class ReplicatedMetadataStore:
     def _heartbeat(self):
         while not self.fenced:
             yield self.sim.timeout(self.heartbeat_period_us)
-            if self.fenced:
-                return
-            try:
-                yield from self.commit()
-            except MetadataQuorumError:
+            if self.fenced or not (yield from self.commit_ok()):
                 return
 
     # -- fencing ------------------------------------------------------------
@@ -524,10 +504,7 @@ def _recover_page(rm, page_id: int, versions: Tuple[int, ...]):
         if handle.machine_id != rm.machine_id or position in available:
             continue
         slab = local_machine.hosted_slabs.get(handle.slab_id)
-        if slab is not None and slab.state in (
-            SlabState.MAPPED,
-            SlabState.REGENERATING,
-        ):
+        if slab is not None and slab.state is not SlabState.FREE:
             payload = slab.pages.get(offset)
             if payload is not None:
                 local[position] = payload
@@ -791,25 +768,22 @@ class ControlPlane:
         ]
         total = len(self.peers_of_domain[domain]) + 1
         majority = total // 2 + 1
-        acked = 1  # the successor's own replica
         logs: Dict[int, List[dict]] = {successor: list(my_replica.log)}
         size = _META_BASE_BYTES + _META_RECORD_BYTES * len(my_replica.log)
         # Per host: bump the term word (the fence), then read its log back.
         gather = _SplitGather(sim)
-        gather.outstanding = 2 * len(hosts)
         for host in hosts:
             replica = self.replica_hosts[host][domain]
             qp = self.fabric.qp(successor, host)
-            qp._post(
-                _META_BASE_BYTES, gather._arrive, ("fence", host),
-                replica.apply_term, (new_term,),
+            gather.post(
+                qp, _META_BASE_BYTES, ("fence", host), replica.apply_term, (new_term,)
             )
-            qp._post(size, gather._arrive, ("log", host), list, (replica.log,))
+            gather.post(qp, size, ("log", host), list, (replica.log,))
         yield gather.wait_all()
         for host in hosts:
             if ("fence", host) in gather.valid and ("log", host) in gather.valid:
-                acked += 1
                 logs[host] = gather.arrivals[("log", host)]
+        acked = len(logs)  # fenced-and-read hosts plus the successor's own replica
         if acked < majority:
             if self.flight is not None:
                 self.flight.note(

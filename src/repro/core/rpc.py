@@ -15,9 +15,9 @@ reply immediately with an acknowledgement.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
-from ..net import RdmaFabric, RemoteAccessError
+from ..net import RdmaFabric
 from ..sim import Event
 
 __all__ = ["RpcError", "RpcEndpoint"]
@@ -27,6 +27,10 @@ _MESSAGE_BYTES = 256  # control messages are small; one MTU
 
 class RpcError(Exception):
     """The remote handler raised, or the target is unreachable."""
+
+
+def _request(message_type: str, request_id: int, body: Optional[dict]) -> dict:
+    return {"kind": "request", "type": message_type, "id": request_id, "body": body or {}}
 
 
 class RpcEndpoint:
@@ -47,7 +51,11 @@ class RpcEndpoint:
         self.sim = fabric.sim
         self.machine_id = machine_id
         self._handlers: Dict[str, Callable[[int, dict], Any]] = {}
-        self._pending: Dict[int, Event] = {}
+        # Calls awaiting a reply: request id -> (target, event). An entry
+        # leaves on the reply, a failed SEND or the loss of the connection
+        # to its target — whichever comes first completes the event.
+        self._pending: Dict[int, Tuple[int, Event]] = {}
+        self._watched: Set[int] = set()  # targets with a disconnect listener
         fabric.machine(machine_id).add_message_handler(self._on_message)
 
     def register(self, message_type: str, handler: Callable[[int, dict], Any]) -> None:
@@ -59,43 +67,52 @@ class RpcEndpoint:
     def call(self, target_id: int, message_type: str, body: Optional[dict] = None) -> Event:
         """Issue a request; the returned event yields the reply body.
 
-        Fails with :class:`RpcError` when the target is unreachable or its
-        handler raises.
+        Fails with :class:`RpcError` when the target is unreachable, its
+        handler raises, or the connection to it drops before the reply
+        arrives (a target that served the request and then died would
+        otherwise leave the caller waiting forever).
         """
         request_id = next(self._ids)
         event = self.sim.event(name=f"rpc:{message_type}->{target_id}")
-        self._pending[request_id] = event
-        message = {
-            "kind": "request",
-            "type": message_type,
-            "id": request_id,
-            "body": body or {},
-        }
-        qp = self.fabric.qp(self.machine_id, target_id)
-        send = qp.post_send(message, size_bytes=_MESSAGE_BYTES)
-
-        def on_send(send_event: Event) -> None:
-            if not send_event.ok and not event.triggered:
-                self._pending.pop(request_id, None)
-                event.fail(RpcError(f"rpc {message_type} to {target_id} failed: "
-                                    f"{send_event.exception}"))
-
-        send.callbacks.append(on_send)
+        self._pending[request_id] = (target_id, event)
+        if target_id not in self._watched:
+            self._watched.add(target_id)
+            self.fabric.qp(self.machine_id, target_id).on_disconnect(self._on_lost)
+        self._send(target_id, _request(message_type, request_id, body), request_id)
         return event
 
-    def notify(self, target_id: int, message_type: str, body: Optional[dict] = None) -> Event:
-        """One-way, best-effort message: the handler runs on delivery but
-        no reply is routed back. The returned event is the SEND completion
-        — callers may ignore it (fire-and-forget to a possibly-dead peer)."""
-        message = {
-            "kind": "request",
-            "type": message_type,
-            "id": next(self._ids),
-            "body": body or {},
-            "oneway": True,
-        }
-        qp = self.fabric.qp(self.machine_id, target_id)
-        return qp.post_send(message, size_bytes=_MESSAGE_BYTES)
+    def notify(self, target_id: int, message_type: str, body: Optional[dict] = None) -> None:
+        """One-way, best-effort message: the handler runs on delivery, no
+        reply is routed back and a SEND to a dead peer is dropped."""
+        message = _request(message_type, next(self._ids), body)
+        self._send(target_id, dict(message, oneway=True))
+
+    def _send(self, target_id: int, message: dict, request_id: Optional[int] = None) -> None:
+        """The one SEND of the RPC layer. Its completion reports to
+        :meth:`_sent` with ``request_id`` as the token: the id of the call
+        a failed SEND fails, or None for replies and notifications."""
+        self.fabric.qp(self.machine_id, target_id)._post(
+            _MESSAGE_BYTES,
+            self._sent,
+            request_id,
+            self.fabric.deliver_message,
+            (target_id, self.machine_id, message),
+            one_sided=False,
+        )
+
+    def _sent(self, request_id: Optional[int], ok: bool, value: Any) -> None:
+        if not ok and request_id in self._pending:
+            self._fail(request_id, value)
+
+    def _on_lost(self, target_id: int) -> None:
+        """The connection to ``target_id`` broke: no reply can arrive for
+        the calls awaiting one. Schedules nothing when none is pending."""
+        for request_id in [i for i, (t, _e) in self._pending.items() if t == target_id]:
+            self._fail(request_id, "connection lost")
+
+    def _fail(self, request_id: int, why: Any) -> None:
+        _target_id, event = self._pending.pop(request_id)
+        event.fail(RpcError(f"{event.name} failed: {why}"))
 
     # -- delivery ------------------------------------------------------------
     def _on_message(self, src_id: int, message: Any) -> None:
@@ -116,19 +133,13 @@ class RpcEndpoint:
                 reply["body"] = handler(src_id, message["body"])
             except Exception as exc:  # noqa: BLE001 - errors cross the wire
                 reply["error"] = f"{type(exc).__name__}: {exc}"
-        if message.get("oneway"):
-            return  # notify(): nobody is waiting for the reply
-        try:
-            self.fabric.qp(self.machine_id, src_id).post_send(
-                reply, size_bytes=_MESSAGE_BYTES
-            )
-        except RemoteAccessError:
-            pass  # requester died; nothing to do
+        if not message.get("oneway"):  # notify(): nobody is waiting for a reply
+            self._send(src_id, reply)
 
     def _complete(self, message: dict) -> None:
-        event = self._pending.pop(message["id"], None)
-        if event is None or event.triggered:
-            return
+        _target_id, event = self._pending.pop(message["id"], (None, None))
+        if event is None:
+            return  # the call already failed (connection lost); reply is late
         if "error" in message:
             event.fail(RpcError(message["error"]))
         else:

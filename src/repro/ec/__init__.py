@@ -21,7 +21,6 @@ from .vectorized import (
     decode_pages,
     encode_pages,
     rebuild_position,
-    rebuild_transform,
     reencode_split_pages,
 )
 
@@ -48,5 +47,4 @@ __all__ = [
     "correct_pages",
     "reencode_split_pages",
     "rebuild_position",
-    "rebuild_transform",
 ]

@@ -22,21 +22,12 @@ from .galois import MUL_TABLE
 from .rs import DecodeError, ReedSolomonCode
 
 __all__ = [
-    "rebuild_transform",
     "rebuild_position",
     "encode_pages",
     "decode_pages",
     "correct_pages",
     "reencode_split_pages",
 ]
-
-
-def rebuild_transform(
-    code: ReedSolomonCode, source_positions: Sequence[int], target_position: int
-) -> np.ndarray:
-    """The 1 x k GF matrix mapping k source splits to the target split
-    (``code.rebuild_row``, which checks both arguments)."""
-    return code.rebuild_row(source_positions, target_position)
 
 
 def rebuild_position(
@@ -83,7 +74,7 @@ def rebuild_position(
         stack = np.empty((k, len(pages) * split_size), dtype=np.uint8)
         for row, position in zip(stack, positions):
             np.concatenate([*map(sources[position].__getitem__, pages)], out=row)
-        rebuild_row = rebuild_transform(code, positions, target_position)
+        rebuild_row = code.rebuild_row(positions, target_position)
         product = code.kernel.apply(rebuild_row, stack)
         rebuilt.update(zip(pages, product.reshape(len(pages), split_size)))
     return rebuilt

@@ -68,8 +68,9 @@ class Nic:
     291 Mbps vs replication's >1 Gbps per machine in the paper). They
     live in the cluster's :class:`~repro.obs.MetricsRegistry` under
     ``nic.<machine>.{bytes_tx,bytes_rx,ops_tx}`` so harness reports read
-    them by name; the legacy ``bytes_sent``/``bytes_received``/
-    ``ops_sent`` attributes remain as read-only views.
+    them by name; ``bytes_sent``/``bytes_received``/``ops_sent`` are
+    read-only views of them. The counters have one writer,
+    ``QueuePair._post``, which bumps the raw counter objects inline.
     """
 
     def __init__(self, config: NetworkConfig, machine_id=None, metrics=None):
@@ -84,13 +85,6 @@ class Nic:
         self._bytes_tx = metrics.counter(f"{label}.bytes_tx")
         self._bytes_rx = metrics.counter(f"{label}.bytes_rx")
         self._ops_tx = metrics.counter(f"{label}.ops_tx")
-
-    def count_tx(self, nbytes: int) -> None:
-        self._bytes_tx.value += nbytes
-        self._ops_tx.value += 1
-
-    def count_rx(self, nbytes: int) -> None:
-        self._bytes_rx.value += nbytes
 
     def inflation(self) -> float:
         """Latency multiplier from active background flows on this NIC."""
@@ -151,7 +145,6 @@ class QueuePair:
         "config",
         "local_id",
         "remote_id",
-        "rng",
         "connected",
         "_last_completion",
         "_pending",
@@ -164,15 +157,12 @@ class QueuePair:
         "_tx_bytes",
         "_tx_ops",
         "_rx_bytes",
-        "_draw_normal",
         "_draw_uniform",
         "_draw_pareto",
         "_bytes_per_us",
         "_base_latency_us",
         "_send_recv_overhead_us",
         "_jitter_sigma",
-        "_det_latency",
-        "_det_hot",
     )
 
     def __init__(
@@ -187,19 +177,21 @@ class QueuePair:
         self.config = fabric.config
         self.local_id = local_id
         self.remote_id = remote_id
-        self.rng = rng
         self.connected = True
         self._last_completion = 0.0
         self._pending: List[Tuple[Callable, Any]] = []  # (sink, token) in post order
         self._disconnect_listeners: List[Callable[[int], None]] = []
-        # Hot-path caches: the event name is constant per QP, and the
-        # endpoint NICs are stable once machines are registered (filled
-        # lazily on the first post). The latency draws bind the underlying
-        # stream's methods directly — same draws, two fewer wrapper frames
-        # per verb.
+        # Hot-path caches: the event name is constant per QP, and both
+        # endpoints are registered before a QP between them is made, so
+        # their NICs and raw traffic counters are bound here. The latency
+        # draws bind the underlying stream's methods directly — same draws,
+        # no wrapper frame per verb.
         self._event_name = f"rdma:{local_id}->{remote_id}"
-        self._local_nic: Optional[Nic] = None
-        self._remote_nic: Optional[Nic] = None
+        self._local_nic = local_nic = fabric.nic(local_id)
+        self._remote_nic = remote_nic = fabric.nic(remote_id)
+        self._tx_bytes = local_nic._bytes_tx
+        self._tx_ops = local_nic._ops_tx
+        self._rx_bytes = remote_nic._bytes_rx
         # Reachability cache, invalidated by the fabric's topology epoch:
         # every alive flip routes through on_machine_failed/_recovered and
         # every partition change through partition()/heal(), all of which
@@ -208,13 +200,6 @@ class QueuePair:
         # lookups and alive checks per verb.
         self._reach_epoch = -1
         self._reach_ok = False
-        # Raw counter objects for inline traffic accounting (bound on the
-        # first post, together with the NICs).
-        self._tx_bytes = self._tx_ops = self._rx_bytes = None
-        # lognormvariate(mu, sigma) is exactly exp(normalvariate(mu, sigma))
-        # in CPython; binding the inner draw saves a frame per posted verb
-        # while consuming the identical RNG stream.
-        self._draw_normal = rng._rng.normalvariate
         self._draw_uniform = rng._rng.random
         self._draw_pareto = rng._rng.paretovariate
         # Wire constants, hoisted off the per-verb path. These fields are
@@ -225,15 +210,6 @@ class QueuePair:
         self._base_latency_us = self.config.base_latency_us
         self._send_recv_overhead_us = self.config.send_recv_overhead_us
         self._jitter_sigma = self.config.jitter_sigma
-        # Deterministic latency cache: the pre-jitter, pre-congestion
-        # component depends only on (size, sidedness) and the hoisted wire
-        # constants, so each distinct verb size computes it exactly once.
-        # Values are (latency, transfer) — transfer feeds the congestion
-        # term, which stays live because background flows change mid-run.
-        self._det_latency: Dict[Tuple[int, bool], Tuple[float, float]] = {}
-        # One-slot cache in front of `_det_latency`: split-sized one-sided
-        # verbs dominate, so the common post skips the tuple-key dict probe.
-        self._det_hot: Optional[Tuple[int, bool, float, float]] = None
 
     # -- public verbs ------------------------------------------------------
     def post_read(
@@ -325,8 +301,10 @@ class QueuePair:
         span: Optional[Span] = None,
         kind: str = "op",
     ) -> None:
-        """The one verb implementation: draw the latency, schedule the one
-        completion record, report the outcome to ``sink``.
+        """The verb, stated once: compute the latency (wire, congestion,
+        jitter, straggler, per-QP queueing — tagged on ``span``'s child when
+        there is one), schedule the one completion record, report the
+        outcome to ``sink``.
 
         At completion time the record pops the verb off the QP's pending
         list, runs ``fn(*args)`` against the remote machine and calls
@@ -335,9 +313,9 @@ class QueuePair:
         connection torn down while pending) reports
         ``sink(token, False, exception)`` through :meth:`_fail`. ``sink``
         is called exactly once per post, always from the dispatch loop.
-        The public verbs pass an :class:`Event` as the token; the
-        Resilience Manager's fan-out passes its gather and a split
-        position, so a split costs no event of its own.
+        Everything ``repro.core`` posts comes here with a sink of its own
+        (a gather and a position, a commit's tally, an RPC's request id);
+        the public verbs pass :func:`_deliver` and an :class:`Event`.
         """
         if span is not None:
             verb_span = span.child(
@@ -347,103 +325,81 @@ class QueuePair:
                 tags={"target": self.remote_id, "bytes": size_bytes},
             )
             sink = _finishing(verb_span, sink)
-        if self.connected:
-            fabric = self.fabric
-            epoch = fabric._topology_epoch
-            if self._reach_epoch != epoch:
-                self._reach_ok = fabric.reachable(self.local_id, self.remote_id)
-                self._reach_epoch = epoch
-            reachable = self._reach_ok
-        else:
-            reachable = False
-        if not reachable:
+        fabric = self.fabric
+        if self._reach_epoch != fabric._topology_epoch:
+            self._reach_ok = fabric.reachable(self.local_id, self.remote_id)
+            self._reach_epoch = fabric._topology_epoch
+        if not (self.connected and self._reach_ok):
             # Immediately broken: fail after the RC retry timeout.
+            exc = RDMADisconnect(
+                f"machine {self.remote_id} unreachable", machine_id=self.remote_id
+            )
             self.sim.call_later(
-                self.config.failure_detect_us,
-                lambda: self._fail(
-                    sink,
-                    token,
-                    RDMADisconnect(
-                        f"machine {self.remote_id} unreachable",
-                        machine_id=self.remote_id,
-                    ),
-                ),
+                self.config.failure_detect_us, lambda: self._fail(sink, token, exc)
             )
             return
 
-        # Traffic accounting (a verb moves size_bytes across both NICs),
-        # bumping the raw counters inline — same totals as
-        # ``count_tx``/``count_rx`` without two method calls per verb.
-        tx_bytes = self._tx_bytes
-        if tx_bytes is None:
-            local_nic = self._local_nic = self.fabric.nic(self.local_id)
-            remote_nic = self._remote_nic = self.fabric.nic(self.remote_id)
-            tx_bytes = self._tx_bytes = local_nic._bytes_tx
-            self._tx_ops = local_nic._ops_tx
-            self._rx_bytes = remote_nic._bytes_rx
-        tx_bytes.value += size_bytes
+        # Traffic accounting: a verb moves size_bytes across both NICs. This
+        # is the counters' only writer, so it bumps the raw objects.
+        self._tx_bytes.value += size_bytes
         self._tx_ops.value += 1
         self._rx_bytes.value += size_bytes
 
-        if span is None:
-            # The latency model, inline: the float-op sequence and RNG draw
-            # order of :meth:`_op_latency_parts` without its decomposition.
-            hot = self._det_hot
-            if hot is not None and hot[0] == size_bytes and hot[1] == one_sided:
-                latency = hot[2]
-                transfer = hot[3]
-            else:
-                cached = self._det_latency.get((size_bytes, one_sided))
-                if cached is None:
-                    transfer = size_bytes / self._bytes_per_us
-                    latency = self._base_latency_us + transfer
-                    if not one_sided:
-                        latency += self._send_recv_overhead_us
-                    self._det_latency[(size_bytes, one_sided)] = (latency, transfer)
-                else:
-                    latency, transfer = cached
-                self._det_hot = (size_bytes, one_sided, latency, transfer)
-            # Congestion from background flows on either endpoint NIC.
-            # Queuing delay grows with the *bytes* this op must push
-            # through the busy link (plus a small fixed queue-entry cost) —
-            # small split-sized messages interleave past bulk flows far
-            # better than whole pages, which is part of why Hydra divides
-            # pages (§4.1).
-            local_nic = self._local_nic
-            remote_nic = self._remote_nic
-            if local_nic.background_flows or remote_nic.background_flows:
-                inflation = max(local_nic.inflation(), remote_nic.inflation())
-                if inflation > 1.0:
-                    latency += (inflation - 1.0) * (
-                        transfer + 0.2 * self._base_latency_us
-                    )
-            # Ordinary fabric jitter: a Kinderman–Monahan normal draw,
-            # inlined from random.normalvariate — same generator, same draw
-            # order, same float ops, so the jitter sequence is bit-identical.
-            draw = self._draw_uniform
-            while True:
-                u1 = draw()
-                u2 = 1.0 - draw()
-                z = NV_MAGICCONST * (u1 - 0.5) / u2
-                if z * z / 4.0 <= -log(u2):
-                    break
-            latency *= exp(0.0 + z * self._jitter_sigma)
-            # Rare straggler events with a heavy tail.
-            cfg = self.config
-            if cfg.straggler_prob > 0 and draw() < cfg.straggler_prob:
-                latency += cfg.straggler_scale_us * self._draw_pareto(
-                    cfg.straggler_shape
+        # The latency model, stated here and nowhere else: wire, then
+        # congestion, jitter, a straggler, per-QP queueing. A traced verb
+        # tags the same intermediate floats the completion time is built
+        # from, so its five tags tile post -> completion by construction.
+        transfer = size_bytes / self._bytes_per_us
+        wire = self._base_latency_us + transfer
+        if not one_sided:
+            wire += self._send_recv_overhead_us
+        # Congestion from background flows on either endpoint NIC (read
+        # live: flows start and stop mid-run). Queuing delay grows with the
+        # *bytes* this op must push through the busy link (plus a small
+        # fixed queue-entry cost) — small split-sized messages interleave
+        # past bulk flows far better than whole pages, which is part of why
+        # Hydra divides pages (§4.1).
+        congested = wire
+        congestion = straggler = 0.0
+        local_nic = self._local_nic
+        remote_nic = self._remote_nic
+        if local_nic.background_flows or remote_nic.background_flows:
+            inflation = max(local_nic.inflation(), remote_nic.inflation())
+            if inflation > 1.0:
+                congestion = (inflation - 1.0) * (
+                    transfer + 0.2 * self._base_latency_us
                 )
-            now = self.sim.now
-            completion = max(now + latency, self._last_completion)
-        else:
-            latency, parts = self._op_latency_parts(size_bytes, one_sided)
-            now = self.sim.now
-            completion = max(now + latency, self._last_completion)
-            # Queueing = delay imposed by per-QP completion ordering.
-            parts["queue"] = completion - (now + latency)
-            for part, value in parts.items():
-                verb_span.set_tag(f"{part}_us", round(value, 4))
+                congested += congestion
+        # Ordinary fabric jitter, lognormal(0, sigma): a Kinderman–Monahan
+        # normal draw inlined from random.normalvariate — same generator,
+        # same draw order, same float ops as `exp(normalvariate(0, sigma))`,
+        # so the seeded jitter sequence is bit-identical to the library's.
+        draw = self._draw_uniform
+        while True:
+            u1 = draw()
+            u2 = 1.0 - draw()
+            z = NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                break
+        latency = jittered = congested * exp(z * self._jitter_sigma)
+        # Rare straggler events with a heavy tail.
+        cfg = self.config
+        if cfg.straggler_prob > 0 and draw() < cfg.straggler_prob:
+            straggler = cfg.straggler_scale_us * self._draw_pareto(cfg.straggler_shape)
+            latency += straggler
+        # Per-QP ordering: a verb completes no earlier than the one posted
+        # ahead of it, and the wait that imposes is its queueing delay.
+        now = self.sim.now
+        completion = max(now + latency, self._last_completion)
+        if span is not None:
+            for tag, value in (
+                ("wire_us", wire),
+                ("congestion_us", congestion),
+                ("jitter_us", jittered - congested),
+                ("straggler_us", straggler),
+                ("queue_us", completion - (now + latency)),
+            ):
+                verb_span.set_tag(tag, round(value, 4))
         self._last_completion = completion
         entry = (sink, token)
         self._pending.append(entry)
@@ -489,40 +445,6 @@ class QueuePair:
         already queued for this instant, and the seeded histories (queue
         entry counts, same-time ordering) depend on that."""
         self.sim.call_later(0.0, lambda: sink(token, False, exc))
-
-    def _op_latency_parts(self, size_bytes: int, one_sided: bool):
-        """Latency of one verb plus the additive wire/congestion/jitter/
-        straggler decomposition — only computed for traced verbs."""
-        cfg = self.config
-        transfer = size_bytes / self._bytes_per_us
-        wire = self._base_latency_us + transfer
-        if not one_sided:
-            wire += self._send_recv_overhead_us
-        latency = wire
-        local_nic = self._local_nic
-        if local_nic is None:
-            local_nic = self._local_nic = self.fabric.nic(self.local_id)
-            self._remote_nic = self.fabric.nic(self.remote_id)
-        remote_nic = self._remote_nic
-        congestion = 0.0
-        if local_nic.background_flows or remote_nic.background_flows:
-            inflation = max(local_nic.inflation(), remote_nic.inflation())
-            if inflation > 1.0:
-                congestion = (inflation - 1.0) * (transfer + 0.2 * self._base_latency_us)
-                latency += congestion
-        jittered = latency * exp(self._draw_normal(0.0, self._jitter_sigma))
-        jitter = jittered - latency
-        latency = jittered
-        straggler = 0.0
-        if cfg.straggler_prob > 0 and self._draw_uniform() < cfg.straggler_prob:
-            straggler = cfg.straggler_scale_us * self._draw_pareto(cfg.straggler_shape)
-            latency += straggler
-        return latency, {
-            "wire": wire,
-            "congestion": congestion,
-            "jitter": jitter,
-            "straggler": straggler,
-        }
 
 
 class RdmaFabric:

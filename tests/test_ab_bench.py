@@ -86,3 +86,34 @@ def test_workloads_are_reported_separately_and_single_runs_have_no_spread():
     assert rows[("a", "ops_per_s")]["parent_iqr_pct"] == 0.0
     table = ab_bench.format_table(list(rows.values()))
     assert len(table.splitlines()) == 2 + 4
+
+
+def test_interval_p_value_and_verdict_are_computed_from_the_pairs():
+    """Ten fixed pairs: the seeded bootstrap interval of the median pair
+    ratio and the permutation p-value are pinned, and the verdict follows
+    the documented order (bound, spread, claim rule, resolved, same)."""
+    parent = [100.0, 103.0, 98.0, 101.0, 99.0, 102.0, 97.0, 100.5, 101.5, 98.5]
+    shift = [1.06, 1.05, 1.07, 1.04, 1.06, 1.05, 1.08, 1.05, 1.06, 1.07]
+    noise = [1.02, 0.97, 1.01, 0.99, 1.03, 0.98, 1.00, 1.01, 0.96, 1.02]
+    runs = []
+    for pair, ops in enumerate(parent):
+        # ops_per_s: +4..8 % on every pair; setup_s: the same noise on both sides.
+        runs.append(_run("parent", pair, ops, 0.50 * noise[(pair + 3) % 10]))
+        runs.append(_run("change", pair, ops * shift[pair], 0.50 * noise[pair]))
+        # A second workload that lost 30 % and one too noisy to call.
+        runs.append(_run("parent", pair, ops, 0.50, workload="slow"))
+        runs.append(_run("change", pair, ops * 0.7, 0.50, workload="slow"))
+        runs.append(_run("parent", pair, ops * (1 + pair % 2), 0.50, workload="wide"))
+        runs.append(_run("change", pair, ops * (2 - pair % 2), 0.50, workload="wide"))
+    rows = _rows(runs)
+    ops, setup = rows[("w", "ops_per_s")], rows[("w", "setup_s")]
+    assert ops["ratio_ci_pct"] == pytest.approx((5.0, 7.0))
+    assert ops["p_value"] == pytest.approx(1 / 1001)
+    assert (ops["won"], ops["verdict"]) == (10, "gain")
+    assert setup["ratio_ci_pct"] == pytest.approx((-1.0419193451, 2.0938812631))
+    assert setup["p_value"] == 1.0  # the same ten values, dealt to other pairs
+    assert setup["verdict"] == "same"
+    assert rows[("slow", "ops_per_s")]["verdict"] == "regressed"
+    assert rows[("wide", "ops_per_s")]["verdict"] == "unresolved"
+    line = ab_bench.format_table([ops]).splitlines()[-1]
+    assert "+5.00..+7.00" in line and "0.001" in line and line.endswith("gain")

@@ -183,3 +183,65 @@ class TestRegenerationHandoff:
             return "ok"
 
         assert drive(sim, proc()) == "ok"
+
+    @pytest.mark.parametrize("vanishing, outcome", [(1, "rebuilt"), (2, "aborted")])
+    def test_source_slab_vanishing_mid_read(self, vanishing, outcome):
+        """Source slabs released while the bulk reads are in flight fail
+        those reads only: with >= k snapshots left the position is rebuilt
+        byte-exactly, below k the hand-off aborts and drops its slab."""
+        cluster = Cluster(
+            machines=10,
+            memory_per_machine=1 << 26,
+            network=NetworkConfig(jitter_sigma=0.0, straggler_prob=0.0),
+            seed=3,
+        )
+        config = HydraConfig(
+            k=4, r=2, delta=1, slab_size_bytes=1 << 20,
+            payload_mode="real", control_period_us=10_000,
+        )
+        deployment = HydraDeployment(cluster, config, seed=7)
+        rm = deployment.manager(0)
+        sim = cluster.sim
+
+        def proc():
+            for pid in range(10):
+                yield rm.write(pid, make_page(pid))
+            yield sim.timeout(10_000)  # parity settles
+
+        drive(sim, proc())
+        address_range = rm.space.get(0)
+        lost = 3
+        sources = [p for p in range(config.n) if p != lost]  # k + 1 of them
+        hosts = {address_range.handle(p).machine_id for p in range(config.n)}
+        target = next(m.id for m in cluster.machines if m.id not in hosts | {0})
+        monitor = deployment.monitor(target)
+        original = cluster.machine(address_range.handle(lost).machine_id)
+        expected = original.hosted_slabs[address_range.handle(lost).slab_id].pages
+        reply = monitor._on_regenerate_slab(0, {
+            "range_id": 0, "position": lost, "owner": 0, "k": config.k,
+            "r": config.r, "page_size": config.page_size, "payload_mode": "real",
+            "sources": [
+                {
+                    "machine_id": address_range.handle(p).machine_id,
+                    "slab_id": address_range.handle(p).slab_id,
+                    "position": p,
+                }
+                for p in sources
+            ],
+        })
+        sim.run(until=sim.now + 1.0)  # reads posted, none complete yet
+        for p in sources[:vanishing]:
+            handle = address_range.handle(p)
+            cluster.machine(handle.machine_id).release_slab(handle.slab_id)
+        sim.run(until=sim.now + 1_000_000)
+        rebuilt = cluster.machine(target).hosted_slabs.get(reply["slab_id"])
+        if outcome == "rebuilt":
+            assert monitor.events["slabs_regenerated"] == 1
+            assert rebuilt.state == SlabState.MAPPED
+            assert set(rebuilt.pages) == set(expected)
+            for pid, split in expected.items():
+                assert bytes(rebuilt.pages[pid]) == bytes(split)
+        else:
+            assert monitor.events["regen_aborted"] == 1
+            assert monitor.events["slabs_regenerated"] == 0
+            assert rebuilt is None or rebuilt.state == SlabState.FREE

@@ -81,6 +81,60 @@ class TestRpc:
 
         assert drive(cluster.sim, proc()) == "ok"
 
+    def test_target_dying_after_serving_fails_the_call(self, cluster):
+        """The handler ran, then its machine died before the reply was
+        delivered: the caller gets RpcError when the connection drops
+        instead of waiting forever, and nothing stays in ``_pending``."""
+        a, b = endpoints(cluster, 2)
+        sim = cluster.sim
+        served = []
+
+        def ping(src, body):
+            served.append(sim.now)
+            sim.call_later(0.5, cluster.machine(1).fail)  # reply in flight
+            return "pong"
+
+        b.register("ping", ping)
+
+        def proc():
+            with pytest.raises(RpcError, match="connection lost"):
+                yield a.call(1, "ping")
+            return sim.now
+
+        failed_at = drive(sim, proc(), until=10_000_000.0)
+        detect = cluster.fabric.config.failure_detect_us
+        assert failed_at == pytest.approx(served[0] + 0.5 + detect)
+        assert a._pending == {}
+
+    def test_reply_after_loss_is_ignored(self, cluster):
+        a, b = endpoints(cluster, 2)
+        sim = cluster.sim
+        b.register("ping", lambda src, body: "pong")
+        call = a.call(1, "ping")
+        (request_id,) = a._pending
+        cluster.fabric.partition(0, 1)  # the request is dropped in flight
+        sim.run()
+        assert not call.ok and isinstance(call.exception, RpcError)
+        assert a._pending == {}
+        # A straggling reply for the failed call changes nothing.
+        a._on_message(1, {"kind": "reply", "id": request_id, "body": "pong"})
+        sim.run()
+        assert not call.ok and a._pending == {}
+        # The link heals: the next call works, and an idle disconnect
+        # later (no call pending) schedules nothing.
+        cluster.fabric.heal(0, 1)
+
+        def proc():
+            return (yield a.call(1, "ping"))
+
+        assert drive(sim, proc()) == "pong"
+        assert a._pending == {}
+        cluster.fabric.partition(0, 1)
+        sim.run()
+        queued = len(sim._queue)
+        a._on_lost(1)
+        assert len(sim._queue) == queued
+
     def test_duplicate_handler_rejected(self, cluster):
         a = RpcEndpoint(cluster.fabric, 0)
         a.register("x", lambda s, b: None)

@@ -10,7 +10,6 @@ from repro.ec import (
     ReedSolomonCode,
     encode_pages,
     rebuild_position,
-    rebuild_transform,
 )
 
 
@@ -47,7 +46,7 @@ class TestEncodePages:
 class TestRebuildTransform:
     def test_systematic_rows_give_selector(self):
         code = ReedSolomonCode(4, 2)
-        transform = rebuild_transform(code, [0, 1, 2, 3], 2)
+        transform = code.rebuild_row([0, 1, 2, 3], 2)
         expected = np.zeros((1, 4), dtype=np.uint8)
         expected[0, 2] = 1
         assert np.array_equal(transform, expected)
@@ -55,12 +54,12 @@ class TestRebuildTransform:
     def test_wrong_source_count_rejected(self):
         code = ReedSolomonCode(4, 2)
         with pytest.raises(DecodeError):
-            rebuild_transform(code, [0, 1, 2], 5)
+            code.rebuild_row([0, 1, 2], 5)
 
     def test_target_out_of_range(self):
         code = ReedSolomonCode(4, 2)
         with pytest.raises(DecodeError):
-            rebuild_transform(code, [0, 1, 2, 3], 6)
+            code.rebuild_row([0, 1, 2, 3], 6)
 
 
 class TestRebuildPosition:

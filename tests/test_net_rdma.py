@@ -357,20 +357,22 @@ class TestSinkVerbs:
 
 
 def test_traced_and_untraced_verbs_complete_at_identical_times():
-    """The untraced inline latency model and the traced
-    ``_op_latency_parts`` consume the same RNG stream with the same float
-    operations: a same-seed QP gives bit-identical completion times
-    whether or not every verb carries a sampled span."""
+    """A span only *tags* the one latency computation in
+    ``QueuePair._post``: a same-seed QP gives bit-identical completion
+    times whether or not every verb carries a sampled span, and the five
+    tags of a traced verb (wire, congestion, jitter, straggler, queue)
+    tile its post-to-completion interval."""
     sizes = [64, 512, 512, 4096, 1 << 16, 512, 100, 1 << 20] * 8
+    tags = ("wire_us", "congestion_us", "jitter_us", "straggler_us", "queue_us")
 
-    def completion_times(traced):
+    def completion_times(traced, straggler_prob, flows):
         cluster = Cluster(
             machines=3,
-            network=NetworkConfig(straggler_prob=0.2, jitter_sigma=0.3),
+            network=NetworkConfig(straggler_prob=straggler_prob, jitter_sigma=0.3),
             seed=9,
         )
         sim = cluster.sim
-        cluster.machine(1).nic.background_flows = 2  # congestion term live
+        cluster.machine(1).nic.background_flows = flows  # congestion term live
         tracer = Tracer(sim)
         qp = cluster.fabric.qp(0, 1)
         times = []
@@ -392,11 +394,26 @@ def test_traced_and_untraced_verbs_complete_at_identical_times():
         if traced:
             verbs = [s for s in tracer.spans if s.name.startswith("rdma.")]
             assert len(verbs) == len(sizes) + len(sizes) // 7
+            for verb in verbs:
+                # Each tag is rounded to 4 decimals: 5 x 0.00005 of slack.
+                assert sum(verb.tags[tag] for tag in tags) == pytest.approx(
+                    verb.duration_us, abs=3e-4
+                )
+                assert verb.tags["congestion_us"] > 0
+            assert any(verb.tags["queue_us"] > 0 for verb in verbs)
+            stragglers = sum(verb.tags["straggler_us"] > 0 for verb in verbs)
+            if straggler_prob == 1.0:
+                assert stragglers == len(verbs)
+            else:
+                assert 0 < stragglers < len(verbs)
         return times
 
-    untraced = completion_times(traced=False)
-    assert len(untraced) == len(sizes) + len(sizes) // 7
-    assert completion_times(traced=True) == untraced
+    # Rare stragglers, then a straggler on every verb behind a single
+    # background flow on one endpoint.
+    for straggler_prob, flows in ((0.2, 2), (1.0, 1)):
+        untraced = completion_times(False, straggler_prob, flows)
+        assert len(untraced) == len(sizes) + len(sizes) // 7
+        assert completion_times(True, straggler_prob, flows) == untraced
 
 
 class TestPerQpOrderingStress:

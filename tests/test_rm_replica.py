@@ -353,3 +353,61 @@ class TestWritePathCrashMatrix:
                 assert drive(cluster.sim, read_pid()) == make_page(pid), (
                     f"{name}: settled page {pid} damaged"
                 )
+
+
+class TestOneVerbPath:
+    def test_core_posts_no_event_verb(self, monkeypatch):
+        """Everything ``repro.core`` posts goes through ``QueuePair._post``
+        and a sink: with the ``Event``-returning verbs refusing to run, the
+        data path, a crash with regeneration and catch-up, an eviction
+        RPC, metadata commits and a leader failover all still work."""
+        from repro.chaos import ChaosConfig, run_chaos
+        from repro.net import QueuePair
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("repro.core posted an Event-returning verb")
+
+        for verb in ("post_read", "post_write", "post_send"):
+            monkeypatch.setattr(QueuePair, verb, refuse)
+
+        cluster, deployment = deploy(machines=10)
+        rm = deployment.manager(0)
+        sim = cluster.sim
+        pages = {pid: make_page(pid) for pid in range(8)}
+
+        def proc():
+            for pid, data in pages.items():
+                yield rm.write(pid, data)
+            for pid, data in pages.items():
+                assert (yield rm.read(pid)) == data
+            victim = rm.space.get(0).handle(2).machine_id
+            cluster.machine(victim).fail()
+            while not rm.open_regen_count:
+                yield sim.timeout(50.0)
+            for pid in range(4):  # race the regeneration: catch-up writes
+                pages[pid] = make_page(pid + 100)
+                yield rm.write(pid, pages[pid])
+            yield sim.timeout(1_000_000.0)
+            host = cluster.machine(rm.space.get(0).handle(0).machine_id)
+            host.set_local_app_bytes(int(host.total_memory_bytes * 0.99))
+            yield sim.timeout(1_000_000.0)
+            for pid, data in pages.items():
+                assert (yield rm.read(pid)) == data
+            return "ok"
+
+        assert drive(sim, proc()) == "ok"
+        assert rm.events["catchup_writes"] >= 1
+        assert rm.events["evictions"] == 1
+        assert rm.events["regenerations"] == 2  # the crash, then the eviction
+        assert deployment.control_plane.stores[0].commits > 0
+
+        result = run_chaos(
+            3,
+            config=ChaosConfig(
+                machines=10, pages=16, events=0, horizon_us=2_000_000.0,
+                settle_us=4_000_000.0, op_gap_us=10_000.0, burst_ops=20,
+                scenario="rm_failover",
+            ),
+        )
+        assert result.ok, "\n".join(v.detail for v in result.violations)
+        assert len(result.report["control_plane"]["failovers"]) == 1

@@ -14,10 +14,23 @@ runs first. Every run is printed as one JSON line as it finishes; the
 table at the end gives, per workload and end-to-end metric: parent median,
 change median, the difference and the distance between the parent's
 quartiles (both in % of the parent median), pairs the change won / tied,
-and failed operations (parent/change; a run with no result counts as one).
+the 95 % bootstrap interval of the median change/parent ratio over the
+pairs (in %, 0 = no difference), the permutation p-value of the two sides'
+medians (both from ``repro.harness.report``, seeded: the same runs give
+the same numbers), failed operations (parent/change; a run with no result
+counts as one) and a verdict:
 
-A gain is claimable when the change wins at least nine tenths of the pairs
-and the medians differ by more than the parent's quartile distance.
+``regressed``   the change's median is worse than the parent's by more than
+                the metric's bound in ``BENCHMARK.json``
+``unresolved``  the parent's quartile distance is wider than that bound, so
+                the runs cannot tell (unless every run of the change reads
+                better than every run of the parent)
+``gain``        claimable: the change wins at least nine tenths of the pairs
+                (ties count for neither) and the medians differ by more
+                than the parent's quartile distance
+``better`` / ``worse``  a difference the interval and p < 0.05 both resolve,
+                inside the bound and short of the claim rule
+``same``        inside the spread
 """
 from __future__ import annotations
 
@@ -33,6 +46,9 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+from repro.harness.report import bootstrap_ci, permutation_pvalue  # noqa: E402
 
 _SIDES = ("parent", "change")
 
@@ -111,16 +127,19 @@ def summarise(runs: List[dict], metrics: List[dict]) -> List[dict]:
             }
             sign = 1.0 if metric["better"] == "higher" else -1.0
             won = tied = pairs = 0
+            ratios = []
             for pair in by_pair.values():
                 if len(pair) == 2:
                     pairs += 1
                     gain = sign * (pair["change"] - pair["parent"])
                     won += gain > 0
                     tied += gain == 0
+                    if pair["parent"]:
+                        ratios.append(pair["change"] / pair["parent"])
             parent = statistics.median(values["parent"]) if values["parent"] else None
             change = statistics.median(values["change"]) if values["change"] else None
             comparable = bool(parent) and change is not None
-            rows.append({
+            row = {
                 "workload": workload,
                 "metric": name,
                 "better": metric["better"],
@@ -134,10 +153,40 @@ def summarise(runs: List[dict], metrics: List[dict]) -> List[dict]:
                 "won": won,
                 "tied": tied,
                 "pairs": pairs,
+                "ratio_ci_pct": (
+                    tuple(100.0 * (bound - 1.0) for bound in bootstrap_ci(ratios, "p50"))
+                    if ratios else None
+                ),
+                "p_value": (
+                    permutation_pvalue(values["change"], values["parent"], "p50")
+                    if comparable else None
+                ),
                 "failed_parent": failed["parent"],
                 "failed_change": failed["change"],
-            })
+            }
+            row["verdict"] = _verdict(row, sign, 100.0 * metric["bound"], values)
+            rows.append(row)
     return rows
+
+
+def _verdict(row: dict, sign: float, bound_pct: float, values: Dict[str, List[float]]) -> str:
+    """The rules of the module docstring, in its order."""
+    if row["delta_pct"] is None:
+        return "-"
+    gain_pct = sign * row["delta_pct"]  # > 0: the change reads better
+    if gain_pct < -bound_pct:
+        return "regressed"
+    separated = min(sign * v for v in values["change"]) > max(
+        sign * v for v in values["parent"]
+    )
+    if row["parent_iqr_pct"] > bound_pct and not separated:
+        return "unresolved"
+    if 0 < 0.9 * row["pairs"] <= row["won"] and gain_pct > row["parent_iqr_pct"]:
+        return "gain"
+    low, high = row["ratio_ci_pct"] or (0.0, 0.0)
+    if (low > 0.0 or high < 0.0) and row["p_value"] < 0.05:
+        return "better" if gain_pct > 0 else "worse"
+    return "same"
 
 
 def format_table(rows: List[dict]) -> str:
@@ -146,17 +195,21 @@ def format_table(rows: List[dict]) -> str:
 
     header = (
         f"{'workload':<15} {'metric':<16} {'better':<6} {'parent':>11} {'change':>11} "
-        f"{'delta %':>8} {'iqr %':>7} {'won/tied/pairs':>14} {'failed p/c':>10}"
+        f"{'delta %':>8} {'iqr %':>7} {'won/tied/pairs':>14} {'ratio CI95 %':>15} "
+        f"{'p':>6} {'failed p/c':>10} verdict"
     )
     lines = [header, "-" * len(header)]
     for row in rows:
         score = f"{row['won']}/{row['tied']}/{row['pairs']}"
         failed = f"{row['failed_parent']}/{row['failed_change']}"
+        ci = row["ratio_ci_pct"]
+        interval = "-" if ci is None else f"{ci[0]:+.2f}..{ci[1]:+.2f}"
         lines.append(
             f"{row['workload']:<15} {row['metric']:<16} {row['better']:<6} "
             f"{cell(row['parent_median'], '.6g', 11)} {cell(row['change_median'], '.6g', 11)} "
             f"{cell(row['delta_pct'], '+.2f', 8)} {cell(row['parent_iqr_pct'], '.2f', 7)} "
-            f"{score:>14} {failed:>10}"
+            f"{score:>14} {interval:>15} {cell(row['p_value'], '.3f', 6)} "
+            f"{failed:>10} {row['verdict']}"
         )
     return "\n".join(lines)
 
