@@ -33,7 +33,7 @@ from ..ec import (
     PageCodec,
     reencode_split_pages,
 )
-from ..net import RdmaFabric
+from ..net import QueuePair, RdmaFabric
 from ..obs import MetricsRegistry, Span, Tracer, default_obs, request_span, traced
 from ..sim import Event, RandomSource, Simulator, Timeout
 from .address_space import AddressRange, RemoteAddressSpace, SlabHandle
@@ -87,7 +87,8 @@ class _SplitGather:
         """Post a one-sided verb on ``qp`` that completes into this gather
         as ``position`` with ``fn(*args)``'s value, or its failure."""
         self.outstanding += 1
-        qp._post(size, self._arrive, position, fn, args, True, span, kind)
+        post = (qp, position, fn, args)
+        QueuePair._post(qp.fabric, size, self._arrive, (post,), True, span, kind)
 
     def _arrive(self, position, ok: bool, value) -> None:
         """The verb posted for ``position`` completed (``QueuePair._post``
@@ -126,6 +127,14 @@ class _SplitGather:
     def wait_all(self) -> Event:
         """An event firing once every posted verb has completed."""
         return self.wait_valid(_ALL)
+
+    def when_all(self, callback) -> None:
+        """Run ``callback(None)`` from the delivery of the last posted verb
+        to complete — at once when none is outstanding; no process to resume."""
+        if self.outstanding == 0:
+            callback(None)
+        else:
+            self.wait_all().callbacks.append(callback)
 
     def first_valid(self, count: int) -> Dict[int, object]:
         """The first ``count`` valid splits in arrival order — exactly what
@@ -568,22 +577,15 @@ class ResilienceManager:
             raise RemoteMemoryUnavailable(f"only {acked} split writes acked, need {k}")
         if async_parity:
             # The application gets its ack here; parity continues behind it.
-            parity_span = (
-                span.child("rm.parity", cat="background") if span is not None else None
-            )
-            self.sim.process(
-                self._write_parity_async(
-                    address_range, offset, page_id, version, data_splits, full_done,
-                    parity_span,
-                ),
-                name=f"hydra-parity:{page_id}",
+            self._schedule_parity(
+                address_range, offset, page_id, version, data_splits, full_done, span
             )
         else:
             self.events.incr("degraded_writes")
             if not full_done.triggered:
                 full_done.succeed_now()
 
-    def _write_parity_async(
+    def _schedule_parity(
         self,
         address_range: AddressRange,
         offset: int,
@@ -591,58 +593,71 @@ class ResilienceManager:
         version: int,
         data_splits: Optional[np.ndarray],
         full_done: Event,
-        span: Optional[Span] = None,
-    ):
+        parent: Optional[Span] = None,
+    ) -> None:
+        """§4.2.1 behind the ack: encode the r parities, write them, then
+        fire ``full_done`` (the write is durable; ordered readers go on).
+
+        No process: the encode delay is one ``call_later`` record and the
+        stage ends from its gather's last arrival. However it ends —
+        parities landed, fenced meanwhile, dropped by the chaos self-test,
+        an exception on its way out of ``Simulator.run`` — ``full_done`` is
+        released, so no reader of the page is left waiting on it."""
         config = self.config
-        yield Timeout(self.sim, self._encode_us)
-        if self._fenced:
-            # Fenced mid-write: the successor's seal pass owns this page
-            # now; posting stale parities would race its full rewrite.
+        span = parent.child("rm.parity", cat="background") if parent is not None else None
+
+        def finish(**tags) -> None:
             if span is not None:
-                span.set_tag("fenced", True)
+                for tag, value in tags.items():
+                    span.set_tag(tag, value)
                 span.finish()
             if not full_done.triggered:
                 full_done.succeed_now()
-            return
-        if span is not None:
-            span.set_tag("encode_done_us", round(self.sim.now, 4))
-        if self.debug_drop_parity:
-            # Injected durability bug (chaos self-test): every parity write
-            # is silently dropped, yet the write still reports durable.
+
+        def encode_and_post() -> None:
+            if self._fenced:
+                # Fenced mid-write: the successor's seal pass owns this page
+                # now; posting stale parities would race its full rewrite.
+                return finish(fenced=True)
             if span is not None:
-                span.set_tag("parities", 0)
-                span.set_tag("debug_dropped", True)
-                span.finish()
-            if not full_done.triggered:
-                full_done.succeed_now()
-            return
-        if config.payload_mode == "real":
-            parity = self.codec.code.encode(data_splits)
-        else:
-            parity = None
-        positions, payloads = [], []
-        for index in range(config.r):
-            position = config.k + index
-            if not address_range.handle(position).available:
-                # This parity cannot be written now; make sure the pending
-                # regeneration (or a direct post, if it races us) covers it.
-                self._record_or_post_catchup(
-                    address_range, position, offset, page_id, version,
-                    self.codec.join(data_splits) if data_splits is not None else None,
-                )
-                continue
-            positions.append(position)
-            payloads.append(
-                parity[index] if parity is not None else PhantomSplit(version=version)
-            )
-        acks = self._post_splits(address_range.slots, offset, positions, payloads, span)
-        yield acks.wait_all()
-        self.events.incr("parity_writes", len(positions))
-        if span is not None:
-            span.set_tag("parities", len(positions))
-            span.finish()
-        if not full_done.triggered:
-            full_done.succeed_now()
+                span.set_tag("encode_done_us", round(self.sim.now, 4))
+            if self.debug_drop_parity:
+                # Injected durability bug (chaos self-test): every parity write
+                # is silently dropped, yet the write still reports durable.
+                return finish(parities=0, debug_dropped=True)
+            try:
+                parity = page = None
+                if data_splits is not None:
+                    parity = self.codec.code.encode(data_splits)
+                positions, payloads = [], []
+                for index in range(config.r):
+                    position = config.k + index
+                    if not address_range.handle(position).available:
+                        # This parity cannot be written now; make sure the
+                        # pending regeneration (or a direct post, if it races
+                        # us) covers it.
+                        if page is None and data_splits is not None:
+                            page = self.codec.join(data_splits)
+                        self._record_or_post_catchup(
+                            address_range, position, offset, page_id, version, page
+                        )
+                        continue
+                    positions.append(position)
+                    payloads.append(
+                        parity[index] if parity is not None else PhantomSplit(version=version)
+                    )
+                acks = self._post_splits(address_range.slots, offset, positions, payloads, span)
+            except BaseException:
+                finish()  # loud, but no reader is left behind
+                raise
+
+            def landed(_done) -> None:
+                self.events.incr("parity_writes", len(positions))
+                finish(parities=len(positions))
+
+            acks.when_all(landed)
+
+        self.sim.call_later(self._encode_us, encode_and_post)
 
     # ==================================================================
     # read path (§4.2.2)
@@ -811,10 +826,10 @@ class ResilienceManager:
         position (``ReedSolomonCode.consistent_with_decode``) — no second
         decode.
 
-        The check runs as a callback on the gather's wait-all event — no
-        process is spawned unless corruption is actually detected, which
-        keeps the (overwhelmingly common) consistent case off the event
-        queue entirely."""
+        The check runs from the gather's last arrival
+        (:meth:`_SplitGather.when_all`) — no process is spawned unless
+        corruption is actually detected, which keeps the (overwhelmingly
+        common) consistent case off the event queue entirely."""
         span = (
             parent.child("rm.verify", cat="background") if parent is not None else None
         )
@@ -828,7 +843,7 @@ class ResilienceManager:
                 if span is not None:
                     span.finish()
 
-        def check(_done: Event) -> None:
+        def check(_done) -> None:
             spawned = False
             try:
                 if self.codec.code.consistent_with_decode(
@@ -845,13 +860,7 @@ class ResilienceManager:
                 if span is not None and not spawned:
                     span.finish()
 
-        waiter = gather.wait_all()
-        if waiter.processed:
-            # Every posted split already landed; the waiter fired inside
-            # wait_all() itself, so run the check directly.
-            check(waiter)
-        else:
-            waiter.callbacks.append(check)
+        gather.when_all(check)
 
     def _correct_and_heal(
         self,
@@ -1351,35 +1360,32 @@ class ResilienceManager:
         range's slot table, or ``{position: handle}`` for a replacement
         slab not installed yet.
 
-        Walks the verb layers once for the whole fan-out, hoisting the
-        handle/endpoint lookups off the per-split path. Verbs are posted in
-        ``positions`` order, which fixes per-QP completion ordering and RNG
-        draw order.
+        Builds the posts and hands them to ``QueuePair._post`` in one call.
+        Verbs are posted in ``positions`` order, which fixes per-QP
+        completion ordering and RNG draw order.
         """
-        split_size = self.config.split_size
         endpoints = self._endpoints
+        fabric = self.fabric
         if gather is None:
             gather = _SplitGather(self.sim)
-        # `gather.post` per position, hoisted: ten splits per page
-        # operation pay one count update and one bound-method lookup.
         gather.outstanding += len(positions)
-        arrive = gather._arrive
-        kind = "read" if payloads is None else "write"
+        posts = []
         for index, position in enumerate(positions):
             handle = slots[position]
             pair = endpoints.get(handle.machine_id)
             if pair is None:
                 pair = endpoints[handle.machine_id] = (
-                    self.fabric.machine(handle.machine_id),
-                    self.fabric.qp(self.machine_id, handle.machine_id),
+                    fabric.machine(handle.machine_id),
+                    fabric.qp(self.machine_id, handle.machine_id),
                 )
             machine, qp = pair
             if payloads is None:
-                fn, args = machine.read_split, (handle.slab_id, offset)
+                posts.append((qp, position, machine.read_split, (handle.slab_id, offset)))
             else:
-                fn = machine.write_split
-                args = (handle.slab_id, offset, payloads[index])
-            qp._post(split_size, arrive, position, fn, args, True, span, kind)
+                write = (handle.slab_id, offset, payloads[index])
+                posts.append((qp, position, machine.write_split, write))
+        kind = "read" if payloads is None else "write"
+        QueuePair._post(fabric, self.config.split_size, gather._arrive, posts, True, span, kind)
         return gather
 
     def _split_validator(self, version: int):

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..cluster import PhantomSplit, SlabState
 from ..ec import CorruptionDetected, DecodeError
-from ..net import RemoteAccessError
+from ..net import QueuePair, RemoteAccessError
 from .address_space import AddressRange, SlabHandle
 from .resilience_manager import _SplitGather
 
@@ -225,13 +225,11 @@ class ReplicatedMetadataStore:
             link = self._links[peer_id]
             base = min(link["sent"], target)
             records = [dict(r) for r in self.log[base:target]]
-            self.fabric.qp(self.domain, peer_id)._post(
-                _META_BASE_BYTES + _META_RECORD_BYTES * len(records),
-                self._on_append,
-                (state, peer_id),
-                self.peers[peer_id].apply_append,
-                (self.term, base, records, committed),
-            )
+            qp = self.fabric.qp(self.domain, peer_id)
+            append = (self.term, base, records, committed)
+            post = (qp, (state, peer_id), self.peers[peer_id].apply_append, append)
+            size = _META_BASE_BYTES + _META_RECORD_BYTES * len(records)
+            QueuePair._post(self.fabric, size, self._on_append, (post,))
             link["sent"] = max(link["sent"], target)
         if self._links:
             yield waiter

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
-from ..net import RdmaFabric
+from ..net import QueuePair, RdmaFabric
 from ..sim import Event
 
 __all__ = ["RpcError", "RpcEndpoint"]
@@ -91,14 +91,10 @@ class RpcEndpoint:
         """The one SEND of the RPC layer. Its completion reports to
         :meth:`_sent` with ``request_id`` as the token: the id of the call
         a failed SEND fails, or None for replies and notifications."""
-        self.fabric.qp(self.machine_id, target_id)._post(
-            _MESSAGE_BYTES,
-            self._sent,
-            request_id,
-            self.fabric.deliver_message,
-            (target_id, self.machine_id, message),
-            one_sided=False,
-        )
+        qp = self.fabric.qp(self.machine_id, target_id)
+        delivery = (target_id, self.machine_id, message)
+        post = (qp, request_id, self.fabric.deliver_message, delivery)
+        QueuePair._post(self.fabric, _MESSAGE_BYTES, self._sent, (post,), one_sided=False)
 
     def _sent(self, request_id: Optional[int], ok: bool, value: Any) -> None:
         if not ok and request_id in self._pending:

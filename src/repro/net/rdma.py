@@ -25,10 +25,11 @@ semantics.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappush as _heappush
 from math import exp, log
 from random import NV_MAGICCONST
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import Observability, Span
 from ..sim import Event, RandomSource, Simulator
@@ -141,8 +142,6 @@ class QueuePair:
 
     __slots__ = (
         "fabric",
-        "sim",
-        "config",
         "local_id",
         "remote_id",
         "connected",
@@ -154,15 +153,9 @@ class QueuePair:
         "_remote_nic",
         "_reach_epoch",
         "_reach_ok",
-        "_tx_bytes",
-        "_tx_ops",
         "_rx_bytes",
         "_draw_uniform",
         "_draw_pareto",
-        "_bytes_per_us",
-        "_base_latency_us",
-        "_send_recv_overhead_us",
-        "_jitter_sigma",
     )
 
     def __init__(
@@ -173,8 +166,6 @@ class QueuePair:
         rng: RandomSource,
     ):
         self.fabric = fabric
-        self.sim = fabric.sim
-        self.config = fabric.config
         self.local_id = local_id
         self.remote_id = remote_id
         self.connected = True
@@ -183,14 +174,11 @@ class QueuePair:
         self._disconnect_listeners: List[Callable[[int], None]] = []
         # Hot-path caches: the event name is constant per QP, and both
         # endpoints are registered before a QP between them is made, so
-        # their NICs and raw traffic counters are bound here. The latency
-        # draws bind the underlying stream's methods directly — same draws,
-        # no wrapper frame per verb.
+        # their NICs are bound here. The latency draws bind the underlying
+        # stream's methods directly — same draws, no wrapper frame per verb.
         self._event_name = f"rdma:{local_id}->{remote_id}"
-        self._local_nic = local_nic = fabric.nic(local_id)
+        self._local_nic = fabric.nic(local_id)
         self._remote_nic = remote_nic = fabric.nic(remote_id)
-        self._tx_bytes = local_nic._bytes_tx
-        self._tx_ops = local_nic._ops_tx
         self._rx_bytes = remote_nic._bytes_rx
         # Reachability cache, invalidated by the fabric's topology epoch:
         # every alive flip routes through on_machine_failed/_recovered and
@@ -202,14 +190,6 @@ class QueuePair:
         self._reach_ok = False
         self._draw_uniform = rng._rng.random
         self._draw_pareto = rng._rng.paretovariate
-        # Wire constants, hoisted off the per-verb path. These fields are
-        # construction-time fixed; straggler_prob stays a live read because
-        # benchmarks toggle it mid-run. Same divisor as transfer_us, so the
-        # float results are bit-identical.
-        self._bytes_per_us = self.config.bytes_per_us
-        self._base_latency_us = self.config.base_latency_us
-        self._send_recv_overhead_us = self.config.send_recv_overhead_us
-        self._jitter_sigma = self.config.jitter_sigma
 
     # -- public verbs ------------------------------------------------------
     def post_read(
@@ -226,9 +206,7 @@ class QueuePair:
         ``span`` (a sampled request span) parents a per-verb trace span
         carrying the queueing/wire/congestion latency breakdown.
         """
-        event = Event(self.sim, self._event_name)
-        self._post(size_bytes, _deliver, event, fetch, (), True, span, "read")
-        return event
+        return self._post_event(size_bytes, fetch, (), True, span, "read")
 
     def post_write(
         self,
@@ -238,25 +216,22 @@ class QueuePair:
     ) -> Event:
         """One-sided RDMA WRITE; ``apply`` mutates remote memory at
         completion time. Event value is ``apply``'s return (usually None)."""
-        event = Event(self.sim, self._event_name)
-        self._post(size_bytes, _deliver, event, apply, (), True, span, "write")
-        return event
+        return self._post_event(size_bytes, apply, (), True, span, "write")
 
     def post_send(
         self, message: Any, size_bytes: int = 64, span: Optional[Span] = None
     ) -> Event:
         """Two-sided SEND: delivers ``message`` to the remote inbox."""
-        event = Event(self.sim, self._event_name)
-        self._post(
-            size_bytes,
-            _deliver,
-            event,
-            self.fabric.deliver_message,
-            (self.remote_id, self.local_id, message),
-            False,
-            span,
-            "send",
+        delivery = (self.remote_id, self.local_id, message)
+        return self._post_event(
+            size_bytes, self.fabric.deliver_message, delivery, False, span, "send"
         )
+
+    def _post_event(self, size_bytes, fn, args, one_sided, span, kind) -> Event:
+        """A fan-out of one whose token is the event it returns."""
+        event = Event(self.fabric.sim, self._event_name)
+        post = (self, event, fn, args)
+        QueuePair._post(self.fabric, size_bytes, _deliver, (post,), one_sided, span, kind)
         return event
 
     # -- notifications -----------------------------------------------------
@@ -282,169 +257,189 @@ class QueuePair:
             for listener in self._disconnect_listeners:
                 listener(self.remote_id)
 
-        self.sim.call_later(self.config.failure_detect_us, fail_pending)
+        self.fabric.sim.call_later(self.fabric.config.failure_detect_us, fail_pending)
 
     def reconnect(self) -> None:
         """Re-establish the RC after the remote recovers."""
         self.connected = True
-        self._last_completion = self.sim.now
+        self._last_completion = self.fabric.sim.now
 
     # -- internals -----------------------------------------------------------
+    @staticmethod
     def _post(
-        self,
+        fabric: "RdmaFabric",
         size_bytes: int,
         sink: Callable[[Any, bool, Any], None],
-        token: Any,
-        fn: Callable[..., Any],
-        args: tuple = (),
+        posts: Sequence[Tuple["QueuePair", Any, Callable[..., Any], tuple]],
         one_sided: bool = True,
         span: Optional[Span] = None,
         kind: str = "op",
     ) -> None:
-        """The verb, stated once: compute the latency (wire, congestion,
-        jitter, straggler, per-QP queueing — tagged on ``span``'s child when
-        there is one), schedule the one completion record, report the
-        outcome to ``sink``.
+        """The verb, stated once, for a whole fan-out: ``posts`` is a
+        sequence of ``(qp, token, fn, args)``, every QP leaving the same
+        machine, every verb ``size_bytes`` long. Per verb, in sequence
+        order: compute the latency (wire, congestion, jitter, straggler,
+        per-QP queueing — tagged on ``span``'s child when there is one),
+        schedule the one completion record, report the outcome to ``sink``.
+        A fan-out of n is n fan-outs of one: same draws from each QP's
+        stream, same records in the same order.
 
-        At completion time the record pops the verb off the QP's pending
+        At completion time the record pops the verb off its QP's pending
         list, runs ``fn(*args)`` against the remote machine and calls
         ``sink(token, True, value)`` in place. A failed verb
         (:class:`RemoteAccessError` from ``fn``, unreachable at post time,
         connection torn down while pending) reports
         ``sink(token, False, exception)`` through :meth:`_fail`. ``sink``
         is called exactly once per post, always from the dispatch loop.
-        Everything ``repro.core`` posts comes here with a sink of its own
-        (a gather and a position, a commit's tally, an RPC's request id);
-        the public verbs pass :func:`_deliver` and an :class:`Event`.
+        Always called through the class: the benchmark's tracer times the
+        verb layer by replacing the attribute ``QueuePair._post``.
         """
-        if span is not None:
-            verb_span = span.child(
-                f"rdma.{kind}",
-                cat="verb",
-                machine_id=self.local_id,
-                tags={"target": self.remote_id, "bytes": size_bytes},
-            )
-            sink = _finishing(verb_span, sink)
-        fabric = self.fabric
-        if self._reach_epoch != fabric._topology_epoch:
-            self._reach_ok = fabric.reachable(self.local_id, self.remote_id)
-            self._reach_epoch = fabric._topology_epoch
-        if not (self.connected and self._reach_ok):
-            # Immediately broken: fail after the RC retry timeout.
-            exc = RDMADisconnect(
-                f"machine {self.remote_id} unreachable", machine_id=self.remote_id
-            )
-            self.sim.call_later(
-                self.config.failure_detect_us, lambda: self._fail(sink, token, exc)
-            )
+        if not posts:
             return
-
-        # Traffic accounting: a verb moves size_bytes across both NICs. This
-        # is the counters' only writer, so it bumps the raw objects.
-        self._tx_bytes.value += size_bytes
-        self._tx_ops.value += 1
-        self._rx_bytes.value += size_bytes
-
-        # The latency model, stated here and nowhere else: wire, then
-        # congestion, jitter, a straggler, per-QP queueing. A traced verb
-        # tags the same intermediate floats the completion time is built
-        # from, so its five tags tile post -> completion by construction.
-        transfer = size_bytes / self._bytes_per_us
-        wire = self._base_latency_us + transfer
+        # Per fan-out: the clock, the queue, the topology epoch, the wire
+        # time of size_bytes, the local NIC's share of the congestion test.
+        sim = fabric.sim
+        now = sim.now
+        queue = sim._queue
+        epoch = fabric._topology_epoch
+        cfg = fabric.config
+        base_latency = cfg.base_latency_us
+        jitter_sigma = cfg.jitter_sigma
+        straggler_prob = cfg.straggler_prob
+        transfer = size_bytes / cfg.bytes_per_us
+        wire = base_latency + transfer
         if not one_sided:
-            wire += self._send_recv_overhead_us
-        # Congestion from background flows on either endpoint NIC (read
-        # live: flows start and stop mid-run). Queuing delay grows with the
-        # *bytes* this op must push through the busy link (plus a small
-        # fixed queue-entry cost) — small split-sized messages interleave
-        # past bulk flows far better than whole pages, which is part of why
-        # Hydra divides pages (§4.1).
-        congested = wire
-        congestion = straggler = 0.0
-        local_nic = self._local_nic
-        remote_nic = self._remote_nic
-        if local_nic.background_flows or remote_nic.background_flows:
-            inflation = max(local_nic.inflation(), remote_nic.inflation())
-            if inflation > 1.0:
-                congestion = (inflation - 1.0) * (
-                    transfer + 0.2 * self._base_latency_us
+            wire += cfg.send_recv_overhead_us
+        local_nic = posts[0][0]._local_nic
+        local_flows = local_nic.background_flows
+        local_inflation = local_nic.inflation()
+        sent = 0
+        for qp, token, fn, args in posts:
+            verb_sink = sink
+            if span is not None:
+                verb_span = span.child(
+                    f"rdma.{kind}",
+                    cat="verb",
+                    machine_id=qp.local_id,
+                    tags={"target": qp.remote_id, "bytes": size_bytes},
                 )
-                congested += congestion
-        # Ordinary fabric jitter, lognormal(0, sigma): a Kinderman–Monahan
-        # normal draw inlined from random.normalvariate — same generator,
-        # same draw order, same float ops as `exp(normalvariate(0, sigma))`,
-        # so the seeded jitter sequence is bit-identical to the library's.
-        draw = self._draw_uniform
-        while True:
-            u1 = draw()
-            u2 = 1.0 - draw()
-            z = NV_MAGICCONST * (u1 - 0.5) / u2
-            if z * z / 4.0 <= -log(u2):
-                break
-        latency = jittered = congested * exp(z * self._jitter_sigma)
-        # Rare straggler events with a heavy tail.
-        cfg = self.config
-        if cfg.straggler_prob > 0 and draw() < cfg.straggler_prob:
-            straggler = cfg.straggler_scale_us * self._draw_pareto(cfg.straggler_shape)
-            latency += straggler
-        # Per-QP ordering: a verb completes no earlier than the one posted
-        # ahead of it, and the wait that imposes is its queueing delay.
-        now = self.sim.now
-        completion = max(now + latency, self._last_completion)
-        if span is not None:
-            for tag, value in (
-                ("wire_us", wire),
-                ("congestion_us", congestion),
-                ("jitter_us", jittered - congested),
-                ("straggler_us", straggler),
-                ("queue_us", completion - (now + latency)),
-            ):
-                verb_span.set_tag(tag, round(value, 4))
-        self._last_completion = completion
-        entry = (sink, token)
-        self._pending.append(entry)
+                verb_sink = _finishing(verb_span, sink)
+            if qp._reach_epoch != epoch:
+                qp._reach_ok = fabric.reachable(qp.local_id, qp.remote_id)
+                qp._reach_epoch = epoch
+            if not (qp.connected and qp._reach_ok):
+                # Immediately broken: fail after the RC retry timeout.
+                exc = RDMADisconnect(
+                    f"machine {qp.remote_id} unreachable", machine_id=qp.remote_id
+                )
+                sim.call_later(
+                    cfg.failure_detect_us, partial(qp._fail, verb_sink, token, exc)
+                )
+                continue
 
-        def complete():
-            # Per-QP ordering means completions run in post order, so the
-            # verb is almost always at the head of the pending list.
-            pending = self._pending
-            if pending and pending[0] is entry:
-                del pending[0]
-            else:
-                for index, other in enumerate(pending):
-                    if other is entry:
-                        del pending[index]
-                        break
+            # Traffic accounting: a verb moves size_bytes across both NICs
+            # (the local one is credited after the loop). This is the
+            # counters' only writer, so it bumps the raw objects.
+            sent += 1
+            qp._rx_bytes.value += size_bytes
+
+            # The latency model, stated here and nowhere else: wire, then
+            # congestion, jitter, a straggler, per-QP queueing. A traced verb
+            # tags the same intermediate floats the completion time is built
+            # from, so its five tags tile post -> completion by construction.
+            # Congestion from background flows on either endpoint NIC (read
+            # live: flows start and stop mid-run). Queuing delay grows with the
+            # *bytes* this op must push through the busy link (plus a small
+            # fixed queue-entry cost) — small split-sized messages interleave
+            # past bulk flows far better than whole pages, which is part of why
+            # Hydra divides pages (§4.1).
+            congested = wire
+            congestion = straggler = 0.0
+            remote_nic = qp._remote_nic
+            if local_flows or remote_nic.background_flows:
+                inflation = max(local_inflation, remote_nic.inflation())
+                if inflation > 1.0:
+                    congestion = (inflation - 1.0) * (transfer + 0.2 * base_latency)
+                    congested += congestion
+            # Ordinary fabric jitter, lognormal(0, sigma): a Kinderman–Monahan
+            # normal draw inlined from random.normalvariate — same generator,
+            # same draw order, same float ops as `exp(normalvariate(0, sigma))`,
+            # so the seeded jitter sequence is bit-identical to the library's.
+            draw = qp._draw_uniform
+            while True:
+                u1 = draw()
+                u2 = 1.0 - draw()
+                z = NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            latency = jittered = congested * exp(z * jitter_sigma)
+            # Rare straggler events with a heavy tail.
+            if straggler_prob > 0 and draw() < straggler_prob:
+                straggler = cfg.straggler_scale_us * qp._draw_pareto(cfg.straggler_shape)
+                latency += straggler
+            # Per-QP ordering: a verb completes no earlier than the one posted
+            # ahead of it, and the wait that imposes is its queueing delay.
+            completion = now + latency
+            if qp._last_completion > completion:
+                completion = qp._last_completion
+            if span is not None:
+                for tag, value in (
+                    ("wire_us", wire),
+                    ("congestion_us", congestion),
+                    ("jitter_us", jittered - congested),
+                    ("straggler_us", straggler),
+                    ("queue_us", completion - (now + latency)),
+                ):
+                    verb_span.set_tag(tag, round(value, 4))
+            qp._last_completion = completion
+            entry = (verb_sink, token)
+            qp._pending.append(entry)
+
+            # The verb's values are bound as defaults: a closure made in a
+            # loop would see the last verb's.
+            def complete(qp=qp, entry=entry, fn=fn, args=args):
+                # Per-QP ordering means completions run in post order, so the
+                # verb is almost always at the head of the pending list.
+                pending = qp._pending
+                if pending and pending[0] is entry:
+                    del pending[0]
                 else:
-                    # The QP disconnected before this op's completion time:
-                    # the data never arrived; fail_pending reports the verb.
+                    for index, other in enumerate(pending):
+                        if other is entry:
+                            del pending[index]
+                            break
+                    else:
+                        # The QP disconnected before this op's completion time:
+                        # the data never arrived; fail_pending reports the verb.
+                        return
+                sink, token = entry
+                try:
+                    value = fn(*args)
+                except RemoteAccessError as exc:
+                    qp._fail(sink, token, exc)
                     return
-            try:
-                value = fn(*args)
-            except RemoteAccessError as exc:
-                self._fail(sink, token, exc)
-                return
-            # Fused delivery: this callable *is* the scheduled completion
-            # entry, so the sink runs in place rather than behind a second
-            # same-timestamp queue entry. Same-time ordering is unchanged:
-            # every other queue entry already holds an earlier sequence
-            # number either way.
-            sink(token, True, value)
+                # Fused delivery: this callable *is* the scheduled completion
+                # entry, so the sink runs in place rather than behind a second
+                # same-timestamp queue entry. Same-time ordering is unchanged:
+                # every other queue entry already holds an earlier sequence
+                # number either way.
+                sink(token, True, value)
 
-        # Inlined sim.call_later(completion - now, complete): the same
-        # `now + (completion - now)` float dance and one (when, seq, fn)
-        # record, minus the call — verbs are the engine's highest-volume
-        # scheduling source. `completion >= now`, so the delay guard is moot.
-        sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        _heappush(sim._queue, (now + (completion - now), seq, complete))
+            # Inlined sim.call_later(completion - now, complete): the same
+            # `now + (completion - now)` float dance and one (when, seq, fn)
+            # record, minus the call — verbs are the engine's highest-volume
+            # scheduling source. `completion >= now`, so the delay guard is moot.
+            sim._seq = seq = sim._seq + 1
+            _heappush(queue, (now + (completion - now), seq, complete))
+        local_nic._bytes_tx.value += sent * size_bytes
+        local_nic._ops_tx.value += sent
 
     def _fail(self, sink, token: Any, exc: RDMAError) -> None:
         """Report a failed verb to its sink. An error completion is its own
         queue record at the current time: it surfaces behind whatever is
         already queued for this instant, and the seeded histories (queue
         entry counts, same-time ordering) depend on that."""
-        self.sim.call_later(0.0, lambda: sink(token, False, exc))
+        self.fabric.sim.call_later(0.0, lambda: sink(token, False, exc))
 
 
 class RdmaFabric:

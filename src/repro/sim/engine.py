@@ -51,6 +51,7 @@ Example
 from __future__ import annotations
 
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
+from types import FunctionType as _FunctionType, MethodType as _MethodType
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -97,9 +98,9 @@ _STATE_NAMES = {
 
 _INF = float("inf")
 
-# Dispatch-loop fast path: scheduled completions are plain closures, so an
-# exact class check skips the isinstance(Event) probe for the common case.
-_FunctionType = type(lambda: None)
+# Dispatch-loop fast path: scheduled completions are plain closures and
+# process starts are bound methods (`_FunctionType`, `_MethodType`), so two
+# exact class checks skip the isinstance(Event) probe for the common cases.
 
 # Cancelled-entry compaction: sweep the queue once at least this many
 # cancelled entries are buffered AND they outnumber the live entries.
@@ -275,12 +276,15 @@ class Process(Event):
         self.generator = generator
         self._waiting_on: Optional[Event] = None
         self.is_alive = True
-        # Kick off the process at the current simulation time.
-        bootstrap = Event(sim, name="bootstrap")
-        bootstrap._ok = True
-        bootstrap._state = _TRIGGERED
-        bootstrap.callbacks.append(self._resume)
-        sim._schedule(bootstrap)
+        # Kick off the process at the current simulation time: one bare
+        # bound-method record, no event.
+        sim._seq = seq = sim._seq + 1
+        _heappush(sim._queue, (sim.now, seq, self._start))
+
+    def _start(self) -> None:
+        """The first step: a pending process reads as a trigger that
+        succeeded with None, which a generator's first ``send`` takes."""
+        self._resume(self)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield."""
@@ -305,7 +309,7 @@ class Process(Event):
 
     def _interrupted(self, failer: Event) -> None:
         """Deliver a scheduled interrupt. The process may have started
-        waiting since :meth:`interrupt` ran — its bootstrap record had not
+        waiting since :meth:`interrupt` ran — its start record had not
         fired yet, or an earlier interrupt of the same instant was caught
         and it sleeps again — and that event must not resume it as well."""
         if self.is_alive:
@@ -591,9 +595,9 @@ class Simulator:
         while target._state == _PENDING and queue and queue[0][0] <= horizon:
             when, _seq, obj = _heappop(queue)
             cls = obj.__class__
-            if cls is _FunctionType:
+            if cls is _FunctionType or cls is _MethodType:
                 self.now = when
-                obj()  # bare call_later closure — the common case
+                obj()  # call_later closure or process start — the common cases
             elif cls is list:
                 self.now = when
                 for fn in obj:

@@ -27,3 +27,12 @@ def test_benchmark_smoke_passes():
     assert done.returncode == 0, output[-4000:]
     assert done.stdout.rstrip().splitlines()[-1] == "smoke: ok"
     assert "missing" not in output and "are gone" not in output
+    # The verb layer's hook is alive: if the RM's fan-out entered anywhere but
+    # the attribute ``QueuePair._post``, ``net.posts`` (a NIC counter) would
+    # still count while the layer's time read ~0 and moved to ``core``.
+    shares = [
+        float(line.split()[2])
+        for line in done.stdout.splitlines()
+        if line.split()[:2] == ["rm_clean", "net.busy_share"]
+    ]
+    assert shares and min(shares) >= 0.05, shares

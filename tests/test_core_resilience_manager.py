@@ -625,6 +625,140 @@ class TestDatapathSemantics:
         assert drive(cluster.sim, proc()) == make_page(11)
 
 
+class TestWriteIsOneProcess:
+    """§4.2.1 behind the ack: the parity stage is one ``call_later`` record
+    and a callback on its gather, not a process of its own."""
+
+    @staticmethod
+    def primed(**kwargs):
+        """A deployment whose range 0 is placed, tracing every request."""
+        cluster, rm = deploy(k=4, r=2, machines=10, **kwargs)
+        rm.tracer.set_sampling(1)
+        TestWriteIsOneProcess.acked(rm, 0, make_page(0))
+        cluster.sim.run(until=cluster.sim.now + 1_000)
+        return cluster, rm
+
+    @staticmethod
+    def acked(rm, page_id, data):
+        """Run until the write of ``page_id`` returns to its caller."""
+        write = rm.write(page_id, data)
+        rm.sim.run_until_triggered(write)
+        assert write.ok
+
+    @staticmethod
+    def parity_spans(rm, page_id):
+        writes = {
+            s.span_id for s in rm.tracer.spans
+            if s.name == "rm.write" and s.tags["page"] == page_id
+        }
+        return [
+            s for s in rm.tracer.spans if s.name == "rm.parity" and s.parent_id in writes
+        ]
+
+    def test_clean_write_starts_exactly_one_process(self):
+        cluster, rm = self.primed()
+        sim = cluster.sim
+        started, process = [], sim.process
+        sim.process = lambda gen, name="": started.append(name) or process(gen, name=name)
+        before = rm.events["parity_writes"]
+        self.acked(rm, 1, make_page(1))
+        acked_at = sim.now
+        assert 1 in rm._inflight_writes  # acked, parity still behind it
+        sim.run(until=sim.now + 1_000)
+        assert started == ["hydra-write:1"]
+        assert rm.events["parity_writes"] - before == rm.config.r
+        assert 1 not in rm._inflight_writes
+        (span,) = self.parity_spans(rm, 1)  # finished once
+        assert span.tags["parities"] == rm.config.r
+        assert span.tags["encode_done_us"] == round(acked_at + rm._encode_us, 4)
+        assert span.end_us > acked_at + rm._encode_us
+
+    @pytest.mark.parametrize("how", ["fenced", "debug_dropped"])
+    def test_stage_that_posts_nothing_still_releases_the_write(self, how):
+        """Fenced between ack and encode, or the chaos self-test's dropped
+        parity: no parity verb leaves the machine, the span says why and
+        finishes once, readers ordered behind the write go on."""
+        cluster, rm = self.primed()
+        sim = cluster.sim
+        nic = cluster.machine(0).nic
+        rm.debug_drop_parity = how == "debug_dropped"
+        durable = []
+        rm.add_observer(
+            type("Observer", (), {"on_write_durable": lambda self, *a: durable.append(a)})()
+        )
+        self.acked(rm, 1, make_page(1))
+        full_done = rm._inflight_writes[1]
+        posted = nic.ops_sent
+        if how == "fenced":
+            rm.fence("between ack and encode")
+        sim.run(until=sim.now + 1_000)
+        assert nic.ops_sent == posted
+        assert full_done.processed and 1 not in rm._inflight_writes
+        (span,) = self.parity_spans(rm, 1)
+        assert span.tags[how] is True
+        assert span.tags.get("parities") == (0 if how == "debug_dropped" else None)
+        assert rm.events["parity_writes"] == rm.config.r  # the priming write's
+        assert durable == [(1, 1)]  # the dropped stage still reports durable
+
+    def test_parity_position_lost_behind_the_ack_records_one_catchup(self):
+        cluster, rm = self.primed()
+        sim = cluster.sim
+        address_range = rm.space.get(0)
+        joins, join = [], rm.codec.join
+        rm.codec.join = lambda splits: joins.append(1) or join(splits)
+        self.acked(rm, 1, make_page(1))
+        for position in (4, 5):  # both parities, after the ack
+            address_range.mark_failed(position)
+        before = rm.events["parity_writes"]
+        sim.run(until=sim.now + 1_000)
+        assert rm.events["parity_writes"] == before
+        for position in (4, 5):
+            assert rm._catchup[(0, position)] == {1: (1, make_page(1))}
+        assert len(joins) == 1  # the page is joined once, not per position
+        assert 1 not in rm._inflight_writes
+
+    def test_read_at_the_ack_instant_orders_behind_the_parities(self):
+        cluster, rm = self.primed()
+        sim = cluster.sim
+
+        def proc():
+            yield rm.write(0, make_page(7))
+            acked_at = sim.now
+            got = yield rm.read(0)
+            return acked_at, got
+
+        acked_at, got = drive(sim, proc())
+        assert got == make_page(7)
+        read = [s for s in rm.tracer.spans if s.name == "rm.read"][-1]
+        (order,) = [
+            s for s in rm.tracer.spans if s.name == "order" and s.parent_id == read.span_id
+        ]
+        (parity,) = self.parity_spans(rm, 0)[-1:]
+        assert (order.start_us, order.end_us) == (acked_at, parity.end_us)
+
+    def test_failing_encode_raises_out_of_the_run_and_releases_readers(self):
+        """The stage is a callback: its exception leaves ``Simulator.run``
+        instead of failing a process nobody observes, and the page's
+        readers are not left waiting on a write that will never finish."""
+        cluster, rm = self.primed()
+        sim = cluster.sim
+
+        def broken(_data_splits):
+            raise RuntimeError("encode exploded")
+
+        rm.codec.code.encode = broken
+        self.acked(rm, 0, make_page(9))
+        reader = rm.read(0)
+        with pytest.raises(RuntimeError, match="encode exploded"):
+            sim.run(until=sim.now + 1_000)
+        assert 0 not in rm._inflight_writes
+        sim.run(until=sim.now + 1_000)
+        # It finished; what it read mixes new data with the stale parities.
+        assert reader.processed and reader.ok
+        (span,) = self.parity_spans(rm, 0)[-1:]
+        assert "parities" not in span.tags
+
+
 class TestRegenerationScheduling:
     def test_regen_deadline_cancelled_after_success(self):
         """When the regeneration RPC wins the race, the 5 s give-up timer

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.net import (
     NetworkConfig,
+    QueuePair,
     RDMADisconnect,
     RemoteAccessError,
 )
@@ -24,6 +25,11 @@ def quiet_config(**overrides):
 @pytest.fixture
 def cluster():
     return Cluster(machines=4, network=quiet_config(), seed=1)
+
+
+def post_one(qp, size, sink, token, fn, args=()):
+    """A fan-out of one: the shape every single poster gives ``_post``."""
+    QueuePair._post(qp.fabric, size, sink, ((qp, token, fn, args),))
 
 
 class TestVerbs:
@@ -275,7 +281,7 @@ class TestSinkVerbs:
 
         def proc():
             for token in ("a", "b", "c"):
-                qp._post(512, sink, token, fetched.append, (token,))
+                post_one(qp, 512, sink, token, fetched.append, (token,))
             assert cluster.fabric.queue_depth(0) == 3
             cluster.machine(1).fail()
             assert cluster.fabric.queue_depth(0) == 0
@@ -307,7 +313,7 @@ class TestSinkVerbs:
             sink, calls = self.recording_sink(sim)
             before = sim._active
             if path == "sink":
-                qp._post(64, sink, "t", lambda: None)
+                post_one(qp, 64, sink, "t", lambda: None)
             else:
                 event = qp.post_read(64, fetch=lambda: None)
                 event.callbacks.append(
@@ -325,8 +331,8 @@ class TestSinkVerbs:
         sim = cluster.sim
         qp = cluster.fabric.qp(0, 1)
         sink, calls = self.recording_sink(sim)
-        qp._post(64, sink, 7, cluster.machine(1).read_split, (999, 0))  # unmapped slab
-        qp._post(64, sink, 8, int, ("42",))
+        post_one(qp, 64, sink, 7, cluster.machine(1).read_split, (999, 0))  # unmapped slab
+        post_one(qp, 64, sink, 8, int, ("42",))
         sim.run()
         # Same completion instant on this jitter-free network: the error
         # completion is its own queue record, behind the one already queued.
@@ -342,8 +348,8 @@ class TestSinkVerbs:
         depths = []
         for target in (1, 2):
             for token in range(3):
-                fabric.qp(0, target)._post(
-                    512, sink, (target, token),
+                post_one(
+                    fabric.qp(0, target), 512, sink, (target, token),
                     lambda: depths.append(fabric.queue_depth(0)),
                 )
         fabric.qp(0, 3).post_read(512, fetch=lambda: None)  # event verbs count too
@@ -354,6 +360,85 @@ class TestSinkVerbs:
         # verb, posted last, was still out.
         assert depths == [6, 5, 4, 3, 2, 1]
         assert fabric.queue_depth(0) == 0
+
+
+FAN_OUT_SCENARIOS = {
+    # name: (network overrides, what happens around the posting)
+    "quiet": (dict(jitter_sigma=0.0, straggler_prob=0.0), None),
+    "stragglers": (dict(straggler_prob=0.2), None),
+    "flows on a remote nic": ({}, "remote_flows"),
+    "flows on the local nic": ({}, "local_flows"),
+    "one unreachable qp mid fan-out": ({}, "unreachable"),
+    "disconnect while verbs are pending": ({}, "disconnect"),
+}
+_LATENCY_TAGS = ("wire_us", "congestion_us", "jitter_us", "straggler_us", "queue_us")
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("scenario", FAN_OUT_SCENARIOS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fan_out_equals_singles(seed, scenario, traced):
+    """One ``_post`` of n posts is n ``_post``s of one: completion times,
+    sink calls, NIC counters, every QP's RNG stream, the entries ever
+    scheduled and a traced verb's latency tags are all identical."""
+    overrides, twist = FAN_OUT_SCENARIOS[scenario]
+    # Five targets, two of them twice: a QP's second verb queues behind its
+    # first inside one fan-out. Machine 3 sits in the middle.
+    targets = (1, 2, 3, 2, 4, 5, 1)
+
+    def observe(fused):
+        cluster = Cluster(
+            machines=6, network=NetworkConfig(**dict(dict(jitter_sigma=0.3), **overrides)),
+            seed=seed,
+        )
+        sim, fabric = cluster.sim, cluster.fabric
+        qps = {target: fabric.qp(0, target) for target in set(targets)}
+        if twist == "remote_flows":
+            cluster.machine(2).nic.background_flows = 2
+        elif twist == "local_flows":
+            cluster.machine(0).nic.background_flows = 1
+        elif twist == "unreachable":
+            cluster.machine(3).fail()
+        tracer = Tracer(sim)
+        calls = []
+
+        def sink(token, ok, value):
+            calls.append((sim.now, token, ok, value if ok else (type(value), str(value))))
+
+        for round_ in range(3):
+            span = tracer.start_span("req") if traced else None
+            posts = [
+                (qps[target], (round_, index), int, (index,))
+                for index, target in enumerate(targets)
+            ]
+            for batch in [posts] if fused else [[post] for post in posts]:
+                QueuePair._post(fabric, 512 << round_, sink, batch, True, span, "write")
+            if twist == "disconnect" and round_ == 1:
+                cluster.machine(4).fail()
+            sim.run(until=sim.now + 1.0)  # part of the fan-out is still pending
+        sim.run()
+        assert len(calls) == 3 * len(targets)
+        return {
+            "calls": calls,
+            "nics": [
+                (m.nic.bytes_sent, m.nic.bytes_received, m.nic.ops_sent)
+                for m in cluster.machines
+            ],
+            "rng": {t: qp._draw_uniform.__self__.getstate() for t, qp in qps.items()},
+            "active": sim._active,
+            "now": sim.now,
+            "verbs": [
+                (s.tags["target"], s.start_us, s.duration_us, s.tags.get("error"))
+                + tuple(s.tags.get(tag) for tag in _LATENCY_TAGS)
+                for s in tracer.spans if s.name == "rdma.write"
+            ],
+        }
+
+    fused = observe(True)
+    assert fused == observe(False)
+    assert len(fused["verbs"]) == (3 * len(targets) if traced else 0)
+    if twist in ("unreachable", "disconnect"):
+        assert any(not ok for _at, _token, ok, _value in fused["calls"])
 
 
 def test_traced_and_untraced_verbs_complete_at_identical_times():

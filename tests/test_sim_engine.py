@@ -250,6 +250,28 @@ class TestProcess:
         assert process.value == 100.0 and double.value == 100.0
         assert quick.value == "done"
 
+    def test_start_is_one_record_in_fifo_with_its_instant(self, sim):
+        """A process starts from one scheduled record — one sequence number,
+        no event — which runs in scheduling order among the other records
+        of its instant, whatever kind they are."""
+        log = []
+
+        def proc(tag):
+            log.append(tag)
+            yield sim.timeout(1)
+            log.append(tag + " woke")
+
+        before = sim._active
+        sim.process(proc("p1"))
+        assert sim._active == before + 1
+        sim.call_later(0, lambda: log.append("call"))
+        sim.event().succeed().callbacks.append(lambda _e: log.append("event"))
+        sim.process(proc("p2"))
+        sim.timeout(0).callbacks.append(lambda _e: log.append("timeout"))
+        assert log == []  # nothing runs before the loop does
+        sim.run()
+        assert log == ["p1", "call", "event", "p2", "timeout", "p1 woke", "p2 woke"]
+
     def test_interrupt_dead_process_is_noop(self, sim):
         def quick():
             yield sim.timeout(1)
