@@ -347,3 +347,189 @@ def test_loadgen_cli_usage_errors(tmp_path):
     assert loadgen_main(["--seeds", "0"]) == 2
     assert loadgen_main(["--seeds"]) == 2
     assert loadgen_main(["--trace", str(tmp_path / "missing.json")]) == 2
+
+
+# ----------------------------------------------------------------------
+# Seeded open-loop histories (model pins). Recorded on the
+# process-per-request drivers; any change to how a request is carried
+# (processes, callbacks, slot hand-off) must leave every value here
+# exactly as it is — a difference means the model moved, not the
+# mechanism.
+# ----------------------------------------------------------------------
+def _pinned_pager(seed, n_pages=512, resident=256):
+    from repro.harness.microbench import run_process
+    from repro.harness.scenarios import build_pool
+    from repro.vmm import PagedMemory
+
+    cluster, pool = build_pool("hydra", 12, seed, payload_mode="phantom")
+    pager = PagedMemory(pool, resident_pages=resident)
+    run_process(cluster.sim, pager.preload(range(n_pages)), until=1e10)
+    return cluster.sim, pager
+
+
+def _sha(samples):
+    import hashlib
+
+    return hashlib.sha256(
+        np.ascontiguousarray(samples, dtype=np.float64).tobytes()
+    ).hexdigest()
+
+
+def _pager_counts(pager):
+    return tuple(
+        pager.stats[key] for key in ("hits", "faults", "page_ins", "page_outs")
+    )
+
+
+def _open_loop_history(seed, kind, rate, **options):
+    from repro.harness.microbench import run_process
+    from repro.workloads import OpenLoopWorkload, make_arrivals
+
+    sim, pager = _pinned_pager(seed)
+    rng = RandomSource(seed, "pins/openloop")
+    work = OpenLoopWorkload(
+        pager, rng.child("ops"),
+        make_arrivals(kind, rng.child("arrivals"), rate), 512, **options,
+    )
+    result = run_process(sim, work.run(30_000.0), until=1e10)
+    return {
+        "samples_sha256": _sha(result.latency_samples),
+        "issued": result.issued,
+        "completed": result.completed,
+        "completed_in_window": result.completed_in_window,
+        "dropped": result.dropped,
+        "queue_peak": result.queue_peak,
+        "sim_now": sim.now,
+        "pager": _pager_counts(pager),
+    }
+
+
+_OPEN_LOOP_PINS = {
+    "poisson below capacity": (
+        (3, "poisson", 20_000.0), {},
+        {
+            "samples_sha256":
+                "5c26f92fda7dea6332889b66022b6e8e8400e5582f8e19175dcf1ee92f104175",
+            "issued": 620,
+            "completed": 620,
+            "completed_in_window": 620,
+            "dropped": 0,
+            "queue_peak": 2,
+            "sim_now": 30784.083643954924,
+            "pager": (482, 650, 138, 394),
+        },
+    ),
+    "poisson above capacity": (
+        (3, "poisson", 90_000.0), {},
+        {
+            "samples_sha256":
+                "a015596d221278e0efd1ecca1f29e53aa220469425584eda2da67553c38e4cc1",
+            "issued": 2709,
+            "completed": 2709,
+            "completed_in_window": 2296,
+            "dropped": 0,
+            "queue_peak": 416,
+            "sim_now": 36102.10611589392,
+            "pager": (2259, 962, 450, 511),
+        },
+    ),
+    "queue_limit=16 above capacity": (
+        (3, "poisson", 90_000.0), {"queue_limit": 16},
+        {
+            "samples_sha256":
+                "1a18328a83c0320176486e63854e6270b0a3c77f895a9b0dc7baf6ec2ddade92",
+            "issued": 2709,
+            "completed": 2309,
+            "completed_in_window": 2296,
+            "dropped": 400,
+            "queue_peak": 16,
+            "sim_now": 30950.860758850762,
+            "pager": (1910, 911, 399, 499),
+        },
+    ),
+    "compute_us=0": (
+        (5, "poisson", 55_000.0), {"compute_us": 0.0},
+        {
+            "samples_sha256":
+                "9f19599613de075c15c4b14989669c991b2caeea510343882e7e5d62e515b3f4",
+            "issued": 1581,
+            "completed": 1581,
+            "completed_in_window": 1581,
+            "dropped": 0,
+            "queue_peak": 2,
+            "sim_now": 30770.816133436492,
+            "pager": (1328, 765, 253, 460),
+        },
+    ),
+    "bursty arrivals, one slot": (
+        (4, "bursty", 60_000.0), {"concurrency": 1},
+        {
+            "samples_sha256":
+                "f0bb85f1be482ef879786ee950b965455321693b879ae7a94a88dd21fd05f285",
+            "issued": 1220,
+            "completed": 1220,
+            "completed_in_window": 826,
+            "dropped": 0,
+            "queue_peak": 400,
+            "sim_now": 40968.5165674729,
+            "pager": (992, 740, 228, 460),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_OPEN_LOOP_PINS))
+def test_open_loop_history_is_pinned(label):
+    args, options, expected = _OPEN_LOOP_PINS[label]
+    assert _open_loop_history(*args, **options) == expected
+
+
+def _replay_history():
+    from repro.harness.microbench import run_process
+    from repro.workloads import TraceReplayWorkload
+
+    trace = ReplayTrace(
+        name="pinned",
+        key_space=256,
+        epochs=[
+            TraceEpoch(duration_us=15_000.0, rate_per_sec=15_000.0,
+                       size_pages=(1, 2, 4), size_weights=(0.6, 0.3, 0.1)),
+            TraceEpoch(duration_us=15_000.0, rate_per_sec=45_000.0,
+                       zipf_alpha=0.8, key_offset=100, get_fraction=0.7,
+                       size_pages=(1, 3), size_weights=(0.7, 0.3)),
+            TraceEpoch(duration_us=10_000.0, rate_per_sec=8_000.0,
+                       key_offset=31),
+        ],
+    )
+    sim, pager = _pinned_pager(6, n_pages=256, resident=128)
+    work = TraceReplayWorkload(pager, RandomSource(6, "pins/replay"), trace)
+    run_process(sim, work.run(), until=1e10)
+    return {
+        "samples_sha256": _sha(work.samples()),
+        "completed": work.stats["completed"],
+        "sim_now": sim.now,
+        "pager": _pager_counts(pager),
+        "epochs": [
+            (row["issued"], row["completed_in_epoch"], row["p50_us"],
+             row["p99_us"], row["mean_us"])
+            for row in work.epoch_table()
+        ],
+    }
+
+
+_REPLAY_PIN = {
+    "samples_sha256":
+        "258031d47d2fc41c5fa245ca8fbc1f30299725a87a242dc20b30528b93916af8",
+    "completed": 967,
+    "sim_now": 40429.01374709248,
+    "pager": (936, 780, 524, 421),
+    "epochs": [
+        (201, 200, 25.099999999998545, 57.77370837070269, 29.151566620240306),
+        (686, 685, 31.770239575787855, 120.16119911184066, 40.70798830705714),
+        (80, 82, 25.05000000000291, 31.488508520723535, 26.975284166183155),
+    ],
+}
+
+
+def test_trace_replay_history_is_pinned():
+    assert _replay_history() == _REPLAY_PIN
