@@ -288,15 +288,16 @@ class Process(Event):
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield."""
+        self.throw(Interrupt(cause))
+
+    def throw(self, exc: BaseException) -> None:
+        """Raise ``exc`` at the process's current yield, now, via the queue."""
         if not self.is_alive:
             return
         self._detach()
         failer = Event(self.sim, name=f"interrupt:{self.name}")
-        failer._ok = False
-        failer._value = Interrupt(cause)
-        failer._state = _TRIGGERED
         failer.callbacks.append(self._interrupted)
-        self.sim._schedule(failer)
+        failer.fail(exc)
 
     def _detach(self) -> None:
         """Stop waiting for the awaited event, if there is one."""
@@ -359,54 +360,32 @@ class _Condition(Event):
 
     __slots__ = ("events", "_pending_count")
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event], name: str):
+    def __init__(self, sim: "Simulator", events: Iterable[Event]):
+        name = self.__class__.__name__
         super().__init__(sim, name=name)
         self.events: List[Event] = list(events)
         for ev in self.events:
             if not isinstance(ev, Event):
                 raise SimulationError(f"{name} requires Events, got {ev!r}")
-        self._pending_count = sum(1 for ev in self.events if ev._state != _PROCESSED)
-        if self._check_immediate():
-            return
+        self._pending_count = len(self.events)
+        if not self.events:
+            self.succeed({})
+        # An already processed child reports here and now, in list order: a
+        # failed one fails the condition whatever else is still pending.
         for ev in self.events:
-            if ev._state != _PROCESSED:
+            if ev._state == _PROCESSED:
+                self._on_child(ev)
+            else:
                 ev.callbacks.append(self._on_child)
-            # Already-processed children were accounted in _pending_count.
-
-    def _check_immediate(self) -> bool:
-        raise NotImplementedError
-
-    def _on_child(self, child: Event) -> None:
-        raise NotImplementedError
 
     def _results(self) -> dict:
-        return {
-            ev: ev._value
-            for ev in self.events
-            if ev._state != _PENDING and ev._ok and ev.triggered
-        }
+        return {e: e._value for e in self.events if e._state >= _TRIGGERED and e._ok}
 
 
 class AnyOf(_Condition):
     """Triggers as soon as one child event succeeds (or any child fails)."""
 
     __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, events, name="AnyOf")
-
-    def _check_immediate(self) -> bool:
-        if not self.events:
-            self.succeed({})
-            return True
-        for ev in self.events:
-            if ev._state == _PROCESSED:
-                if ev._ok:
-                    self.succeed(self._results())
-                else:
-                    self.fail(ev._value)
-                return True
-        return False
 
     def _on_child(self, child: Event) -> None:
         if self._state != _PENDING:
@@ -421,19 +400,6 @@ class AllOf(_Condition):
     """Triggers once every child succeeds; fails fast on any child failure."""
 
     __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, events, name="AllOf")
-
-    def _check_immediate(self) -> bool:
-        if self._pending_count == 0:
-            for ev in self.events:
-                if not ev._ok:
-                    self.fail(ev._value)
-                    return True
-            self.succeed(self._results())
-            return True
-        return False
 
     def _on_child(self, child: Event) -> None:
         if self._state != _PENDING:

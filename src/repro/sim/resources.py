@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Optional
 
 from .engine import Event, SimulationError, Simulator
 
@@ -63,10 +63,6 @@ class Resource:
     def queue_length(self) -> int:
         """Number of requests waiting for a slot."""
         return len(self._waiters)
-
-    def acquire(self) -> Generator[Event, None, None]:
-        """Process-style helper: ``yield from resource.acquire()``."""
-        yield self.request()
 
 
 class Store:

@@ -16,20 +16,103 @@ front-end, like :class:`~repro.workloads.MemcachedWorkload`, but every
 random draw (gap, key, op type) happens in the single arrival process, so
 a run's request sequence is a pure function of the seed regardless of how
 completions interleave.
+
+A request is not a process: :class:`RequestChain` carries it on callbacks
+(walk-through in docs/ARCHITECTURE.md); the process-per-request drivers
+survive as the oracle in ``tests/openloop_oracle.py``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from ..sim import Counter, LatencyRecorder, RandomSource, Resource, ThroughputWindow
+from ..sim import Counter, LatencyRecorder, RandomSource, ThroughputWindow
 from ..vmm import PagedMemory
 from .arrivals import ArrivalProcess
 
-__all__ = ["OpenLoopWorkload", "OpenLoopResult"]
+__all__ = ["OpenLoopWorkload", "OpenLoopResult", "RequestChain"]
+
+
+class RequestChain:
+    """The request path of both open-loop drivers, run as callbacks.
+
+    A request — ``(arrived_us, pages, write, done)`` — takes one of
+    ``concurrency`` slots or waits for one in the FIFO ``waiting``, touches
+    its pages in order, computes for ``compute_us`` and hands ``done`` its
+    arrival-to-completion latency; the slot then passes to the oldest
+    waiter, in the same step. A failed access records nothing, passes the
+    slot on and is thrown into ``owner``, the driver's run process.
+    """
+
+    def __init__(self, memory: PagedMemory, concurrency: int, compute_us: float):
+        self.memory = memory
+        self.sim = memory.sim
+        self.concurrency = concurrency
+        self.compute_us = compute_us
+        self.in_use = 0
+        self.waiting = deque()
+        self.queue_peak = 0
+        self.owner = None  # the run process, set by the driver
+        self._drained = None  # the event of drained(), while requests are left
+
+    def submit(self, pages: Iterable[int], write: bool, done: Callable) -> None:
+        """Admit a request arriving now that touches ``pages`` in order."""
+        request = (self.sim.now, iter(pages), write, done)
+        if self.in_use < self.concurrency:
+            self.in_use += 1
+            self._serve(request)
+        else:
+            self.waiting.append(request)
+            self.queue_peak = max(self.queue_peak, len(self.waiting))
+
+    def _serve(self, request, accessed=None) -> None:
+        """Holding a slot, and ``accessed`` (if any) is over: touch the next
+        page and go on from its event, or compute after the last one."""
+        arrived_us, pages, write, done = request
+        try:
+            if accessed is not None:
+                accessed.value  # raises what the access failed with
+            for page in pages:  # an iterator: goes on behind the last page
+                event = self.memory.access(page, write=write)
+                if not event.processed:
+                    event.callbacks.append(lambda event: self._serve(request, event))
+                    return
+                event.value
+        except Exception as exc:  # noqa: BLE001 - the run process gets it
+            self.owner.throw(exc)  # first: the first failure is the one raised
+            self._release()
+            return
+        if self.compute_us > 0:
+            self.sim.call_later(self.compute_us, lambda: self._finish(arrived_us, done))
+        else:
+            self._finish(arrived_us, done)
+
+    def _finish(self, arrived_us: float, done: Callable) -> None:
+        done(self.sim.now - arrived_us)
+        self._release()
+
+    def _release(self) -> None:
+        if self.waiting:
+            self._serve(self.waiting.popleft())  # the slot changes hands
+            return
+        self.in_use -= 1
+        if not self.in_use and self._drained is not None:
+            self._drained.succeed()
+            self._drained = None
+
+    def drained(self):
+        """The event a run process waits on once its arrivals have
+        stopped: triggered when no admitted request is left."""
+        event = self.sim.event(name="openloop.drained")
+        if self.in_use:
+            self._drained = event
+        else:
+            event.succeed()
+        return event
 
 
 @dataclass
@@ -119,65 +202,42 @@ class OpenLoopWorkload:
         self.throughput = ThroughputWindow(window_us, name=f"{self.name}.tput")
         self.stats = Counter()
         self._zipf = rng.zipf_sampler(n_keys, zipf_alpha)
-        self._slots = Resource(self.sim, capacity=concurrency)
-        self._queue_peak = 0
+        self._chain = RequestChain(memory, concurrency, compute_us)
 
     # ------------------------------------------------------------------
-    def _request(self, arrived_us: float, page: int, write: bool):
-        """One request: queue for a slot, touch the page, compute."""
-        grant = self._slots.request()
-        self._queue_peak = max(self._queue_peak, self._slots.queue_length)
-        yield grant
-        try:
-            yield self.memory.access(page, write=write)
-            if self.compute_us > 0:
-                yield self.sim.timeout(self.compute_us)
-        finally:
-            self._slots.release()
-        self.latency.record(self.sim.now - arrived_us)
+    def _completed(self, latency_us: float) -> None:
+        self.latency.record(latency_us)
         self.throughput.record(self.sim.now)
         self.stats.incr("completed")
 
     def run(self, duration_us: float):
         """Start the generator; the returned process completes once every
         admitted request has drained (arrivals stop at ``duration_us``).
-
-        The process's value is the :class:`OpenLoopResult`.
-        """
+        Its value is the :class:`OpenLoopResult`; a request whose access
+        failed ends it with that exception instead."""
         if duration_us <= 0:
             raise ValueError(f"duration_us must be > 0, got {duration_us}")
-        sim = self.sim
+        sim, chain, limit = self.sim, self._chain, self.queue_limit
 
         def generator():
-            start = sim.now
-            end = start + duration_us
-            inflight: List = []
+            end = sim.now + duration_us
             while True:
                 gap = self.arrivals.next_gap()
                 if sim.now + gap >= end:
                     break
                 yield sim.timeout(gap)
                 self.stats.incr("issued")
-                if (
-                    self.queue_limit is not None
-                    and self._slots.queue_length >= self.queue_limit
-                ):
+                if limit is not None and len(chain.waiting) >= limit:
                     self.stats.incr("dropped")
                     continue
                 key = self._zipf.sample()
                 page = (key * 2654435761) % self.n_keys
                 write = self.rng.random() >= self.get_fraction
-                inflight.append(
-                    sim.process(
-                        self._request(sim.now, page, write),
-                        name=f"ol-req{self.stats['issued']}",
-                    )
-                )
+                chain.submit((page,), write, self._completed)
             # Snapshot window-bounded throughput before draining.
             yield sim.timeout(max(0.0, end - sim.now))
             completed_in_window = self.stats["completed"]
-            if inflight:
-                yield sim.all_of(inflight)
+            yield chain.drained()
             return OpenLoopResult(
                 offered_per_sec=self.arrivals.rate_per_sec,
                 duration_us=duration_us,
@@ -185,11 +245,10 @@ class OpenLoopWorkload:
                 completed=self.stats["completed"],
                 completed_in_window=completed_in_window,
                 dropped=self.stats["dropped"],
-                queue_peak=self._queue_peak,
-                latency_samples=np.asarray(
-                    self.latency.samples, dtype=np.float64
-                ),
+                queue_peak=chain.queue_peak,
+                latency_samples=np.asarray(self.latency.samples, dtype=np.float64),
                 stats=self.stats,
             )
 
-        return sim.process(generator(), name=f"{self.name}-run")
+        chain.owner = sim.process(generator(), name=f"{self.name}-run")
+        return chain.owner

@@ -24,9 +24,10 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..sim import Counter, LatencyRecorder, RandomSource, Resource
+from ..sim import Counter, LatencyRecorder, RandomSource
 from ..vmm import PagedMemory
 from .arrivals import PoissonArrivals
+from .openloop import RequestChain
 
 __all__ = ["TraceEpoch", "ReplayTrace", "TraceReplayWorkload", "EpochResult"]
 
@@ -186,8 +187,8 @@ class TraceReplayWorkload:
     draws its key from the epoch's zipf distribution shifted by the
     epoch's ``key_offset`` and touches ``size_pages`` consecutive pages
     (multi-page values page in/out as a unit). Latency is measured from
-    scheduled arrival to completion through a bounded server-slot pool,
-    exactly like :class:`~repro.workloads.OpenLoopWorkload`.
+    scheduled arrival to completion through a bounded server-slot pool: the
+    :class:`~repro.workloads.openloop.RequestChain` ``OpenLoopWorkload`` uses.
     """
 
     name = "replay"
@@ -208,93 +209,69 @@ class TraceReplayWorkload:
         self.concurrency = concurrency
         self.compute_us = compute_us
         self.stats = Counter()
-        self._slots = Resource(self.sim, capacity=concurrency)
+        self._chain = RequestChain(memory, concurrency, compute_us)
         self.epoch_results: List[EpochResult] = []
         self.latency = LatencyRecorder(f"{self.name}.op", reservoir_limit=1 << 22)
 
     # ------------------------------------------------------------------
-    def _request(self, arrived_us: float, first_page: int, pages: int,
-                 write: bool, recorder: LatencyRecorder):
-        yield self._slots.request()
-        try:
-            for offset in range(pages):
-                page = (first_page + offset) % self.trace.key_space
-                yield self.memory.access(page, write=write)
-            if self.compute_us > 0:
-                yield self.sim.timeout(self.compute_us)
-        finally:
-            self._slots.release()
-        latency = self.sim.now - arrived_us
-        recorder.record(latency)
-        self.latency.record(latency)
-        self.stats.incr("completed")
-
     def run(self):
         """Replay every epoch in order; the returned process's value is
-        the list of :class:`EpochResult` rows."""
+        the list of :class:`EpochResult` rows, or a failed access's exception."""
+        chain = self._chain
+        chain.owner = self.sim.process(self._replay(), name=f"{self.name}-run")
+        return chain.owner
+
+    def _replay(self):
+        for index, epoch in enumerate(self.trace.epochs):
+            yield from self._epoch(index, epoch)
+        yield self._chain.drained()
+        return self.epoch_results
+
+    def _epoch(self, index: int, epoch: TraceEpoch):
         sim = self.sim
+        key_space = self.trace.key_space
+        arrivals = PoissonArrivals(
+            self.rng.child(f"epoch{index}/arrivals"), epoch.rate_per_sec
+        )
+        zipf = self.rng.child(f"epoch{index}/keys").zipf_sampler(
+            key_space, epoch.zipf_alpha
+        )
+        op_rng = self.rng.child(f"epoch{index}/ops")
+        recorder = LatencyRecorder(f"{self.name}.epoch{index}", reservoir_limit=1 << 22)
 
-        def replay():
-            inflight: List = []
-            for index, epoch in enumerate(self.trace.epochs):
-                arrivals = PoissonArrivals(
-                    self.rng.child(f"epoch{index}/arrivals"), epoch.rate_per_sec
-                )
-                zipf = self.rng.child(f"epoch{index}/keys").zipf_sampler(
-                    self.trace.key_space, epoch.zipf_alpha
-                )
-                op_rng = self.rng.child(f"epoch{index}/ops")
-                recorder = LatencyRecorder(
-                    f"{self.name}.epoch{index}", reservoir_limit=1 << 22
-                )
-                start = sim.now
-                end = start + epoch.duration_us
-                issued = 0
-                completed_before = self.stats["completed"]
-                while True:
-                    gap = arrivals.next_gap()
-                    if sim.now + gap >= end:
-                        break
-                    yield sim.timeout(gap)
-                    issued += 1
-                    rank = zipf.sample()
-                    key = (rank + epoch.key_offset) % self.trace.key_space
-                    first_page = (key * 2654435761) % self.trace.key_space
-                    pages = op_rng.weighted_choice(
-                        epoch.size_pages, epoch.size_weights
-                    )
-                    write = op_rng.random() >= epoch.get_fraction
-                    inflight.append(
-                        sim.process(
-                            self._request(
-                                sim.now, first_page, pages, write, recorder
-                            ),
-                            name=f"replay-e{index}",
-                        )
-                    )
-                yield sim.timeout(max(0.0, end - sim.now))
-                completed = self.stats["completed"] - completed_before
-                if recorder.count:
-                    summary = recorder.summary()
-                    p50, p99, mean = summary.p50, summary.p99, summary.mean
-                else:
-                    p50 = p99 = mean = 0.0
-                self.epoch_results.append(
-                    EpochResult(
-                        index=index,
-                        rate_per_sec=epoch.rate_per_sec,
-                        issued=issued,
-                        completed_in_epoch=completed,
-                        p50_us=p50,
-                        p99_us=p99,
-                        mean_us=mean,
-                    )
-                )
-            if inflight:
-                yield sim.all_of(inflight)
-            return self.epoch_results
+        def completed(latency_us: float) -> None:
+            recorder.record(latency_us)
+            self.latency.record(latency_us)
+            self.stats.incr("completed")
 
-        return sim.process(replay(), name=f"{self.name}-run")
+        end = sim.now + epoch.duration_us
+        issued = 0
+        completed_before = self.stats["completed"]
+        while True:
+            gap = arrivals.next_gap()
+            if sim.now + gap >= end:
+                break
+            yield sim.timeout(gap)
+            issued += 1
+            rank = zipf.sample()
+            key = (rank + epoch.key_offset) % key_space
+            first_page = (key * 2654435761) % key_space
+            pages = op_rng.weighted_choice(epoch.size_pages, epoch.size_weights)
+            write = op_rng.random() >= epoch.get_fraction
+            self._chain.submit(
+                [(first_page + offset) % key_space for offset in range(pages)],
+                write, completed,
+            )
+        yield sim.timeout(max(0.0, end - sim.now))
+        p50 = p99 = mean = 0.0
+        if recorder.count:
+            summary = recorder.summary()
+            p50, p99, mean = summary.p50, summary.p99, summary.mean
+        self.epoch_results.append(EpochResult(
+            index=index, rate_per_sec=epoch.rate_per_sec, issued=issued,
+            completed_in_epoch=self.stats["completed"] - completed_before,
+            p50_us=p50, p99_us=p99, mean_us=mean,
+        ))
 
     def samples(self) -> np.ndarray:
         return np.asarray(self.latency.samples, dtype=np.float64)

@@ -345,6 +345,58 @@ class TestConditions:
 
         assert drive(sim, proc()) == "ok"
 
+    @staticmethod
+    def _children(sim):
+        """At t=2: ``bad`` failed (and was processed) at t=1, ``done``
+        succeeded at t=1, ``good`` succeeds at t=5."""
+
+        def bad():
+            yield sim.timeout(1)
+            raise RuntimeError("bad")
+
+        def waiter(delay, value):
+            yield sim.timeout(delay)
+            return value
+
+        children = (sim.process(bad()), sim.process(waiter(1, "done")),
+                    sim.process(waiter(5, "good")))
+        sim.run(until=2)
+        assert children[0].processed and not children[0].ok
+        return children
+
+    def test_all_of_over_an_already_failed_child_and_pending_ones_fails(self, sim):
+        # The failure used to be swallowed: nothing looked at a processed
+        # child while others were pending, and the condition succeeded at
+        # t=5 with {good: "good"}.
+        bad, done, good = self._children(sim)
+        for events in ([bad, good], [good, bad], [done, good, bad]):
+            condition = sim.all_of(events)
+            assert not condition.processed  # scheduled, like every outcome
+            sim.run_until_triggered(condition)
+            assert sim.now == 2 and condition.exception is bad.exception
+        sim.run()
+        assert good.value == "good"  # the pending child is left alone
+
+    def test_all_of_over_processed_children_only(self, sim):
+        bad, done, good = self._children(sim)
+        sim.run()
+        failed = sim.all_of([done, bad, good])
+        succeeded = sim.all_of([done, good])
+        sim.run()
+        assert failed.exception is bad.exception
+        assert succeeded.value == {done: "done", good: "good"}
+
+    def test_any_of_over_already_processed_children(self, sim):
+        bad, done, good = self._children(sim)
+        failed = sim.any_of([good, bad])  # a failed child fails it at once
+        first_ok = sim.any_of([done, bad, good])  # first processed child wins
+        pending = sim.any_of([good])
+        sim.run_until_triggered(failed)
+        assert sim.now == 2 and failed.exception is bad.exception
+        sim.run()
+        assert first_ok.value == {done: "done"}
+        assert pending.value == {good: "good"}
+
 
 class TestSimulatorRun:
     def test_run_until_advances_clock_exactly(self, sim):
