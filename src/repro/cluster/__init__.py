@@ -4,7 +4,14 @@ from .builder import Cluster
 from .disk import SSD, SSDConfig
 from .failures import CorruptionInjector, FailureInjector, LocalMemoryPressure
 from .machine import Machine
-from .memory import PhantomSplit, Slab, SlabState, corrupt_payload, payloads_equal
+from .memory import (
+    PhantomSplit,
+    Slab,
+    SlabState,
+    corrupt_payload,
+    payloads_equal,
+    recoverable_versions,
+)
 from .slabtable import RackTopology, SlabTable, place_ranges
 
 __all__ = [
@@ -23,4 +30,5 @@ __all__ = [
     "corrupt_payload",
     "payloads_equal",
     "place_ranges",
+    "recoverable_versions",
 ]

@@ -24,13 +24,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from ..sim import RandomSource
 
-__all__ = ["SlabState", "Slab", "PhantomSplit", "corrupt_payload", "payloads_equal"]
+__all__ = [
+    "SlabState",
+    "Slab",
+    "PhantomSplit",
+    "recoverable_versions",
+    "corrupt_payload",
+    "payloads_equal",
+]
 
 
 class SlabState(Enum):
@@ -52,6 +59,18 @@ class PhantomSplit:
 
     version: int
     corrupt: bool = False
+
+
+def recoverable_versions(payloads: Iterable[object], k: int) -> List[int]:
+    """The versions a phantom page can be decoded at from ``payloads``:
+    those with at least ``k`` intact splits of that one version (what a
+    real RS decode would need). Anything that is not a clean
+    :class:`PhantomSplit` counts toward none."""
+    counts: Dict[int, int] = {}
+    for payload in payloads:
+        if isinstance(payload, PhantomSplit) and not payload.corrupt:
+            counts[payload.version] = counts.get(payload.version, 0) + 1
+    return [version for version, count in counts.items() if count >= k]
 
 
 @dataclass

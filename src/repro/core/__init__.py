@@ -18,7 +18,6 @@ from .resilience_manager import (
 from .resource_monitor import ResourceMonitor
 from .rm_replica import (
     ControlPlane,
-    MetadataQuorumError,
     MetadataReplica,
     ReplicatedMetadataStore,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "ResilienceManager",
     "ResourceMonitor",
     "ControlPlane",
-    "MetadataQuorumError",
     "MetadataReplica",
     "ReplicatedMetadataStore",
     "RpcEndpoint",

@@ -220,8 +220,10 @@ class ResilienceManager:
         # for one (range, position) structurally impossible.
         self._regen_retry_pending: Set[Tuple[int, int]] = set()
         # Replicated metadata store (repro.core.rm_replica.ControlPlane
-        # attaches one when HydraConfig.metadata_replicas > 0). With no
-        # store every hook below is a single `is not None` check.
+        # attaches one when HydraConfig.metadata_replicas > 0): the write
+        # path commits the two records that gate a client ack through it,
+        # and a fence ends its epoch. Every other record reaches it as an
+        # observer. With no store each use is a single `is not None` check.
         self._meta = None
         # Fenced: this RM's leadership epoch is over (it lost its metadata
         # quorum, or its machine crashed and a peer took over). A fenced
@@ -231,9 +233,10 @@ class ResilienceManager:
         # caching them here turns two fabric lookups per posted split into
         # one dict hit.
         self._endpoints: Dict[int, tuple] = {}
-        # Passive observers (chaos invariant checkers, repro.chaos): every
-        # hook site is guarded by `if self._observers`, so the happy path
-        # costs one truthiness check per request when none are registered.
+        # Observers (the replicated metadata store, chaos invariant
+        # checkers): every hook site on the request path is guarded by
+        # `if self._observers`, so the happy path costs one truthiness check
+        # per request when none are registered.
         self._observers: List[object] = []
         # Fault injection for the chaos engine's self-test: silently drop
         # every asynchronous parity write while still reporting the write
@@ -284,9 +287,15 @@ class ResilienceManager:
         Observers may implement any subset of: ``on_write_acked(page_id,
         version, data)``, ``on_write_durable(page_id, version)``,
         ``on_read_done(page_id, version, data, start_us)``,
-        ``on_read_failed(page_id)``, ``on_regen_start(range_id, position)``
-        and ``on_regen_end(range_id, position, outcome)``. Hooks are
-        best-effort notifications; they must not mutate RM state.
+        ``on_read_failed(page_id)``, ``on_regen_start(range_id, position)``,
+        ``on_regen_end(range_id, position, outcome)``,
+        ``on_range_installed(address_range)``, ``on_range_dropped(range_id)``,
+        ``on_position_failed(range_id, position)``,
+        ``on_position_replaced(range_id, position, handle)``,
+        ``on_error_score(machine_id, score)`` and ``on_page_lost(page_id)``.
+        Observers run in registration order; the replicated metadata store
+        (repro.core.rm_replica) is the first when there is one. Hooks are
+        notifications; they must not mutate RM state.
         """
         self._observers.append(observer)
 
@@ -321,19 +330,10 @@ class ResilienceManager:
                 event.succeed_now()
 
     def _mark_failed(self, address_range: AddressRange, position: int) -> None:
-        """Mark a slab unavailable, replicating the transition so a
-        failover sees the same degraded slab map this RM does."""
+        """Mark a slab unavailable and tell the observers, so a failover
+        sees the same degraded slab map this RM does."""
         address_range.mark_failed(position)
-        self._log_meta(
-            "position_failed", range_id=address_range.range_id, position=position
-        )
-
-    def _log_meta(self, kind: str, **fields) -> None:
-        """Append one metadata record that gates no client ack and replicate
-        it in the background. A no-op without a store."""
-        if self._meta is not None:
-            self._meta.append(kind, **fields)
-            self._meta.commit_async()
+        self._notify("on_position_failed", address_range.range_id, position)
 
     # ==================================================================
     # public pool interface
@@ -422,7 +422,7 @@ class ResilienceManager:
         # torn write from a never-started one.
         if self._meta is not None:
             self._meta.append("write_intent", page_id=page_id, version=version)
-            if not (yield from self._meta.commit_ok()):
+            if not (yield from self._meta.commit()):
                 self.events.incr("meta_commit_failures")
                 raise RemoteMemoryUnavailable(
                     f"metadata quorum unavailable for write of page {page_id}"
@@ -465,7 +465,7 @@ class ResilienceManager:
             # pass resolves the torn splits at `version`.
             if self._meta is not None:
                 self._meta.append("write_acked", page_id=page_id, version=version)
-                if not (yield from self._meta.commit_ok()):
+                if not (yield from self._meta.commit()):
                     self.events.incr("meta_commit_failures")
                     if not full_done.triggered:
                         full_done.succeed_now()
@@ -492,12 +492,12 @@ class ResilienceManager:
                     )
             if self._observers:
                 self._notify("on_write_acked", page_id, version, data)
-            if self._meta is not None or self._observers:
+            if self._observers:
                 if full_done.triggered:
-                    self._write_durable(page_id, version)
+                    self._notify("on_write_durable", page_id, version)
                 else:
                     full_done.callbacks.append(
-                        lambda _event: self._write_durable(page_id, version)
+                        lambda _event: self._notify("on_write_durable", page_id, version)
                     )
             self.write_latency.record(self.sim.now - start)
             self.ops_window.record(self.sim.now)
@@ -510,12 +510,6 @@ class ResilienceManager:
         raise RemoteMemoryUnavailable(
             f"write of page {page_id} failed after {_WRITE_RETRY_LIMIT} attempts"
         )
-
-    def _write_durable(self, page_id: int, version: int) -> None:
-        """All (k + r) splits of an acked write have landed."""
-        self._log_meta("write_durable", page_id=page_id, version=version)
-        if self._observers:
-            self._notify("on_write_durable", page_id, version)
 
     def _write_attempt(
         self,
@@ -953,9 +947,7 @@ class ResilienceManager:
             self.error_scores[machine_id] = 0.0
             self.events.incr("regen_for_errors")
             self._start_regeneration(address_range, position)
-        self._log_meta(
-            "error_score", machine_id=machine_id, score=self.error_scores[machine_id]
-        )
+        self._notify("on_error_score", machine_id, self.error_scores[machine_id])
 
     def _on_machine_down(self, machine_id: int) -> None:
         """RDMA connection-manager notification: fail over every range that
@@ -1115,12 +1107,8 @@ class ResilienceManager:
             yield from self._apply_catchup(address_range, position, new_handle)
             phases.mark("catchup")
             address_range.replace(position, new_handle)
-            self._log_meta(
-                "position_replaced",
-                range_id=address_range.range_id,
-                position=position,
-                machine_id=new_handle.machine_id,
-                slab_id=new_handle.slab_id,
+            self._notify(
+                "on_position_replaced", address_range.range_id, position, new_handle
             )
             # The replacement may live on a machine we have never talked
             # to: watch its connection too, or later failures of that
@@ -1285,7 +1273,7 @@ class ResilienceManager:
             except RpcError:
                 pass
         self.space.drop(range_id)
-        self._log_meta("range_dropped", range_id=range_id)
+        self._notify("on_range_dropped", range_id)
         self.events.incr("ranges_reclaimed")
         return pages
 
@@ -1317,17 +1305,8 @@ class ResilienceManager:
             handles = yield from self.placer.place_range(range_id)
             address_range = AddressRange(range_id, handles)
             self.space.install(address_range)
-            if self._meta is not None:
-                # Rides the caller's next commit: a write always commits
-                # its intent right after resolving, and reads never place.
-                self._meta.append(
-                    "range_installed",
-                    range_id=range_id,
-                    handles=[
-                        [h.machine_id, h.slab_id, bool(h.available)]
-                        for h in handles
-                    ],
-                )
+            if self._observers:
+                self._notify("on_range_installed", address_range)
             self._watch_machines(handles)
             self.events.incr("ranges_placed")
         finally:

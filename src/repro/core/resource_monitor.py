@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from ..cluster import Machine, PhantomSplit, Slab, SlabState
+from ..cluster import Machine, PhantomSplit, Slab, SlabState, recoverable_versions
 from ..ec import ReedSolomonCode
 from ..ec.vectorized import rebuild_position
 from ..net import RemoteAccessError
@@ -366,15 +366,11 @@ class ResourceMonitor:
     def _rebuild_phantom(
         self, slab: Slab, snapshots: Dict[int, dict], universe: set, k: int
     ) -> None:
-        """A phantom page is recoverable at a version only when >= k clean
-        splits of that version exist (what a real RS decode would need).
-        Prefer the newest such version."""
+        """Rebuild each phantom page at the newest version it is
+        recoverable at (:func:`repro.cluster.recoverable_versions`)."""
         for page_id in universe:
-            counts: Dict[int, int] = {}
-            for snapshot in snapshots.values():
-                payload = snapshot.get(page_id)
-                if isinstance(payload, PhantomSplit) and not payload.corrupt:
-                    counts[payload.version] = counts.get(payload.version, 0) + 1
-            viable = [v for v, count in counts.items() if count >= k]
+            viable = recoverable_versions(
+                (snapshot.get(page_id) for snapshot in snapshots.values()), k
+            )
             if viable:
                 slab.pages[page_id] = PhantomSplit(version=max(viable))

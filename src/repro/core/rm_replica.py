@@ -39,14 +39,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..cluster import PhantomSplit, SlabState
+from ..cluster import SlabState, recoverable_versions
 from ..ec import CorruptionDetected, DecodeError
 from ..net import QueuePair, RemoteAccessError
 from .address_space import AddressRange, SlabHandle
 from .resilience_manager import _SplitGather
 
 __all__ = [
-    "MetadataQuorumError",
     "StaleTermError",
     "ReplicaGapError",
     "MetadataReplica",
@@ -60,10 +59,6 @@ __all__ = [
 # base lsn, committed lsn, record count) plus a packed record.
 _META_BASE_BYTES = 64
 _META_RECORD_BYTES = 96
-
-
-class MetadataQuorumError(Exception):
-    """A metadata commit could not reach a majority of the replica set."""
 
 
 class StaleTermError(RemoteAccessError):
@@ -132,12 +127,15 @@ class MetadataReplica:
 class ReplicatedMetadataStore:
     """Leader-side view of one RM's replicated metadata log.
 
-    The RM appends records locally (cheap, synchronous) and calls
-    :meth:`commit_ok` at its durability boundaries; a commit pushes the
-    per-peer log delta with one-sided WRITEs and succeeds once a majority
-    of the replica set (peers + the leader's own copy) holds the prefix.
-    Any failed commit — quorum loss or a stale-term fault — fences the
-    store (and through ``on_fence`` the RM itself) permanently.
+    The RM appends the two records that gate a client ack (``write_intent``,
+    ``write_acked``) and runs :meth:`commit` at those durability
+    boundaries; every other record comes from the store's ``on_*`` methods,
+    which the RM calls as one of its observers, and is committed in the
+    background. A commit pushes the per-peer log delta with one-sided
+    WRITEs and succeeds once a majority of the replica set (peers + the
+    leader's own copy) holds the prefix. Any failed commit — quorum loss
+    or a stale-term fault — fences the store (and through ``on_fence`` the
+    RM itself) permanently.
     """
 
     def __init__(
@@ -183,15 +181,8 @@ class ReplicatedMetadataStore:
         return self.self_replica.log
 
     @property
-    def total_replicas(self) -> int:
-        return len(self.peers) + 1
-
-    @property
     def majority(self) -> int:
-        return self.total_replicas // 2 + 1
-
-    def lease_valid(self) -> bool:
-        return not self.fenced and self.sim.now < self.lease_expiry
+        return (len(self.peers) + 1) // 2 + 1  # the leader's own copy counts
 
     def append(self, kind: str, **fields) -> None:
         """Append one metadata record locally (replicated on next commit)."""
@@ -203,19 +194,55 @@ class ReplicatedMetadataStore:
         self.records_appended += 1
         self._ensure_heartbeat()
 
+    # -- RM observer: the records that gate no client ack --------------------
+    def _log(self, kind: str, **fields) -> None:
+        self.append(kind, **fields)
+        self.commit_async()
+
+    def on_range_installed(self, address_range) -> None:
+        # Rides the caller's next commit: a write always commits its intent
+        # right after resolving, and reads never place.
+        self.append(
+            "range_installed",
+            range_id=address_range.range_id,
+            handles=[
+                [h.machine_id, h.slab_id, bool(h.available)] for h in address_range.slots
+            ],
+        )
+
+    def on_range_dropped(self, range_id: int) -> None:
+        self._log("range_dropped", range_id=range_id)
+
+    def on_position_failed(self, range_id: int, position: int) -> None:
+        self._log("position_failed", range_id=range_id, position=position)
+
+    def on_position_replaced(self, range_id: int, position: int, handle) -> None:
+        self._log(
+            "position_replaced", range_id=range_id, position=position,
+            machine_id=handle.machine_id, slab_id=handle.slab_id,
+        )
+
+    def on_error_score(self, machine_id: int, score: float) -> None:
+        self._log("error_score", machine_id=machine_id, score=score)
+
+    def on_write_durable(self, page_id: int, version: int) -> None:
+        self._log("write_durable", page_id=page_id, version=version)
+
+    def on_page_lost(self, page_id: int) -> None:
+        self._log("page_dropped", page_id=page_id)
+
     # -- commit -------------------------------------------------------------
     def commit(self):
-        """Replicate the log prefix to a majority; renew the lease.
+        """Generator: replicate the log prefix to a majority and renew the
+        lease; returns whether it did.
 
         Always probes every peer (even with an empty delta) so a lease
         renewal is a real liveness check — a partitioned leader fences
-        itself within one heartbeat period. Raises
-        :class:`MetadataQuorumError` (after self-fencing) on failure.
+        itself within one heartbeat period. A failed commit fences the
+        store; a fenced store's commit fails at once.
         """
         if self.fenced:
-            raise MetadataQuorumError(
-                f"metadata domain {self.domain} is fenced: {self.fence_reason}"
-            )
+            return False
         target = len(self.log)
         needed = self.majority - 1  # the local copy is already durable
         waiter = self.sim.event(name=f"meta-commit:{self.domain}")
@@ -233,22 +260,17 @@ class ReplicatedMetadataStore:
             link["sent"] = max(link["sent"], target)
         if self._links:
             yield waiter
-        if state["stale"]:
+        if state["stale"] or state["acks"] < needed:
             self.commit_failures += 1
-            self.fence("superseded by a higher term")
-            raise MetadataQuorumError(
-                f"metadata domain {self.domain}: superseded by a higher term"
+            self.fence(
+                "superseded by a higher term" if state["stale"] else "metadata quorum lost"
             )
-        if state["acks"] < needed:
-            self.commit_failures += 1
-            self.fence("metadata quorum lost")
-            raise MetadataQuorumError(
-                f"metadata domain {self.domain}: "
-                f"{state['acks']}/{needed} peer acks"
-            )
+            return False
         self.commits += 1
-        self.committed_lsn_advance(target)
+        if target > self.committed_lsn:
+            self.self_replica.committed_lsn = target
         self.lease_expiry = self.sim.now + self.lease_timeout_us
+        return True
 
     def _on_append(self, token, ok: bool, value) -> None:
         """Sink of :meth:`commit`'s appends: move the peer's cursor, count
@@ -279,19 +301,6 @@ class ReplicatedMetadataStore:
     def committed_lsn(self) -> int:
         return self.self_replica.committed_lsn
 
-    def committed_lsn_advance(self, target: int) -> None:
-        if target > self.self_replica.committed_lsn:
-            self.self_replica.committed_lsn = target
-
-    def commit_ok(self):
-        """Generator: commit and report success as a bool (no exception) —
-        lets the RM stay decoupled from this module's error types."""
-        try:
-            yield from self.commit()
-        except MetadataQuorumError:
-            return False
-        return True
-
     def commit_async(self) -> None:
         """Commit in the background (metadata that gates no client ack:
         slab-map deltas, durability confirmations, error scores)."""
@@ -302,7 +311,7 @@ class ReplicatedMetadataStore:
         def runner():
             try:  # a failed commit fences the store, which ends the loop
                 while not self.fenced and self.committed_lsn < len(self.log):
-                    yield from self.commit_ok()
+                    yield from self.commit()
             finally:
                 self._async_running = False
 
@@ -318,7 +327,7 @@ class ReplicatedMetadataStore:
     def _heartbeat(self):
         while not self.fenced:
             yield self.sim.timeout(self.heartbeat_period_us)
-            if self.fenced or not (yield from self.commit_ok()):
+            if self.fenced or not (yield from self.commit()):
                 return
 
     # -- fencing ------------------------------------------------------------
@@ -373,16 +382,20 @@ def adopt_metadata(rm, records: List[dict]) -> dict:
     regenerated by the caller.
     """
     space = rm.space
-    acked: Dict[int, int] = {}
-    intents: Dict[int, int] = {}
-    durable: Dict[int, int] = {}
-    skipped = 0
+    # The newest version each page reached per write record kind.
+    newest: Dict[str, Dict[int, int]] = {
+        "write_intent": {}, "write_acked": {}, "write_durable": {}
+    }
     for rec in records:
         kind = rec.get("kind")
-        if kind == "range_installed":
+        if kind in newest:
+            seen = newest[kind]
+            page, version = rec["page_id"], rec["version"]
+            if version > seen.get(page, 0):
+                seen[page] = version
+        elif kind == "range_installed":
             range_id = rec["range_id"]
             if space.get(range_id) is not None:
-                skipped += 1
                 continue
             handles = [
                 SlabHandle(int(m), int(s), bool(a)) for m, s, a in rec["handles"]
@@ -401,23 +414,9 @@ def adopt_metadata(rm, records: List[dict]) -> dict:
                 )
         elif kind == "range_dropped":
             space.drop(rec["range_id"])
-        elif kind == "write_intent":
-            page, version = rec["page_id"], rec["version"]
-            if version > intents.get(page, 0):
-                intents[page] = version
-        elif kind == "write_acked":
-            page, version = rec["page_id"], rec["version"]
-            if version > acked.get(page, 0):
-                acked[page] = version
-        elif kind == "write_durable":
-            page, version = rec["page_id"], rec["version"]
-            if version > durable.get(page, 0):
-                durable[page] = version
         elif kind == "page_dropped":
-            page = rec["page_id"]
-            acked.pop(page, None)
-            durable.pop(page, None)
-            intents.pop(page, None)
+            for seen in newest.values():
+                seen.pop(rec["page_id"], None)
         elif kind == "error_score":
             rm.error_scores[int(rec["machine_id"])] = float(rec["score"])
     for address_range in sorted(space.all_ranges(), key=lambda a: a.range_id):
@@ -434,6 +433,9 @@ def adopt_metadata(rm, records: List[dict]) -> dict:
         rm._watch_machines(
             [h for h in address_range.slots if h.machine_id != rm.machine_id]
         )
+    intents, acked, durable = (
+        newest[kind] for kind in ("write_intent", "write_acked", "write_durable")
+    )
     for page, version in acked.items():
         if version > rm._versions.get(page, 0):
             rm._versions[page] = version
@@ -449,11 +451,9 @@ def adopt_metadata(rm, records: List[dict]) -> dict:
     )
     return {
         "ranges": len(space.ranges),
-        "ranges_skipped": skipped,
         "pages": len(acked),
         "acked": acked,
         "durable": durable,
-        "intents": intents,
         "interrupted": interrupted,
         "unsettled": unsettled,
     }
@@ -463,14 +463,7 @@ def snapshot_into(store: ReplicatedMetadataStore, rm, info: dict) -> None:
     """Append the adopted state into the successor's own metadata domain
     so a second failover would not depend on the first domain's log."""
     for address_range in sorted(rm.space.all_ranges(), key=lambda a: a.range_id):
-        store.append(
-            "range_installed",
-            range_id=address_range.range_id,
-            handles=[
-                [h.machine_id, h.slab_id, bool(h.available)]
-                for h in address_range.slots
-            ],
-        )
+        store.on_range_installed(address_range)
     for page in sorted(info["acked"]):
         version = info["acked"][page]
         store.append("write_acked", page_id=page, version=version)
@@ -482,9 +475,11 @@ def _recover_page(rm, page_id: int, versions: Tuple[int, ...]):
     """Generator: read every reachable split of ``page_id`` and try to
     reconstruct a consistent page. Returns ``(content, ok)``.
 
-    Real mode accepts a candidate only when re-encoding it agrees with at
-    least k of the splits actually read back; phantom mode requires k
-    same-version intact splits among ``versions``.
+    Real mode takes the codec's maximal-agreement codeword
+    (``correct(best_effort=True)``: at least k + 1 splits agree on it),
+    plain ``decode`` when exactly k splits arrived, and otherwise the
+    decode of the k data rows when all of them arrived. Phantom mode
+    requires k intact splits of one of ``versions``.
     """
     config = rm.config
     range_id, offset = rm.space.locate(page_id)
@@ -511,53 +506,29 @@ def _recover_page(rm, page_id: int, versions: Tuple[int, ...]):
     gather = rm._post_splits(address_range.slots, offset, available)
     yield gather.wait_all()
     arrivals = {**gather.arrivals, **local}
+    k = config.k
     if config.payload_mode != "real":
-        counts: Dict[int, int] = {}
-        for payload in arrivals.values():
-            if isinstance(payload, PhantomSplit) and not payload.corrupt:
-                counts[payload.version] = counts.get(payload.version, 0) + 1
-        ok = any(
-            counts.get(version, 0) >= config.k for version in versions
-        )
-        return None, ok
+        viable = recoverable_versions(arrivals.values(), k)
+        return None, any(version in viable for version in versions)
     splits = {
         position: payload
         for position, payload in arrivals.items()
         if isinstance(payload, np.ndarray)
     }
-    if len(splits) < config.k:
+    if len(splits) < k:
         return None, False
-    candidates = []
     try:
-        candidates.append(rm.codec.decode_verified(splits))
+        if len(splits) == k:
+            return rm.codec.decode(splits), True
+        return rm.codec.correct(splits, best_effort=True)[0], True
     except (CorruptionDetected, DecodeError):
         pass
-    try:
-        page, _corrupted = rm.codec.correct(splits, best_effort=True)
-        candidates.append(page)
-    except (CorruptionDetected, DecodeError):
-        pass
-    data_rows = {p: splits[p] for p in range(config.k) if p in splits}
-    if len(data_rows) == config.k:
+    data_rows = {p: splits[p] for p in range(k) if p in splits}
+    if len(data_rows) == k:
         try:
-            candidates.append(rm.codec.decode(data_rows))
+            return rm.codec.decode(data_rows), True
         except DecodeError:
             pass
-    best, best_score = None, -1
-    if candidates:
-        # One slab-wide kernel pass re-encodes every candidate at once;
-        # row i of the stack is byte-identical to encode(candidates[i]).
-        encoded_stack = rm.codec.encode_batch(candidates)
-        for candidate, encoded in zip(candidates, encoded_stack):
-            score = sum(
-                1
-                for position, row in splits.items()
-                if np.array_equal(row, encoded[position])
-            )
-            if score > best_score:
-                best, best_score = candidate, score
-    if best is not None and best_score >= config.k:
-        return best, True
     return None, False
 
 
@@ -585,7 +556,6 @@ def seal_pages(rm, info: dict):
         content, ok = yield from _recover_page(rm, page, versions)
         if not ok:
             rm._versions.pop(page, None)
-            rm._log_meta("page_dropped", page_id=page)
             rm._notify("on_page_lost", page)
             counts["lost"] += 1
             continue
@@ -636,7 +606,6 @@ class ControlPlane:
         self.peers_of_domain: Dict[int, List[int]] = {}
         self.failovers: List[dict] = []
         self.on_failover_begin: List[Callable] = []
-        self.on_failover: List[Callable] = []
         self._taking_over: set = set()
         self._failed_over: Dict[int, int] = {}
         self._watch_pending: set = set()
@@ -653,18 +622,15 @@ class ControlPlane:
                 self.replica_hosts.setdefault(peer, {})[domain] = rep
                 peer_reps[peer] = rep
             store = ReplicatedMetadataStore(
-                self.sim,
-                self.fabric,
-                domain,
-                self_rep,
-                peer_reps,
-                lease_timeout_us=self.lease_timeout_us,
-                heartbeat_period_us=self.heartbeat_period_us,
-                flight=self.flight,
+                self.sim, self.fabric, domain, self_rep, peer_reps,
+                self.lease_timeout_us, self.heartbeat_period_us, self.flight,
             )
             rm = deployment.manager(domain)
             store.on_fence = rm.fence
             rm.attach_metadata_store(store)
+            # The first observer: the log records each RM event before any
+            # later observer (the chaos monitor) sees it.
+            rm.add_observer(store)
             self.stores[domain] = store
         # Takeover watchers: each peer monitors its connection to the
         # leaders it replicates (the QP doubles as the failure detector).
@@ -800,17 +766,15 @@ class ControlPlane:
             domain, "meta_stepdown", {"term": new_term}
         )
         info = adopt_metadata(rm, merged)
-        store = self.stores.get(successor)
-        if store is not None and not store.fenced:
+        store = self.stores[successor]
+        if not store.fenced:
             snapshot_into(store, rm, info)
-            yield from store.commit_ok()
+            yield from store.commit()
         for callback in list(self.on_failover_begin):
             callback(domain, rm, info)
         seal = yield from seal_pages(rm, info)
         restarted = 0
-        for address_range in sorted(
-            rm.space.all_ranges(), key=lambda a: a.range_id
-        ):
+        for address_range in sorted(rm.space.all_ranges(), key=lambda a: a.range_id):
             for position, handle in enumerate(address_range.slots):
                 if not handle.available:
                     rm._start_regeneration(address_range, position)
@@ -838,8 +802,6 @@ class ControlPlane:
                 interrupted=entry["interrupted"], unsettled=entry["unsettled"],
                 sealed=entry["sealed"], lost=entry["lost"],
             )
-        for callback in list(self.on_failover):
-            callback(domain, rm, info)
 
     # -- reporting ----------------------------------------------------------
     def report(self) -> dict:
