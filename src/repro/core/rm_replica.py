@@ -471,15 +471,18 @@ def snapshot_into(store: ReplicatedMetadataStore, rm, info: dict) -> None:
             store.append("write_durable", page_id=page, version=version)
 
 
-def _recover_page(rm, page_id: int, versions: Tuple[int, ...]):
+def _recover_page(rm, page_id: int, versions: Tuple[int, ...], torn: bool):
     """Generator: read every reachable split of ``page_id`` and try to
     reconstruct a consistent page. Returns ``(content, ok)``.
 
     Real mode takes the codec's maximal-agreement codeword
-    (``correct(best_effort=True)``: at least k + 1 splits agree on it),
-    plain ``decode`` when exactly k splits arrived, and otherwise the
-    decode of the k data rows when all of them arrived. Phantom mode
-    requires k intact splits of one of ``versions``.
+    (``correct(best_effort=True)``: at least k + 1 splits agree on it) —
+    for a ``torn`` page, whose splits may mix two versions, nothing else
+    proves a version: any k splits decode to *something*. A page that
+    only lacks its durability confirmation has all k data rows at the
+    acked version, so plain ``decode`` of exactly k splits, or else of
+    the k data rows, also recovers it. Phantom mode requires k intact
+    splits of one of ``versions``.
     """
     config = rm.config
     range_id, offset = rm.space.locate(page_id)
@@ -518,11 +521,14 @@ def _recover_page(rm, page_id: int, versions: Tuple[int, ...]):
     if len(splits) < k:
         return None, False
     try:
-        if len(splits) == k:
+        if len(splits) > k:
+            return rm.codec.correct(splits, best_effort=True)[0], True
+        if not torn:
             return rm.codec.decode(splits), True
-        return rm.codec.correct(splits, best_effort=True)[0], True
     except (CorruptionDetected, DecodeError):
         pass
+    if torn:
+        return None, False
     data_rows = {p: splits[p] for p in range(k) if p in splits}
     if len(data_rows) == k:
         try:
@@ -549,11 +555,11 @@ def seal_pages(rm, info: dict):
         if acked_v == 0:
             counts["discarded"] += 1  # never acked: client owns the retry
             continue
-        jobs.append((page, acked_v, (intent_v, acked_v)))
+        jobs.append((page, acked_v, (intent_v, acked_v), True))
     for page in info["unsettled"]:
-        jobs.append((page, info["acked"][page], (info["acked"][page],)))
-    for page, acked_v, versions in sorted(jobs):
-        content, ok = yield from _recover_page(rm, page, versions)
+        jobs.append((page, info["acked"][page], (info["acked"][page],), False))
+    for page, acked_v, versions, torn in sorted(jobs):
+        content, ok = yield from _recover_page(rm, page, versions, torn)
         if not ok:
             rm._versions.pop(page, None)
             rm._notify("on_page_lost", page)

@@ -26,12 +26,15 @@ def quiet_net():
     return NetworkConfig(jitter_sigma=0.0, straggler_prob=0.0)
 
 
-def deploy(machines=8, k=4, r=2, replicas=2, seed=5, **config_kwargs):
+def deploy(
+    machines=8, k=4, r=2, replicas=2, seed=5, network=None, cluster_seed=3,
+    **config_kwargs,
+):
     cluster = Cluster(
         machines=machines,
         memory_per_machine=1 << 26,
-        network=quiet_net(),
-        seed=3,
+        network=network or quiet_net(),
+        seed=cluster_seed,
     )
     config = HydraConfig(
         k=k,
@@ -312,21 +315,23 @@ class TestWritePathCrashMatrix:
     The boundaries, in log order: the write-intent append (pre commit),
     the client-visible ack (post majority ack of ``write_acked``), and
     the window after the client ack while parity is still in flight
-    (post client ack, pre durable). Timing is probed on an identical
-    crash-free run — the deterministic engine reproduces it exactly.
+    (post client ack, pre durable); and, under the default network, every
+    gap between two landings of the overwrite's data splits (mid data
+    fan-out). Timing is probed on an identical crash-free run — the
+    deterministic engine reproduces it exactly.
     """
 
     PAGE = 0
 
-    def _run(self, crash_at=None):
-        cluster, deployment = deploy(machines=10)
+    def _run(self, crash_at=None, network=None, seed=3):
+        cluster, deployment = deploy(machines=10, network=network, cluster_seed=seed)
         sim = cluster.sim
         rm = deployment.manager(0)
         control = deployment.control_plane
         store = control.stores[0]
         old, new = make_page(100), make_page(200)
 
-        times = {}
+        times = {"data_landings": []}
         orig_append = store.append
 
         def spy_append(kind, **fields):
@@ -353,6 +358,16 @@ class TestWritePathCrashMatrix:
                 outcome["acked"] = False
 
         drive(sim, setup())
+        _range_id, offset = rm.space.locate(self.PAGE)
+        for handle in rm.space.get(_range_id).slots[: rm.config.k]:
+            machine = cluster.machine(handle.machine_id)
+
+            def spy_write(slab_id, page, payload, _write=machine.write_split, _slab=handle.slab_id):
+                if (slab_id, page) == (_slab, offset):
+                    times["data_landings"].append(sim.now)
+                return _write(slab_id, page, payload)
+
+            machine.write_split = spy_write
         if crash_at is not None:
             sim.call_later(max(0.0, crash_at - sim.now), cluster.machine(0).fail)
         sim.process(overwrite(), name="overwrite")
@@ -397,6 +412,37 @@ class TestWritePathCrashMatrix:
                 assert drive(cluster.sim, read_pid()) == make_page(pid), (
                     f"{name}: settled page {pid} damaged"
                 )
+
+    def test_crash_mid_data_fan_out_reseals_old_new_or_loses_the_page(self):
+        """The overwrite's data splits land at spread-out instants; a crash
+        between two landings leaves a torn page whose splits mix both
+        versions, and any k of them decode to *something*. The successor
+        reseals only a codeword at least k + 1 splits agree on, so the page
+        reads back as the old or the new bytes, or is reported lost (the
+        torn-page trade-off) — never as a mix."""
+        lost = []
+        for seed in (1, 2, 3, 4):
+            times = self._run(network=NetworkConfig(), seed=seed)[3]
+            landings = sorted(set(times["data_landings"]))
+            for first, second in zip(landings, landings[1:]):
+                cluster, deployment, control, _t, outcome, old, new = self._run(
+                    crash_at=(first + second) / 2, network=NetworkConfig(), seed=seed
+                )
+                assert outcome["acked"] is False
+                (entry,) = control.failovers
+                successor = deployment.manager(entry["successor"])
+
+                def readback():
+                    return (yield successor.read(self.PAGE))
+
+                got = drive(cluster.sim, readback())
+                where = f"seed {seed}, crash at {(first + second) / 2:.3f}"
+                if entry["lost"]:
+                    assert got is None, f"{where}: a lost page still reads back"
+                else:
+                    assert got in (old, new), f"{where}: resealed a mix of versions"
+                lost.append(entry["lost"])
+        assert sorted(set(lost)) == [0, 1]  # both outcomes exercised
 
 
 class TestOneVerbPath:
