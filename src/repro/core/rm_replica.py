@@ -14,10 +14,11 @@ itself on its next commit instead of diverging.
 
 Failover is deterministic: when a metadata peer loses its connection to
 the leader and the leader stays unreachable (or fenced) for a full lease
-timeout, the lowest-id surviving peer bumps the term on a majority of
-replicas, collects the longest surviving log, rebuilds the slab map and
-version table from it, re-seals pages whose writes were torn mid-flight,
-and resumes regenerations that were in flight when the leader died.
+timeout, the lowest-id peer that is alive and not fenced itself bumps the
+term on a majority of replicas, collects the longest surviving log,
+rebuilds the slab map and version table from it, re-seals pages whose
+writes were torn mid-flight, and resumes regenerations that were in
+flight when the leader died.
 
 Model notes / limitations (documented in docs/ARCHITECTURE.md):
 
@@ -513,11 +514,7 @@ def _recover_page(rm, page_id: int, versions: Tuple[int, ...], torn: bool):
     if config.payload_mode != "real":
         viable = recoverable_versions(arrivals.values(), k)
         return None, any(version in viable for version in versions)
-    splits = {
-        position: payload
-        for position, payload in arrivals.items()
-        if isinstance(payload, np.ndarray)
-    }
+    splits = {p: row for p, row in arrivals.items() if isinstance(row, np.ndarray)}
     if len(splits) < k:
         return None, False
     try:
@@ -658,9 +655,7 @@ class ControlPlane:
 
     # -- liveness events ----------------------------------------------------
     def _on_machine_failed(self, machine_id: int) -> None:
-        for _domain, replica in sorted(
-            self.replica_hosts.get(machine_id, {}).items()
-        ):
+        for _domain, replica in sorted(self.replica_hosts.get(machine_id, {}).items()):
             replica.wipe()
         store = self.stores.get(machine_id)
         if store is not None:
@@ -679,13 +674,10 @@ class ControlPlane:
     def _make_watcher(self, domain: int, watcher: int):
         def on_disconnect(_remote_id: int) -> None:
             key = (domain, watcher)
-            if key in self._watch_pending:
+            if key in self._watch_pending or domain in self._failed_over:
                 return
-            if domain in self._failed_over or domain in self._taking_over:
-                return
-            replica = self.replica_hosts.get(watcher, {}).get(domain)
-            if replica is None or not replica.log:
-                return  # nothing replicated; nothing worth taking over
+            if domain in self._taking_over or not self._replicated(domain):
+                return  # taken care of, or nothing worth taking over
             self._watch_pending.add(key)
             self.sim.process(
                 self._watch(domain, watcher),
@@ -701,26 +693,30 @@ class ControlPlane:
             self._watch_pending.discard((domain, watcher))
         if domain in self._failed_over or domain in self._taking_over:
             return
-        if not self.cluster.machine(watcher).alive:
-            return
-        store = self.stores[domain]
-        if self.fabric.reachable(watcher, domain) and not store.fenced:
+        if self.fabric.reachable(watcher, domain) and not self.stores[domain].fenced:
             return  # transient blip; the leader still holds its lease
-        replica = self.replica_hosts[watcher].get(domain)
-        if replica is None or not replica.log:
+        if not self._replicated(domain):
             return
-        alive_peers = [
+        eligible = [
             peer
             for peer in self.peers_of_domain[domain]
-            if self.cluster.machine(peer).alive
+            if self.cluster.machine(peer).alive and not self.stores[peer].fenced
         ]
-        if not alive_peers or alive_peers[0] != watcher:
-            return  # the lowest-id surviving peer owns the takeover
+        if not eligible or eligible[0] != watcher:
+            return  # the lowest-id eligible peer owns the takeover
         self._taking_over.add(domain)
         try:
             yield from self._takeover(domain, watcher)
         finally:
             self._taking_over.discard(domain)
+
+    def _replicated(self, domain: int) -> bool:
+        """Whether a surviving replica of ``domain`` holds any record."""
+        return any(
+            replicas[domain].log
+            for host, replicas in self.replica_hosts.items()
+            if domain in replicas and self.cluster.machine(host).alive
+        )
 
     # -- takeover -----------------------------------------------------------
     def _takeover(self, domain: int, successor: int):
@@ -736,8 +732,7 @@ class ControlPlane:
             and host != successor
             and self.cluster.machine(host).alive
         ]
-        total = len(self.peers_of_domain[domain]) + 1
-        majority = total // 2 + 1
+        majority = self.stores[domain].majority
         logs: Dict[int, List[dict]] = {successor: list(my_replica.log)}
         size = _META_BASE_BYTES + _META_RECORD_BYTES * len(my_replica.log)
         # Per host: bump the term word (the fence), then read its log back.
@@ -761,10 +756,8 @@ class ControlPlane:
                     successor=successor, acked=acked, majority=majority,
                 )
             return
-        best = successor
-        for host in sorted(logs):
-            if len(logs[host]) > len(logs[best]):
-                best = host
+        # The longest log; on a tie the successor's own, then the lowest id.
+        best = max(sorted(logs), key=lambda host: (len(logs[host]), host == successor))
         merged = logs[best]
         # Tell a deposed-but-alive leader to stand down (best effort; its
         # next commit would hit the bumped term words anyway).
@@ -811,11 +804,11 @@ class ControlPlane:
 
     # -- reporting ----------------------------------------------------------
     def report(self) -> dict:
-        stores = {}
-        for domain in sorted(self.stores):
-            store = self.stores[domain]
-            if store.records_appended or store.fenced:
-                stores[domain] = store.report()
+        stores = {
+            domain: store.report()
+            for domain, store in sorted(self.stores.items())
+            if store.records_appended or store.fenced
+        }
         return {
             "replicas": self.replicas,
             "lease_timeout_us": self.lease_timeout_us,

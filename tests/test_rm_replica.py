@@ -283,6 +283,42 @@ class TestFailover:
 
         assert drive(cluster.sim, readback()) == pages
 
+    def test_takeover_after_the_lowest_peer_was_rebooted(self):
+        """The lowest-id peer crashes and reboots before the leader's next
+        heartbeat: its replica is empty and its own store fenced. The next
+        peer must take over when the leader then dies."""
+        cluster, deployment = deploy(machines=10)
+        sim = cluster.sim
+        rm = deployment.manager(0)
+        control = deployment.control_plane
+        lowest, other = control.peers_of_domain[0]
+        pages = {pid: make_page(pid) for pid in range(8)}
+
+        def proc():
+            for pid, data in pages.items():
+                yield rm.write(pid, data)
+            yield sim.timeout(100_000.0)
+            cluster.machine(lowest).fail()
+            cluster.machine(lowest).recover()
+            cluster.machine(0).fail()
+            yield sim.timeout(LEASE_US + 2_000_000.0)
+            return "ok"
+
+        assert drive(sim, proc()) == "ok"
+        assert control.stores[lowest].fenced
+        assert [entry["successor"] for entry in control.failovers] == [other]
+        assert control.failovers[0]["pages"] == len(pages)
+        assert control.failovers[0]["lost"] == 0
+        successor = deployment.manager(other)
+
+        def readback():
+            got = {}
+            for pid in pages:
+                got[pid] = yield successor.read(pid)
+            return got
+
+        assert drive(sim, readback()) == pages
+
     def test_deposed_leader_cannot_commit_after_failover(self):
         cluster, deployment = deploy(machines=10)
         rm = deployment.manager(0)
