@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..cluster import PhantomSplit
+from ..cluster import PhantomSplit, SlabState, recoverable_versions
 from ..ec import (
     CorruptionDetected,
     DecodeError,
@@ -295,7 +295,11 @@ class ResilienceManager:
         ``on_error_score(machine_id, score)`` and ``on_page_lost(page_id)``.
         Observers run in registration order; the replicated metadata store
         (repro.core.rm_replica) is the first when there is one. Hooks are
-        notifications; they must not mutate RM state.
+        notifications; they must not mutate RM state. Seven of them report
+        a state change the RM applied just before: ``on_range_installed``,
+        ``on_range_dropped``, ``on_position_failed``,
+        ``on_position_replaced``, ``on_error_score``, ``on_write_acked``
+        and ``on_page_lost``. :meth:`restore` applies exactly these.
         """
         self._observers.append(observer)
 
@@ -332,8 +336,180 @@ class ResilienceManager:
     def _mark_failed(self, address_range: AddressRange, position: int) -> None:
         """Mark a slab unavailable and tell the observers, so a failover
         sees the same degraded slab map this RM does."""
-        address_range.mark_failed(position)
-        self._notify("on_position_failed", address_range.range_id, position)
+        self._emit("on_position_failed", address_range.range_id, position)
+
+    # -- the logged state changes: one method per event. The live path emits
+    # an event (apply, then notify); restore() replays a log through _APPLY.
+    def _emit(self, event: str, *args) -> None:
+        self._APPLY[event](self, *args)
+        if self._observers:
+            self._notify(event, *args)
+
+    def _apply_range_installed(self, address_range: AddressRange) -> None:
+        self.space.install(address_range)
+
+    def _apply_range_dropped(self, range_id: int) -> None:
+        self.space.drop(range_id)
+
+    def _apply_position_failed(self, range_id: int, position: int) -> None:
+        address_range = self.space.get(range_id)
+        if address_range is not None:
+            address_range.mark_failed(position)
+
+    def _apply_position_replaced(self, range_id: int, position: int, handle: SlabHandle) -> None:
+        address_range = self.space.get(range_id)
+        if address_range is not None:
+            address_range.replace(position, handle)
+
+    def _apply_error_score(self, machine_id: int, score: float) -> None:
+        self.error_scores[machine_id] = score
+
+    def _apply_write_acked(self, page_id: int, version: int, _data) -> None:
+        self._versions[page_id] = version
+
+    def _apply_page_lost(self, page_id: int) -> None:
+        self._versions.pop(page_id, None)
+
+    _APPLY = {
+        "on_range_installed": _apply_range_installed,
+        "on_range_dropped": _apply_range_dropped,
+        "on_position_failed": _apply_position_failed,
+        "on_position_replaced": _apply_position_replaced,
+        "on_error_score": _apply_error_score,
+        "on_write_acked": _apply_write_acked,
+        "on_page_lost": _apply_page_lost,
+    }
+
+    def restore(self, events) -> Dict[int, int]:
+        """Rebuild this RM from another RM's metadata log, given as the
+        ``(event, args)`` pairs its observers were notified with
+        (``ReplicatedMetadataStore.decode``). Each is applied by the method
+        the live path applies it with; no observer is notified.
+
+        Every position this RM cannot reach — one hosted on its own machine
+        (there is no loopback queue pair) or one behind a partition — is
+        then failed, for :meth:`seal` to re-home, and every other host is
+        watched. Returns the restored page → version table.
+        """
+        for event, args in events:
+            self._APPLY[event](self, *args)
+        for address_range in sorted(self.space.all_ranges(), key=lambda a: a.range_id):
+            for position, handle in enumerate(address_range.slots):
+                if handle.available and (
+                    handle.machine_id == self.machine_id
+                    or not self.fabric.reachable(self.machine_id, handle.machine_id)
+                ):
+                    self._apply_position_failed(address_range.range_id, position)
+            self._watch_machines(
+                [h for h in address_range.slots if h.machine_id != self.machine_id]
+            )
+        return dict(self._versions)
+
+    def seal(self, interrupted: List[Tuple[int, int, int]], unsettled: List[int]):
+        """Generator, after :meth:`restore`: restore full (k + r) durability
+        for the pages whose write the old leader left unfinished, then
+        restart the regeneration of every failed position. Returns counts.
+
+        ``interrupted`` lists ``(page, acked version, intent version)`` for
+        each write torn mid-flight (its splits may mix two versions);
+        ``unsettled`` lists acked pages whose parity was never confirmed.
+        A recoverable page is rewritten through the normal write path (a
+        full n-position overwrite, replacing any mixed-version split). A
+        torn page never acked carries no durability promise and is
+        discarded; any other page that cannot be recovered is reported
+        through ``on_page_lost``.
+        """
+        jobs = [(page, (intent, acked), True) for page, acked, intent in interrupted if acked]
+        counts = {"sealed": 0, "lost": 0, "seal_failures": 0}
+        counts["discarded"] = len(interrupted) - len(jobs)  # never acked: the client retries
+        jobs += [(page, (self._versions[page],), False) for page in unsettled]
+        for page, versions, torn in sorted(jobs):
+            content, ok = yield from self._recover_page(page, versions, torn)
+            if not ok:
+                self._emit("on_page_lost", page)
+                counts["lost"] += 1
+                continue
+            # The reseal lands one past the acked version (== the torn
+            # intent's), re-asserting its durability promise with fresh splits.
+            self._versions[page] = versions[-1]
+            try:
+                yield self.write(page, content)
+            except HydraError:
+                counts["seal_failures"] += 1
+                continue
+            inflight = self._inflight_writes.get(page)
+            if inflight is not None and not inflight.triggered:
+                yield inflight
+            counts["sealed"] += 1
+        counts["regens_restarted"] = 0
+        for address_range in sorted(self.space.all_ranges(), key=lambda a: a.range_id):
+            for position, handle in enumerate(address_range.slots):
+                if not handle.available:
+                    self._start_regeneration(address_range, position)
+                    counts["regens_restarted"] += 1
+        return counts
+
+    def _recover_page(self, page_id: int, versions: Tuple[int, ...], torn: bool):
+        """Generator: read every reachable split of ``page_id`` and try to
+        reconstruct a consistent page. Returns ``(content, ok)``.
+
+        Real mode takes the codec's maximal-agreement codeword
+        (``correct(best_effort=True)``: at least k + 1 splits agree on it) —
+        for a ``torn`` page, whose splits may mix two versions, nothing else
+        proves a version: any k splits decode to *something*. A page that
+        only lacks its durability confirmation has all k data rows at the
+        acked version, so plain ``decode`` of exactly k splits, or else of
+        the k data rows, also recovers it. Phantom mode requires k intact
+        splits of one of ``versions``.
+        """
+        config = self.config
+        range_id, offset = self.space.locate(page_id)
+        address_range = self.space.get(range_id)
+        if address_range is None:
+            return None, False
+        available = address_range.available_positions()
+        # Splits hosted on this machine were failed at restore (no loopback
+        # QPs), but the slab is still sitting in local DRAM — read it
+        # directly, out of band. Without these, a page whose parity phase
+        # was interrupted can lose its only consistent copy.
+        local: Dict[int, object] = {}
+        local_machine = self.fabric.machine(self.machine_id)
+        for position, handle in enumerate(address_range.slots):
+            if handle.machine_id != self.machine_id or position in available:
+                continue
+            slab = local_machine.hosted_slabs.get(handle.slab_id)
+            if slab is not None and slab.state is not SlabState.FREE:
+                payload = slab.pages.get(offset)
+                if payload is not None:
+                    local[position] = payload
+        if len(available) + len(local) < config.k:
+            return None, False
+        gather = self._post_splits(address_range.slots, offset, available)
+        yield gather.wait_all()
+        arrivals = {**gather.arrivals, **local}
+        k = config.k
+        if config.payload_mode != "real":
+            viable = recoverable_versions(arrivals.values(), k)
+            return None, any(version in viable for version in versions)
+        splits = {p: row for p, row in arrivals.items() if isinstance(row, np.ndarray)}
+        if len(splits) < k:
+            return None, False
+        try:
+            if len(splits) > k:
+                return self.codec.correct(splits, best_effort=True)[0], True
+            if not torn:
+                return self.codec.decode(splits), True
+        except (CorruptionDetected, DecodeError):
+            pass
+        if torn:
+            return None, False
+        data_rows = {p: splits[p] for p in range(k) if p in splits}
+        if len(data_rows) == k:
+            try:
+                return self.codec.decode(data_rows), True
+            except DecodeError:
+                pass
+        return None, False
 
     # ==================================================================
     # public pool interface
@@ -472,7 +648,6 @@ class ResilienceManager:
                     raise RemoteMemoryUnavailable(
                         f"metadata quorum lost before acking page {page_id}"
                     )
-            self._versions[page_id] = version
             # Positions that could not receive this write need a catch-up
             # split once their slab is regenerated; buffer the content so
             # the repair is self-contained. Decide by the positions that
@@ -490,8 +665,7 @@ class ResilienceManager:
                     self._record_or_post_catchup(
                         address_range, position, offset, page_id, version, data
                     )
-            if self._observers:
-                self._notify("on_write_acked", page_id, version, data)
+            self._emit("on_write_acked", page_id, version, data)
             if self._observers:
                 if full_done.triggered:
                     self._notify("on_write_durable", page_id, version)
@@ -940,14 +1114,13 @@ class ResilienceManager:
         self, machine_id: int, weight: float, address_range: AddressRange, position: int
     ) -> None:
         score = self.error_scores.get(machine_id, 0.0) + weight
-        self.error_scores[machine_id] = score
         if score >= self.config.slab_regeneration_limit:
             # Error rate beyond repair: regenerate this machine's slab.
             self._mark_failed(address_range, position)
-            self.error_scores[machine_id] = 0.0
+            score = 0.0
             self.events.incr("regen_for_errors")
             self._start_regeneration(address_range, position)
-        self._notify("on_error_score", machine_id, self.error_scores[machine_id])
+        self._emit("on_error_score", machine_id, score)
 
     def _on_machine_down(self, machine_id: int) -> None:
         """RDMA connection-manager notification: fail over every range that
@@ -1106,10 +1279,7 @@ class ResilienceManager:
             # exactly current.
             yield from self._apply_catchup(address_range, position, new_handle)
             phases.mark("catchup")
-            address_range.replace(position, new_handle)
-            self._notify(
-                "on_position_replaced", address_range.range_id, position, new_handle
-            )
+            self._emit("on_position_replaced", address_range.range_id, position, new_handle)
             # The replacement may live on a machine we have never talked
             # to: watch its connection too, or later failures of that
             # machine would go unnoticed.
@@ -1272,8 +1442,7 @@ class ResilienceManager:
                 )
             except RpcError:
                 pass
-        self.space.drop(range_id)
-        self._notify("on_range_dropped", range_id)
+        self._emit("on_range_dropped", range_id)
         self.events.incr("ranges_reclaimed")
         return pages
 
@@ -1304,9 +1473,7 @@ class ResilienceManager:
         try:
             handles = yield from self.placer.place_range(range_id)
             address_range = AddressRange(range_id, handles)
-            self.space.install(address_range)
-            if self._observers:
-                self._notify("on_range_installed", address_range)
+            self._emit("on_range_installed", address_range)
             self._watch_machines(handles)
             self.events.incr("ranges_placed")
         finally:

@@ -15,33 +15,22 @@ itself on its next commit instead of diverging.
 Failover is deterministic: when a metadata peer loses its connection to
 the leader and the leader stays unreachable (or fenced) for a full lease
 timeout, the lowest-id peer that is alive and not fenced itself bumps the
-term on a majority of replicas, collects the longest surviving log,
-rebuilds the slab map and version table from it, re-seals pages whose
-writes were torn mid-flight, and resumes regenerations that were in
-flight when the leader died.
+term on a majority of replicas, collects the longest surviving log and
+hands it to its own RM: ``ResilienceManager.restore`` replays it through
+the methods the live path applies, and ``ResilienceManager.seal``
+re-seals pages whose writes were torn mid-flight and resumes
+regenerations that were in flight when the leader died. This module
+keeps the agreement protocol, the record format and the takeover.
 
-Model notes / limitations (documented in docs/ARCHITECTURE.md):
-
-* The term word survives a host crash (modeled as living in NVRAM /
-  NIC-protected memory, as in the RDMA-agreement literature); the log
-  itself is wiped with the host's DRAM and is resynced by the next
-  leader commit through the per-peer cursor reset.
-* Leases renew on every majority commit; a leader that cannot commit
-  fences itself immediately, so by the time a successor finishes waiting
-  out the lease the old leader is already fenced in the crash and
-  full-partition scenarios exercised by the chaos engine. An asymmetric
-  partition that cuts only a subset of metadata links can leave a
-  bounded stale-read window; the chaos scenarios do not model it.
+The model's limits (a term word that survives a crash, the stale-read
+window of an asymmetric partition) are in docs/ARCHITECTURE.md,
+"Control-plane resilience".
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
-from ..cluster import SlabState, recoverable_versions
-from ..ec import CorruptionDetected, DecodeError
 from ..net import QueuePair, RemoteAccessError
 from .address_space import AddressRange, SlabHandle
 from .resilience_manager import _SplitGather
@@ -52,8 +41,6 @@ __all__ = [
     "MetadataReplica",
     "ReplicatedMetadataStore",
     "ControlPlane",
-    "adopt_metadata",
-    "seal_pages",
 ]
 
 # Wire-size model for one replicated-log append: a fixed header (term,
@@ -232,6 +219,31 @@ class ReplicatedMetadataStore:
     def on_page_lost(self, page_id: int) -> None:
         self._log("page_dropped", page_id=page_id)
 
+    @staticmethod
+    def decode(records: List[dict]):
+        """The writers above, inverted: yield each record that changes RM
+        state as the ``(event, args)`` its writer was called with, for
+        ``ResilienceManager.restore``. Handles are fresh objects; intent
+        and durability records change no RM state and are skipped."""
+        for rec in records:
+            kind = rec["kind"]
+            if kind == "range_installed":
+                handles = [SlabHandle(m, s, a) for m, s, a in rec["handles"]]
+                yield "on_range_installed", (AddressRange(rec["range_id"], handles),)
+            elif kind == "range_dropped":
+                yield "on_range_dropped", (rec["range_id"],)
+            elif kind == "position_failed":
+                yield "on_position_failed", (rec["range_id"], rec["position"])
+            elif kind == "position_replaced":
+                handle = SlabHandle(rec["machine_id"], rec["slab_id"])
+                yield "on_position_replaced", (rec["range_id"], rec["position"], handle)
+            elif kind == "error_score":
+                yield "on_error_score", (rec["machine_id"], rec["score"])
+            elif kind == "write_acked":
+                yield "on_write_acked", (rec["page_id"], rec["version"], None)
+            elif kind == "page_dropped":
+                yield "on_page_lost", (rec["page_id"],)
+
     # -- commit -------------------------------------------------------------
     def commit(self):
         """Generator: replicate the log prefix to a majority and renew the
@@ -364,217 +376,38 @@ class ReplicatedMetadataStore:
 
 
 # ======================================================================
-# failover: log adoption, page sealing
+# failover: what the log says about each page
 # ======================================================================
-def adopt_metadata(rm, records: List[dict]) -> dict:
-    """Rebuild a Resilience Manager's metadata from a replicated log.
-
-    Replays slab-map records into ``rm.space`` (fresh handle objects —
-    nothing is shared with the deposed leader), restores page versions
-    and error scores, and classifies pages by replication state:
-
-    * ``interrupted`` — a ``write_intent`` committed with no matching
-      ``write_acked``: the write was torn mid-flight; splits may mix
-      versions.
-    * ``unsettled`` — acked but never confirmed durable: the async
-      parity writes may not have landed.
-
-    Positions whose host the successor cannot reach are failed here and
-    regenerated by the caller.
-    """
-    space = rm.space
-    # The newest version each page reached per write record kind.
-    newest: Dict[str, Dict[int, int]] = {
-        "write_intent": {}, "write_acked": {}, "write_durable": {}
-    }
+def _classify_pages(records: List[dict], versions: Dict[int, int]) -> dict:
+    """What the log says about each restored page (``versions``: page ->
+    acked version). ``interrupted`` lists ``(page, acked, intent)`` for an
+    intent newer than the ack: a write torn mid-flight, whose splits may
+    mix versions. ``unsettled`` lists the acks never confirmed durable,
+    whose async parity may not have landed. A lost page forgets its
+    earlier records."""
+    marks: Dict[str, Dict[int, int]] = {"write_intent": {}, "write_durable": {}}
     for rec in records:
-        kind = rec.get("kind")
-        if kind in newest:
-            seen = newest[kind]
+        seen = marks.get(rec["kind"])
+        if seen is not None:
             page, version = rec["page_id"], rec["version"]
-            if version > seen.get(page, 0):
-                seen[page] = version
-        elif kind == "range_installed":
-            range_id = rec["range_id"]
-            if space.get(range_id) is not None:
-                continue
-            handles = [
-                SlabHandle(int(m), int(s), bool(a)) for m, s, a in rec["handles"]
-            ]
-            space.install(AddressRange(range_id, handles))
-        elif kind == "position_failed":
-            address_range = space.get(rec["range_id"])
-            if address_range is not None:
-                address_range.mark_failed(rec["position"])
-        elif kind == "position_replaced":
-            address_range = space.get(rec["range_id"])
-            if address_range is not None:
-                address_range.replace(
-                    rec["position"],
-                    SlabHandle(rec["machine_id"], rec["slab_id"]),
-                )
-        elif kind == "range_dropped":
-            space.drop(rec["range_id"])
-        elif kind == "page_dropped":
-            for seen in newest.values():
+            seen[page] = max(version, seen.get(page, 0))
+        elif rec["kind"] == "page_dropped":
+            for seen in marks.values():
                 seen.pop(rec["page_id"], None)
-        elif kind == "error_score":
-            rm.error_scores[int(rec["machine_id"])] = float(rec["score"])
-    for address_range in sorted(space.all_ranges(), key=lambda a: a.range_id):
-        for position, handle in enumerate(address_range.slots):
-            if not handle.available:
-                continue
-            # A split hosted on the successor itself is unreachable through
-            # one-sided verbs (no loopback QPs); fail it so the failover's
-            # regeneration pass re-homes it on a real remote peer.
-            if handle.machine_id == rm.machine_id or not rm.fabric.reachable(
-                rm.machine_id, handle.machine_id
-            ):
-                address_range.mark_failed(position)
-        rm._watch_machines(
-            [h for h in address_range.slots if h.machine_id != rm.machine_id]
-        )
-    intents, acked, durable = (
-        newest[kind] for kind in ("write_intent", "write_acked", "write_durable")
-    )
-    for page, version in acked.items():
-        if version > rm._versions.get(page, 0):
-            rm._versions[page] = version
-    interrupted = sorted(
-        (page, acked.get(page, 0), version)
-        for page, version in intents.items()
-        if version > acked.get(page, 0)
-    )
-    unsettled = sorted(
-        page
-        for page, version in acked.items()
-        if durable.get(page, 0) < version and intents.get(page, 0) <= version
-    )
+    intents, durable = marks["write_intent"], marks["write_durable"]
     return {
-        "ranges": len(space.ranges),
-        "pages": len(acked),
-        "acked": acked,
         "durable": durable,
-        "interrupted": interrupted,
-        "unsettled": unsettled,
+        "interrupted": sorted(
+            (page, versions.get(page, 0), version)
+            for page, version in intents.items()
+            if version > versions.get(page, 0)
+        ),
+        "unsettled": sorted(
+            page
+            for page, version in versions.items()
+            if durable.get(page, 0) < version and intents.get(page, 0) <= version
+        ),
     }
-
-
-def snapshot_into(store: ReplicatedMetadataStore, rm, info: dict) -> None:
-    """Append the adopted state into the successor's own metadata domain
-    so a second failover would not depend on the first domain's log."""
-    for address_range in sorted(rm.space.all_ranges(), key=lambda a: a.range_id):
-        store.on_range_installed(address_range)
-    for page in sorted(info["acked"]):
-        version = info["acked"][page]
-        store.append("write_acked", page_id=page, version=version)
-        if info["durable"].get(page, 0) >= version:
-            store.append("write_durable", page_id=page, version=version)
-
-
-def _recover_page(rm, page_id: int, versions: Tuple[int, ...], torn: bool):
-    """Generator: read every reachable split of ``page_id`` and try to
-    reconstruct a consistent page. Returns ``(content, ok)``.
-
-    Real mode takes the codec's maximal-agreement codeword
-    (``correct(best_effort=True)``: at least k + 1 splits agree on it) —
-    for a ``torn`` page, whose splits may mix two versions, nothing else
-    proves a version: any k splits decode to *something*. A page that
-    only lacks its durability confirmation has all k data rows at the
-    acked version, so plain ``decode`` of exactly k splits, or else of
-    the k data rows, also recovers it. Phantom mode requires k intact
-    splits of one of ``versions``.
-    """
-    config = rm.config
-    range_id, offset = rm.space.locate(page_id)
-    address_range = rm.space.get(range_id)
-    if address_range is None:
-        return None, False
-    available = address_range.available_positions()
-    # Splits hosted on the successor's own machine were marked failed at
-    # adoption (no loopback QPs), but the slab is still sitting in local
-    # DRAM — read it directly, out of band. Without these, a page whose
-    # parity phase was interrupted can lose its only consistent copy.
-    local: Dict[int, object] = {}
-    local_machine = rm.fabric.machine(rm.machine_id)
-    for position, handle in enumerate(address_range.slots):
-        if handle.machine_id != rm.machine_id or position in available:
-            continue
-        slab = local_machine.hosted_slabs.get(handle.slab_id)
-        if slab is not None and slab.state is not SlabState.FREE:
-            payload = slab.pages.get(offset)
-            if payload is not None:
-                local[position] = payload
-    if len(available) + len(local) < config.k:
-        return None, False
-    gather = rm._post_splits(address_range.slots, offset, available)
-    yield gather.wait_all()
-    arrivals = {**gather.arrivals, **local}
-    k = config.k
-    if config.payload_mode != "real":
-        viable = recoverable_versions(arrivals.values(), k)
-        return None, any(version in viable for version in versions)
-    splits = {p: row for p, row in arrivals.items() if isinstance(row, np.ndarray)}
-    if len(splits) < k:
-        return None, False
-    try:
-        if len(splits) > k:
-            return rm.codec.correct(splits, best_effort=True)[0], True
-        if not torn:
-            return rm.codec.decode(splits), True
-    except (CorruptionDetected, DecodeError):
-        pass
-    if torn:
-        return None, False
-    data_rows = {p: splits[p] for p in range(k) if p in splits}
-    if len(data_rows) == k:
-        try:
-            return rm.codec.decode(data_rows), True
-        except DecodeError:
-            pass
-    return None, False
-
-
-def seal_pages(rm, info: dict):
-    """Generator: restore full (k + r) durability for pages whose writes
-    were torn or unsettled when the old leader died.
-
-    Each recoverable page is rewritten through the successor's normal
-    write path (a full n-position overwrite), which replaces any
-    mixed-version splits. An interrupted page whose intent was never
-    acked carries no durability promise: with no recoverable content it
-    is silently discarded; with an acked predecessor it must be sealed
-    or reported lost via ``on_page_lost``.
-    """
-    counts = {"sealed": 0, "lost": 0, "discarded": 0, "seal_failures": 0}
-    jobs = []
-    for page, acked_v, intent_v in info["interrupted"]:
-        if acked_v == 0:
-            counts["discarded"] += 1  # never acked: client owns the retry
-            continue
-        jobs.append((page, acked_v, (intent_v, acked_v), True))
-    for page in info["unsettled"]:
-        jobs.append((page, info["acked"][page], (info["acked"][page],), False))
-    for page, acked_v, versions, torn in sorted(jobs):
-        content, ok = yield from _recover_page(rm, page, versions, torn)
-        if not ok:
-            rm._versions.pop(page, None)
-            rm._notify("on_page_lost", page)
-            counts["lost"] += 1
-            continue
-        # The reseal lands at acked_v + 1 (== the torn intent's version),
-        # re-asserting the acked durability promise with fresh splits.
-        rm._versions[page] = acked_v
-        try:
-            yield rm.write(page, content)
-        except Exception:  # noqa: BLE001 - HydraError without the import cycle
-            counts["seal_failures"] += 1
-            continue
-        inflight = rm._inflight_writes.get(page)
-        if inflight is not None and not inflight.triggered:
-            yield inflight
-        counts["sealed"] += 1
-    return counts
 
 
 # ======================================================================
@@ -617,15 +450,11 @@ class ControlPlane:
         for domain in ids:
             peers = cluster.metadata_peers(domain, self.replicas)
             self.peers_of_domain[domain] = peers
-            self_rep = MetadataReplica(domain, domain)
-            self.replica_hosts.setdefault(domain, {})[domain] = self_rep
-            peer_reps: Dict[int, MetadataReplica] = {}
-            for peer in peers:
-                rep = MetadataReplica(domain, peer)
-                self.replica_hosts.setdefault(peer, {})[domain] = rep
-                peer_reps[peer] = rep
+            for host in [domain] + peers:
+                self.replica_hosts.setdefault(host, {})[domain] = MetadataReplica(domain, host)
             store = ReplicatedMetadataStore(
-                self.sim, self.fabric, domain, self_rep, peer_reps,
+                self.sim, self.fabric, domain, self.replica_hosts[domain][domain],
+                {peer: self.replica_hosts[peer][domain] for peer in peers},
                 self.lease_timeout_us, self.heartbeat_period_us, self.flight,
             )
             rm = deployment.manager(domain)
@@ -764,20 +593,23 @@ class ControlPlane:
         self.deployment.node(successor).endpoint.notify(
             domain, "meta_stepdown", {"term": new_term}
         )
-        info = adopt_metadata(rm, merged)
+        versions = rm.restore(ReplicatedMetadataStore.decode(merged))
+        ranges = len(rm.space.ranges)
+        info = _classify_pages(merged, versions)
         store = self.stores[successor]
         if not store.fenced:
-            snapshot_into(store, rm, info)
+            # Snapshot the adopted state into the successor's own domain, so
+            # a second failover does not depend on the first domain's log.
+            for address_range in sorted(rm.space.all_ranges(), key=lambda a: a.range_id):
+                store.on_range_installed(address_range)
+            for page, version in sorted(versions.items()):
+                store.append("write_acked", page_id=page, version=version)
+                if info["durable"].get(page, 0) >= version:
+                    store.append("write_durable", page_id=page, version=version)
             yield from store.commit()
         for callback in list(self.on_failover_begin):
             callback(domain, rm, info)
-        seal = yield from seal_pages(rm, info)
-        restarted = 0
-        for address_range in sorted(rm.space.all_ranges(), key=lambda a: a.range_id):
-            for position, handle in enumerate(address_range.slots):
-                if not handle.available:
-                    rm._start_regeneration(address_range, position)
-                    restarted += 1
+        seal = yield from rm.seal(info["interrupted"], info["unsettled"])
         entry = {
             "domain": domain,
             "successor": successor,
@@ -785,11 +617,10 @@ class ControlPlane:
             "at_us": round(sim.now, 3),
             "log_records": len(merged),
             "log_source": best,
-            "ranges": info["ranges"],
-            "pages": info["pages"],
+            "ranges": ranges,
+            "pages": len(versions),
             "interrupted": len(info["interrupted"]),
             "unsettled": len(info["unsettled"]),
-            "regens_restarted": restarted,
         }
         entry.update(seal)
         self.failovers.append(entry)
