@@ -350,6 +350,8 @@ class ResilienceManager:
 
     def _apply_range_dropped(self, range_id: int) -> None:
         self.space.drop(range_id)
+        for page_id in [p for p in self._versions if self.space.locate(p)[0] == range_id]:
+            del self._versions[page_id]
 
     def _apply_position_failed(self, range_id: int, position: int) -> None:
         address_range = self.space.get(range_id)
@@ -1430,9 +1432,7 @@ class ResilienceManager:
             return {}
         pages: Dict[int, Optional[bytes]] = {}
         for page_id in [p for p in self._versions if self.space.locate(p)[0] == range_id]:
-            data = yield self.read(page_id)
-            pages[page_id] = data
-            del self._versions[page_id]
+            pages[page_id] = yield self.read(page_id)
         for position, handle in enumerate(address_range.slots):
             if not handle.available:
                 continue

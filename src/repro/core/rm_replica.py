@@ -378,13 +378,13 @@ class ReplicatedMetadataStore:
 # ======================================================================
 # failover: what the log says about each page
 # ======================================================================
-def _classify_pages(records: List[dict], versions: Dict[int, int]) -> dict:
+def _classify_pages(records: List[dict], versions: Dict[int, int], pages_per_range: int) -> dict:
     """What the log says about each restored page (``versions``: page ->
     acked version). ``interrupted`` lists ``(page, acked, intent)`` for an
     intent newer than the ack: a write torn mid-flight, whose splits may
     mix versions. ``unsettled`` lists the acks never confirmed durable,
-    whose async parity may not have landed. A lost page forgets its
-    earlier records."""
+    whose async parity may not have landed. A lost page, or a page of a
+    dropped range, forgets its earlier records."""
     marks: Dict[str, Dict[int, int]] = {"write_intent": {}, "write_durable": {}}
     for rec in records:
         seen = marks.get(rec["kind"])
@@ -394,6 +394,10 @@ def _classify_pages(records: List[dict], versions: Dict[int, int]) -> dict:
         elif rec["kind"] == "page_dropped":
             for seen in marks.values():
                 seen.pop(rec["page_id"], None)
+        elif rec["kind"] == "range_dropped":
+            for seen in marks.values():
+                for page in [p for p in seen if p // pages_per_range == rec["range_id"]]:
+                    del seen[page]
     intents, durable = marks["write_intent"], marks["write_durable"]
     return {
         "durable": durable,
@@ -595,7 +599,7 @@ class ControlPlane:
         )
         versions = rm.restore(ReplicatedMetadataStore.decode(merged))
         ranges = len(rm.space.ranges)
-        info = _classify_pages(merged, versions)
+        info = _classify_pages(merged, versions, rm.space.pages_per_range)
         store = self.stores[successor]
         if not store.fenced:
             # Snapshot the adopted state into the successor's own domain, so

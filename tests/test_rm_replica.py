@@ -8,14 +8,18 @@ replicated log, and the crash matrix at every write-path phase boundary.
 
 import pytest
 
-from repro.cluster import Cluster
+from repro.cluster import Cluster, CorruptionInjector
 from repro.core import (
     HydraConfig,
     HydraDeployment,
     RemoteMemoryUnavailable,
+    ReplicatedMetadataStore,
+    ResilienceManager,
 )
 from repro.core.rm_replica import StaleTermError
 from repro.net import NetworkConfig
+from repro.obs import MetricsRegistry, Tracer
+from repro.sim import RandomSource
 
 from .conftest import drive, make_page
 
@@ -319,6 +323,40 @@ class TestFailover:
 
         assert drive(sim, readback()) == pages
 
+    def test_failover_forgets_a_reclaimed_range(self):
+        """A reclaimed range's pages are gone on the leader; the successor
+        restored from its log must not resurrect them."""
+        cluster, deployment = deploy(machines=10)
+        sim = cluster.sim
+        rm = deployment.manager(0)
+        control = deployment.control_plane
+        second = rm.config.pages_per_range  # the first page of range 1
+        pages = {pid: make_page(pid) for pid in [0, 1, 2, 3]}
+        reclaimed = {pid: make_page(pid) for pid in range(second, second + 4)}
+
+        def proc():
+            for pid, data in {**pages, **reclaimed}.items():
+                yield rm.write(pid, data)
+            assert (yield rm.reclaim_range(1)) == reclaimed
+            yield sim.timeout(100_000.0)
+            assert (yield rm.read(second)) is None
+            cluster.machine(0).fail()
+            yield sim.timeout(LEASE_US + 1_000_000.0)
+            return "ok"
+
+        assert drive(sim, proc()) == "ok"
+        (entry,) = control.failovers
+        assert (entry["ranges"], entry["pages"], entry["interrupted"]) == (1, 4, 0)
+        successor = deployment.manager(entry["successor"])
+
+        def readback():
+            got = {}
+            for pid in [*pages, *reclaimed]:
+                got[pid] = yield successor.read(pid)
+            return got
+
+        assert drive(sim, readback()) == {**pages, **dict.fromkeys(reclaimed)}
+
     def test_deposed_leader_cannot_commit_after_failover(self):
         cluster, deployment = deploy(machines=10)
         rm = deployment.manager(0)
@@ -342,6 +380,105 @@ class TestFailover:
         replica = control.replica_hosts[successor][0]
         with pytest.raises(StaleTermError):
             replica.apply_append(old_store.term, 0, [], 0)
+
+
+class _NoEndpoint:
+    def register(self, *_args) -> None:
+        pass
+
+
+def restored_rm(cluster, config, machine_id, records):
+    """A fresh RM on ``machine_id``, restored from ``records`` and then
+    fenced: it holds the state, talks to nothing and repairs nothing."""
+    rm = ResilienceManager(
+        cluster.sim, cluster.fabric, machine_id, config, _NoEndpoint(), None,
+        RandomSource(0), Tracer(cluster.sim, sample_every=0), MetricsRegistry(),
+    )
+    rm.restore(ReplicatedMetadataStore.decode(records))
+    rm.fence("restore check")
+    return rm
+
+
+def projection(rm, viewer):
+    """Per range ``(machine, slab, available)`` of each position ``viewer``
+    can reach on another machine (None for the rest), the page version
+    table and the error scores."""
+    def slot(handle):
+        machine = handle.machine_id
+        if machine == viewer or not rm.fabric.reachable(viewer, machine):
+            return None
+        return (machine, handle.slab_id, handle.available)
+
+    ranges = {rid: [slot(h) for h in rng.slots] for rid, rng in rm.space.ranges.items()}
+    return ranges, dict(rm._versions), dict(rm.error_scores)
+
+
+class TestRestoreEquivalence:
+    def test_restore_of_the_committed_log_matches_the_leader(self):
+        """State-machine replication: at every quiescent point of a
+        replicated run, ``restore`` of the leader's committed log yields the
+        leader's slab map, version table and error scores — through writes,
+        an overwrite, corruption heals, an error-limit regeneration, a
+        crashed host's regeneration and a reclaimed range."""
+        cluster, deployment = deploy(machines=10)
+        sim = cluster.sim
+        rm = deployment.manager(0)
+        control = deployment.control_plane
+        store = control.stores[0]
+        spare = 9  # the restorer: no client, and it hosts some of rm 0's slabs
+        second = rm.config.pages_per_range  # the first page of range 1
+        pages = {pid: make_page(pid) for pid in range(12)}
+        pages.update({pid: make_page(pid) for pid in range(second, second + 4)})
+        checked = []
+
+        def check(step):
+            assert store.committed_lsn == len(store.log), f"{step}: not quiescent"
+            restored = restored_rm(cluster, rm.config, spare, store.log)
+            assert projection(restored, spare) == projection(rm, spare), step
+            checked.append(step)
+
+        def proc():
+            for pid, data in pages.items():
+                yield rm.write(pid, data)
+            yield sim.timeout(100_000.0)
+            check("writes")
+            for pid in (0, 1):
+                pages[pid] = make_page(pid + 100)
+                yield rm.write(pid, pages[pid])
+            yield sim.timeout(100_000.0)
+            check("overwrite")
+            # A corrupted data host behind a congested NIC: its split is the
+            # late extra of each read, so every read detects and heals it.
+            victim = cluster.machine(rm.space.get(0).handle(1).machine_id)
+            CorruptionInjector(sim, RandomSource(9)).corrupt_machine(victim)
+            victim.nic.background_flows = 40
+            for pid in range(3):
+                assert (yield rm.read(pid)) == pages[pid]
+            yield sim.timeout(100_000.0)
+            assert rm.events["healed_splits"] and rm.error_scores
+            check("corruption heal")
+            for pid in range(3, 12):
+                assert (yield rm.read(pid)) == pages[pid]
+            yield sim.timeout(2_000_000.0)
+            victim.nic.background_flows = 0
+            assert rm.events["regen_for_errors"] == 1
+            check("error-limit regeneration")
+            crashed = next(
+                handle.machine_id
+                for handle in rm.space.get(0).slots
+                if handle.machine_id not in control.peers_of_domain[0] + [spare]
+            )
+            cluster.machine(crashed).fail()
+            yield sim.timeout(2_000_000.0)
+            assert rm.events["regenerations"] >= 2
+            check("crashed host regeneration")
+            yield rm.reclaim_range(1)
+            yield sim.timeout(100_000.0)
+            check("reclaim")
+            return "ok"
+
+        assert drive(sim, proc()) == "ok"
+        assert len(checked) == 6
 
 
 class TestWritePathCrashMatrix:
