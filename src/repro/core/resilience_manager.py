@@ -391,8 +391,12 @@ class ResilienceManager:
         Every position this RM cannot reach — one hosted on its own machine
         (there is no loopback queue pair) or one behind a partition — is
         then failed, for :meth:`seal` to re-home, and every other host is
-        watched. Returns the restored page → version table.
+        watched. Returns the restored page → version table. Raises
+        :class:`HydraError` on an RM that holds remote memory of its own:
+        two address spaces cannot share one map.
         """
+        if self.space.ranges or self._versions:
+            raise HydraError(f"resilience manager {self.machine_id} is not empty")
         for event, args in events:
             self._APPLY[event](self, *args)
         for address_range in sorted(self.space.all_ranges(), key=lambda a: a.range_id):

@@ -534,6 +534,7 @@ class ControlPlane:
             peer
             for peer in self.peers_of_domain[domain]
             if self.cluster.machine(peer).alive and not self.stores[peer].fenced
+            and not self.deployment.manager(peer).space.ranges
         ]
         if not eligible or eligible[0] != watcher:
             return  # the lowest-id eligible peer owns the takeover

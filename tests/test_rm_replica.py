@@ -12,6 +12,7 @@ from repro.cluster import Cluster, CorruptionInjector
 from repro.core import (
     HydraConfig,
     HydraDeployment,
+    HydraError,
     RemoteMemoryUnavailable,
     ReplicatedMetadataStore,
     ResilienceManager,
@@ -356,6 +357,43 @@ class TestFailover:
             return got
 
         assert drive(sim, readback()) == {**pages, **dict.fromkeys(reclaimed)}
+
+    def test_a_peer_with_pages_of_its_own_does_not_take_over(self):
+        """The lowest peer is itself a client, and its page ids overlap the
+        leader's: taking over would merge two address spaces into one map.
+        The next peer, which holds nothing, takes over instead."""
+        cluster, deployment = deploy(machines=10)
+        sim = cluster.sim
+        control = deployment.control_plane
+        lowest, other = control.peers_of_domain[0]
+        rm, client = deployment.manager(0), deployment.manager(lowest)
+        pages = {pid: make_page(pid) for pid in range(4)}
+        own = {pid: make_page(pid + 100) for pid in range(2, 6)}
+
+        def proc():
+            for pid, data in pages.items():
+                yield rm.write(pid, data)
+            for pid, data in own.items():
+                yield client.write(pid, data)
+            yield sim.timeout(100_000.0)
+            cluster.machine(0).fail()
+            yield sim.timeout(LEASE_US + 2_000_000.0)
+            return "ok"
+
+        assert drive(sim, proc()) == "ok"
+        assert [entry["successor"] for entry in control.failovers] == [other]
+        with pytest.raises(HydraError):
+            client.restore([])
+        successor = deployment.manager(other)
+
+        def readback(manager, pids):
+            got = {}
+            for pid in pids:
+                got[pid] = yield manager.read(pid)
+            return got
+
+        assert drive(sim, readback(successor, pages)) == pages
+        assert drive(sim, readback(client, own)) == own
 
     def test_deposed_leader_cannot_commit_after_failover(self):
         cluster, deployment = deploy(machines=10)
