@@ -295,11 +295,11 @@ class ResilienceManager:
         ``on_error_score(machine_id, score)`` and ``on_page_lost(page_id)``.
         Observers run in registration order; the replicated metadata store
         (repro.core.rm_replica) is the first when there is one. Hooks are
-        notifications; they must not mutate RM state. Seven of them report
-        a state change the RM applied just before: ``on_range_installed``,
-        ``on_range_dropped``, ``on_position_failed``,
-        ``on_position_replaced``, ``on_error_score``, ``on_write_acked``
-        and ``on_page_lost``. :meth:`restore` applies exactly these.
+        notifications; they must not mutate RM state. Seven report a state
+        change the RM just applied, and :meth:`restore` applies them:
+        ``on_range_installed``, ``on_range_dropped``, ``on_position_failed``,
+        ``on_position_replaced``, ``on_error_score``, ``on_write_acked`` and
+        ``on_page_lost``.
         """
         self._observers.append(observer)
 
@@ -332,11 +332,6 @@ class ResilienceManager:
         for event in list(self._inflight_writes.values()):
             if not event.triggered:
                 event.succeed_now()
-
-    def _mark_failed(self, address_range: AddressRange, position: int) -> None:
-        """Mark a slab unavailable and tell the observers, so a failover
-        sees the same degraded slab map this RM does."""
-        self._emit("on_position_failed", address_range.range_id, position)
 
     # -- the logged state changes: one method per event. The live path emits
     # an event (apply, then notify); restore() replays a log through _APPLY.
@@ -636,7 +631,7 @@ class ResilienceManager:
                 for position in address_range.available_positions():
                     handle = address_range.handle(position)
                     if not self.fabric.reachable(self.machine_id, handle.machine_id):
-                        self._mark_failed(address_range, position)
+                        self._emit("on_position_failed", address_range.range_id, position)
                         self._start_regeneration(address_range, position)
                 yield self.sim.timeout(_WRITE_RETRY_BACKOFF_US)
                 phases.mark("retry_backoff", attempt=attempt)
@@ -1122,7 +1117,7 @@ class ResilienceManager:
         score = self.error_scores.get(machine_id, 0.0) + weight
         if score >= self.config.slab_regeneration_limit:
             # Error rate beyond repair: regenerate this machine's slab.
-            self._mark_failed(address_range, position)
+            self._emit("on_position_failed", address_range.range_id, position)
             score = 0.0
             self.events.incr("regen_for_errors")
             self._start_regeneration(address_range, position)
@@ -1138,7 +1133,7 @@ class ResilienceManager:
             for position in address_range.positions_on_machine(machine_id):
                 handle = address_range.handle(position)
                 if handle.available:
-                    self._mark_failed(address_range, position)
+                    self._emit("on_position_failed", address_range.range_id, position)
                     self._start_regeneration(address_range, position)
 
     def _on_evict_notice(self, src_id: int, body: dict) -> None:
@@ -1164,7 +1159,7 @@ class ResilienceManager:
             self.events.incr("evictions_vetoed")
             return {"ok": False}
         self.events.incr("evictions")
-        self._mark_failed(address_range, position)
+        self._emit("on_position_failed", address_range.range_id, position)
         self._start_regeneration(address_range, position)
         return {"ok": True}
 

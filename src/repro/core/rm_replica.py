@@ -20,11 +20,8 @@ hands it to its own RM: ``ResilienceManager.restore`` replays it through
 the methods the live path applies, and ``ResilienceManager.seal``
 re-seals pages whose writes were torn mid-flight and resumes
 regenerations that were in flight when the leader died. This module
-keeps the agreement protocol, the record format and the takeover.
-
-The model's limits (a term word that survives a crash, the stale-read
-window of an asymmetric partition) are in docs/ARCHITECTURE.md,
-"Control-plane resilience".
+keeps the agreement protocol, the record format and the takeover; the
+model's limits are in docs/ARCHITECTURE.md, "Control-plane resilience".
 """
 
 from __future__ import annotations
@@ -221,10 +218,9 @@ class ReplicatedMetadataStore:
 
     @staticmethod
     def decode(records: List[dict]):
-        """The writers above, inverted: yield each record that changes RM
-        state as the ``(event, args)`` its writer was called with, for
-        ``ResilienceManager.restore``. Handles are fresh objects; intent
-        and durability records change no RM state and are skipped."""
+        """The writers above, inverted, for ``ResilienceManager.restore``:
+        each record that changes RM state as the ``(event, args)`` its
+        writer was called with (fresh handles). Write marks are skipped."""
         for rec in records:
             kind = rec["kind"]
             if kind == "range_installed":
@@ -379,12 +375,11 @@ class ReplicatedMetadataStore:
 # failover: what the log says about each page
 # ======================================================================
 def _classify_pages(records: List[dict], versions: Dict[int, int], pages_per_range: int) -> dict:
-    """What the log says about each restored page (``versions``: page ->
-    acked version). ``interrupted`` lists ``(page, acked, intent)`` for an
-    intent newer than the ack: a write torn mid-flight, whose splits may
-    mix versions. ``unsettled`` lists the acks never confirmed durable,
-    whose async parity may not have landed. A lost page, or a page of a
-    dropped range, forgets its earlier records."""
+    """What the write records say about the restored pages (``versions``):
+    ``interrupted`` lists ``(page, acked, intent)`` for a write torn
+    mid-flight, whose splits may mix versions; ``unsettled`` lists acked
+    pages whose async parity may not have landed. A lost page, or a page
+    of a dropped range, forgets its earlier records."""
     marks: Dict[str, Dict[int, int]] = {"write_intent": {}, "write_durable": {}}
     for rec in records:
         seen = marks.get(rec["kind"])
