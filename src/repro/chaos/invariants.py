@@ -217,7 +217,7 @@ class InvariantMonitor:
         self.regen_outcomes[outcome] = self.regen_outcomes.get(outcome, 0) + 1
 
     def on_page_lost(self, page_id: int) -> None:
-        """Failover recovery gave up on a page (``seal_pages``).
+        """Failover recovery gave up on a page (``ResilienceManager.seal``).
 
         Losing a torn page is the documented async-encoding trade-off:
         the client's overwrite was in flight, so neither the old nor the
