@@ -55,6 +55,26 @@ _REGEN_TIMEOUT_US = 5_000_000.0  # give up on a silent regeneration target
 _ALL = float("inf")  # a gather `need` no valid count reaches: wait for every post
 
 
+def _sample(rng: RandomSource, population: List[int], count: int) -> List[int]:
+    """``rng.sample(population, count)``, consuming ``population``: up to
+    21 elements (an RM's k + r, almost always) ``random.Random.sample``
+    draws from a pool list, and this is that loop without its wrappers —
+    the same ``getrandbits`` calls, so the same result and generator state."""
+    n = len(population)
+    if n > 21:
+        return rng.sample(population, count)
+    getrandbits = rng._rng.getrandbits
+    chosen = []
+    for left in range(n, n - count, -1):
+        bits = left.bit_length()
+        j = getrandbits(bits)
+        while j >= left:
+            j = getrandbits(bits)
+        chosen.append(population[j])
+        population[j] = population[left - 1]
+    return chosen
+
+
 class _SplitGather:
     """The one fan-out-and-gather of ``repro.core``: n posted verbs tracked
     by position, one waiter woken at the need-th *valid* completion.
@@ -68,8 +88,9 @@ class _SplitGather:
     callback list or closure per split.
     A verb that succeeded is valid when ``is_valid`` accepts its value
     (every success counts when there is no predicate, as for write acks
-    and metadata verbs); a failed verb finishes but is never valid. One
-    waiter event per wait keeps the event count per page operation small.
+    and metadata verbs); a failed verb finishes but is never valid. The
+    one waiter is a callable (:meth:`when_valid`) run from the delivery
+    that satisfies it: no event per wait unless a generator asks for one.
     """
 
     __slots__ = ("sim", "is_valid", "arrivals", "valid", "outstanding", "_need", "_waiter")
@@ -105,36 +126,38 @@ class _SplitGather:
         if waiter is not None and (
             len(self.valid) >= self._need or self.outstanding == 0
         ):
-            # Detach before delivering: succeed_now resumes the waiting
-            # process synchronously, which may register a fresh waiter
-            # (escalation loop) — the slot must already be clear.
+            # Detach before delivering: the waiter runs synchronously and
+            # may register itself again (the read's escalation) — the slot
+            # must already be clear.
             self._waiter = None
-            waiter.succeed_now()
+            waiter()
 
-    def wait_valid(self, need: int) -> Event:
-        """An event firing when ``need`` valid completions have arrived — or
-        when nothing is outstanding anymore (the caller sees fewer in
-        ``valid`` and decides: escalate, retry, fail). One waiter at a time."""
+    def when_valid(self, need: int, waiter) -> None:
+        """Call ``waiter()`` once ``need`` valid completions have arrived —
+        or once nothing is outstanding anymore (the caller sees fewer in
+        ``valid`` and decides: escalate, retry, fail): at once when that is
+        already so, else from the delivering :meth:`_arrive`. One waiter at
+        a time; no event, no process to resume."""
         assert self._waiter is None, "a gather serves one waiter at a time"
-        waiter = self.sim.event(name="gather")
         if len(self.valid) >= need or self.outstanding == 0:
-            waiter.succeed_now()
+            waiter()
         else:
             self._need = need
             self._waiter = waiter
-        return waiter
+
+    def when_all(self, waiter) -> None:
+        """Call ``waiter()`` once every posted verb has completed."""
+        self.when_valid(_ALL, waiter)
+
+    def wait_valid(self, need: int) -> Event:
+        """:meth:`when_valid` as an event, for a generator to yield."""
+        event = self.sim.event(name="gather")
+        self.when_valid(need, event.succeed_now)
+        return event
 
     def wait_all(self) -> Event:
-        """An event firing once every posted verb has completed."""
+        """:meth:`when_all` as an event, for a generator to yield."""
         return self.wait_valid(_ALL)
-
-    def when_all(self, callback) -> None:
-        """Run ``callback(None)`` from the delivery of the last posted verb
-        to complete — at once when none is outstanding; no process to resume."""
-        if self.outstanding == 0:
-            callback(None)
-        else:
-            self.wait_all().callbacks.append(callback)
 
     def first_valid(self, count: int) -> Dict[int, object]:
         """The first ``count`` valid splits in arrival order — exactly what
@@ -162,8 +185,8 @@ class ResilienceManager:
     """Erasure-coded remote memory for one client machine.
 
     The public interface is the remote-memory-pool protocol shared with
-    the baselines: :meth:`write` and :meth:`read` return simulation
-    processes; ``yield`` them from workload code. Underneath, every path
+    the baselines: :meth:`write` returns a simulation process and
+    :meth:`read` an event; ``yield`` them from workload code. Underneath, every path
     that touches splits posts through :meth:`_post_splits` and waits on
     the :class:`_SplitGather` it returns — the gather is the sink the
     posted verbs complete into, so a split is handled once, by
@@ -531,14 +554,13 @@ class ResilienceManager:
             name=f"hydra-write:{page_id}",
         )
 
-    def read(self, page_id: int, parent: Optional[Span] = None):
-        """Read a page back; the process's value is the page bytes (real
-        mode) or ``None`` (phantom mode)."""
+    def read(self, page_id: int, parent: Optional[Span] = None) -> Event:
+        """Read a page back; returns an event whose value is the page bytes
+        (real mode) or ``None`` (phantom mode), or which fails with the
+        read's exception. The read is no process: :meth:`_read` schedules
+        its first stage. ``parent`` as for :meth:`write`."""
         span = request_span(self.tracer, "rm.read", self.machine_id, page_id, parent)
-        return self.sim.process(
-            traced(self._read_process(page_id, span), span),
-            name=f"hydra-read:{page_id}",
-        )
+        return self._read(page_id, span)
 
     @property
     def memory_overhead(self) -> float:
@@ -820,7 +842,7 @@ class ResilienceManager:
                 finish()  # loud, but no reader is left behind
                 raise
 
-            def landed(_done) -> None:
+            def landed() -> None:
                 self.events.incr("parity_writes", len(positions))
                 finish(parities=len(positions))
 
@@ -831,202 +853,262 @@ class ResilienceManager:
     # ==================================================================
     # read path (§4.2.2)
     # ==================================================================
-    def _read_process(self, page_id: int, span: Optional[Span] = None):
-        config = self.config
+    def _read(self, page_id: int, span: Optional[Span]) -> Event:
+        """The late-binding read as stage callbacks named after the phase
+        marks they record — order → issue → wait_k (escalating) →
+        completion → decode → correction (suspected) → the returned event.
+        A delay is one ``call_later`` record, a wait a callback: no
+        ``Process`` or ``Timeout``. A stage the engine enters fails the
+        event with its exception while the event is pending (after, the
+        exception is its waiter's); ``span`` ends as ``traced`` ends one."""
+        sim, config = self.sim, self.config
+        k = config.k
         phases = self.tracer.phases(span)
-        start = self.sim.now
-        if self._fenced:
-            self.events.incr("fenced_reads")
-            raise RemoteMemoryUnavailable(
-                f"resilience manager {self.machine_id} is fenced"
-            )
-        self.events.incr("reads")
-
-        # Per-QP ordering makes read-after-write safe for data splits, but a
-        # read racing the *asynchronous parity* writes could mix versions;
-        # the RM tracks in-flight writes and orders behind them (§4.3).
-        inflight = self._inflight_writes.get(page_id)
-        if inflight is not None and not inflight.triggered:
-            yield inflight
-            phases.mark("order")
-
-        if page_id not in self._versions:
-            return None  # never written; nothing to read
-
-        range_id, offset = self.space.locate(page_id)
-        address_range = self.space.get(range_id)
-        if address_range is None:
-            raise HydraError(f"page {page_id} has a version but no range")
-        version = self._versions[page_id]
-
-        available = address_range.available_positions()
-        if len(available) < config.k:
-            raise RemoteMemoryUnavailable(
-                f"page {page_id}: only {len(available)} slabs reachable"
-            )
-
-        # No machine has ever been suspected on the vast majority of reads;
-        # one truthiness check replaces the per-position score scan then.
-        error_scores = self.error_scores
-        suspected = bool(error_scores) and any(
-            error_scores.get(address_range.handle(p).machine_id, 0.0)
-            >= config.error_correction_limit
-            for p in available
-        )
-        if suspected:
-            fanout = min(config.correction_fanout(), len(available))
-            self.events.incr("suspicious_reads")
-        else:
-            fanout = min(config.read_fanout(), len(available))
-        if span is not None:
-            span.set_tag("fanout", fanout)
-            if suspected:
-                span.set_tag("suspected", True)
-
-        yield Timeout(self.sim, self._issue_us[fanout])
-        phases.mark("issue")
-
-        slots = address_range.slots
-        positions = self.rng.sample(available, fanout)
-        gather = _SplitGather(self.sim, self._split_validator(version))
-        self._post_splits(slots, offset, positions, span=span, gather=gather)
-
+        start = sim.now
+        done = Event(sim)
+        address_range = offset = version = available = fanout = gather = first_k = None
+        suspected = False
         escalations = 0
-        while len(gather.valid) < config.k:
-            yield gather.wait_valid(config.k)
-            if len(gather.valid) >= config.k:
-                break
-            # Escalate: everything in flight has landed (each posted
-            # position is in `arrivals`) and we still lack k valid splits —
-            # request the untried positions.
-            untried = [
-                position
-                for position in address_range.available_positions()
-                if position not in gather.arrivals
-            ]
-            if untried:
-                self._post_splits(slots, offset, untried, span=span, gather=gather)
-                self.events.incr("escalation_reads", len(untried))
-                escalations += len(untried)
-            elif gather.outstanding == 0:
-                break
-        phases.mark("wait_k", valid=len(gather.valid))
-        if span is not None and escalations:
-            span.set_tag("escalations", escalations)
 
-        if len(gather.valid) < config.k:
-            self.events.incr("read_failures")
-            if self._observers:
-                self._notify("on_read_failed", page_id)
-            detail = []
-            for position, payload in sorted(gather.arrivals.items()):
-                if isinstance(payload, PhantomSplit):
-                    state = f"v{payload.version}" + ("!" if payload.corrupt else "")
-                elif payload is None:
-                    state = "none"
+        def failed(exc: BaseException) -> None:
+            if done.triggered:
+                raise exc
+            if span is not None:
+                span.tags.setdefault("error", type(exc).__name__)
+                span.finish()
+            done.fail(exc)
+
+        def finish(page) -> None:
+            if version is not None:  # a page never written is no read done
+                if self._observers:
+                    self._notify("on_read_done", page_id, version, page, start)
+                self.read_latency.record(sim.now - start)
+                self.ops_window.record(sim.now)
+            if span is not None:
+                span.set_tag("outcome", "ok")
+                span.finish()
+            done.succeed_now(page)
+
+        def order(write: Optional[Event] = None) -> None:
+            # The first record, and the in-flight write's callback once it
+            # is durable.
+            nonlocal address_range, offset, version, available, fanout, suspected
+            try:
+                if write is None:
+                    if self._fenced:
+                        self.events.incr("fenced_reads")
+                        raise RemoteMemoryUnavailable(
+                            f"resilience manager {self.machine_id} is fenced"
+                        )
+                    self.events.incr("reads")
+                    # Per-QP ordering makes read-after-write safe for data
+                    # splits, but a read racing the *asynchronous parity*
+                    # writes could mix versions; the RM tracks in-flight
+                    # writes and orders behind them (§4.3).
+                    inflight = self._inflight_writes.get(page_id)
+                    if inflight is not None and not inflight.triggered:
+                        return inflight.callbacks.append(order)
                 else:
-                    state = "bytes"
-                detail.append(f"{position}={state}")
-            raise RemoteMemoryUnavailable(
-                f"page {page_id}: decoded {len(gather.valid)} valid splits, "
-                f"need {config.k} (want v{version}; arrivals: {', '.join(detail)})"
-            )
+                    phases.mark("order")
+                if page_id not in self._versions:
+                    return finish(None)  # never written; nothing to read
+                range_id, offset = self.space.locate(page_id)
+                address_range = self.space.get(range_id)
+                if address_range is None:
+                    raise HydraError(f"page {page_id} has a version but no range")
+                version = self._versions[page_id]
+                available = address_range.available_positions()
+                if len(available) < k:
+                    raise RemoteMemoryUnavailable(
+                        f"page {page_id}: only {len(available)} slabs reachable"
+                    )
+                # No machine has ever been suspected on the vast majority of
+                # reads; one truthiness check replaces the per-position
+                # score scan then.
+                error_scores = self.error_scores
+                suspected = bool(error_scores) and any(
+                    error_scores.get(address_range.handle(p).machine_id, 0.0)
+                    >= config.error_correction_limit
+                    for p in available
+                )
+                if suspected:
+                    fanout = min(config.correction_fanout(), len(available))
+                    self.events.incr("suspicious_reads")
+                else:
+                    fanout = min(config.read_fanout(), len(available))
+                if span is not None:
+                    span.set_tag("fanout", fanout)
+                    if suspected:
+                        span.set_tag("suspected", True)
+                sim.call_later(self._issue_us[fanout], issue)
+            except BaseException as exc:
+                failed(exc)
 
-        yield Timeout(self.sim, self._completion_us[config.k])
-        phases.mark("completion")
+        def issue() -> None:
+            nonlocal gather
+            try:
+                phases.mark("issue")
+                positions = _sample(self.rng, available, fanout)
+                gather = _SplitGather(sim, self._split_validator(version))
+                self._post_splits(address_range.slots, offset, positions, span=span, gather=gather)
+                gather.when_valid(k, wait_k)
+            except BaseException as exc:
+                failed(exc)
 
-        # In-place coding guard: the k-th valid arrival deregisters the
-        # page's memory region, so later (possibly corrupt) splits can never
-        # overwrite it — we snapshot exactly the first k valid splits.
-        first_k = gather.first_valid(config.k)
-        systematic = set(first_k) == set(range(config.k))
-        if not systematic:
-            yield Timeout(self.sim, self._decode_us)
-            phases.mark("decode")
-            self.events.incr("decoded_reads")
+        def wait_k() -> None:
+            # The gather's waiter: k valid splits are in, or none in flight.
+            nonlocal escalations
+            try:
+                if len(gather.valid) < k:
+                    # Escalate: everything in flight has landed (each posted
+                    # position is in `arrivals`) and we still lack k valid
+                    # splits — request the untried positions.
+                    untried = [
+                        position
+                        for position in address_range.available_positions()
+                        if position not in gather.arrivals
+                    ]
+                    if untried:
+                        self._post_splits(
+                            address_range.slots, offset, untried, span=span, gather=gather
+                        )
+                        self.events.incr("escalation_reads", len(untried))
+                        escalations += len(untried)
+                        return gather.when_valid(k, wait_k)
+                phases.mark("wait_k", valid=len(gather.valid))
+                if span is not None and escalations:
+                    span.set_tag("escalations", escalations)
+                if len(gather.valid) < k:
+                    self.events.incr("read_failures")
+                    if self._observers:
+                        self._notify("on_read_failed", page_id)
+                    detail = []
+                    for position, payload in sorted(gather.arrivals.items()):
+                        if isinstance(payload, PhantomSplit):
+                            state = f"v{payload.version}" + ("!" if payload.corrupt else "")
+                        elif payload is None:
+                            state = "none"
+                        else:
+                            state = "bytes"
+                        detail.append(f"{position}={state}")
+                    raise RemoteMemoryUnavailable(
+                        f"page {page_id}: decoded {len(gather.valid)} valid splits, "
+                        f"need {k} (want v{version}; arrivals: {', '.join(detail)})"
+                    )
+                sim.call_later(self._completion_us[k], completion)
+            except BaseException as exc:
+                failed(exc)
 
-        page: Optional[bytes] = None
-        if config.payload_mode == "real":
-            if suspected:
-                # Inline verified read: wait for the full (k + 2Δ + 1)
-                # fanout and decode through the correction path.
-                yield gather.wait_all()
+        def completion() -> None:
+            nonlocal first_k
+            try:
+                phases.mark("completion")
+                # In-place coding guard: the k-th valid arrival deregisters
+                # the page's memory region, so later (possibly corrupt)
+                # splits can never overwrite it — we snapshot exactly the
+                # first k valid splits.
+                first_k = gather.first_valid(k)
+                if set(first_k) == set(range(k)):
+                    return decode(systematic=True)
+                sim.call_later(self._decode_us, decode)
+            except BaseException as exc:
+                failed(exc)
+
+        def decode(systematic: bool = False) -> None:
+            try:
+                if not systematic:
+                    phases.mark("decode")
+                    self.events.incr("decoded_reads")
+                if config.payload_mode != "real":
+                    return finish(None)
+                if suspected:
+                    # Inline verified read: wait for the full (k + 2Δ + 1)
+                    # fanout and decode through the correction path.
+                    return gather.when_all(verify)
+                page = self.codec.decode(first_k)  # the one copy: bytes
+                if config.verify_reads:
+                    self._schedule_background_verify(
+                        address_range, offset, page_id, gather, first_k, page, span
+                    )
+                finish(page)
+            except BaseException as exc:
+                failed(exc)
+
+        def verify() -> None:
+            try:
                 usable = gather.real_payloads()
                 try:
                     page = self.codec.decode_verified(usable)
-                    self.events.incr("verified_reads")
                 except CorruptionDetected:
-                    page, _corrupted = yield from self._correct_and_heal(
-                        address_range, offset, page_id, version, usable, span
+                    return self._correct_and_heal(
+                        address_range, offset, page_id, usable, span, corrected, failed
                     )
-                phases.mark("correction")
-            else:
-                data_splits = self.codec.code.decode(first_k)
-                page = self.codec.join(data_splits)
-                if config.verify_reads:
-                    self._schedule_background_verify(
-                        address_range, offset, page_id, version, gather,
-                        first_k, data_splits, span,
-                    )
+                self.events.incr("verified_reads")
+                corrected(page)
+            except BaseException as exc:
+                failed(exc)
 
-        if self._observers:
-            self._notify("on_read_done", page_id, version, page, start)
-        self.read_latency.record(self.sim.now - start)
-        self.ops_window.record(self.sim.now)
-        return page
+        def corrected(page, _corrupted=()) -> None:
+            try:
+                phases.mark("correction")
+                finish(page)
+            except BaseException as exc:
+                failed(exc)
+
+        sim.call_later(0.0, order)
+        return done
 
     def _schedule_background_verify(
         self,
         address_range: AddressRange,
         offset: int,
         page_id: int,
-        version: int,
         gather: _SplitGather,
         first_k: Dict[int, object],
-        data_splits: np.ndarray,
+        page: bytes,
         parent: Optional[Span] = None,
     ) -> None:
         """§4.3 detection path: once the Δ extra splits arrive, check
         consistency off the critical path; on detection, correct and heal.
 
-        The read already decoded ``data_splits`` from ``first_k``, and k
-        splits determine the codeword: the arrivals are mutually consistent
-        exactly when each later one equals that codeword's split at its
-        position (``ReedSolomonCode.consistent_with_decode``) — no second
-        decode.
-
-        The check runs from the gather's last arrival
-        (:meth:`_SplitGather.when_all`) — no process is spawned unless
-        corruption is actually detected, which keeps the (overwhelmingly
-        common) consistent case off the event queue entirely."""
+        k splits determine the codeword, and the read decoded ``page`` from
+        ``first_k``: the arrivals are consistent exactly when each later one
+        equals that codeword's split at its position
+        (``ReedSolomonCode.consistent_with_decode``), the data splits read
+        as a view of ``page``. The check is the gather's last waiter
+        (:meth:`_SplitGather.when_all`); a detection is one ``call_later``
+        record for :meth:`_correct_and_heal`, whose exception would leave
+        ``Simulator.run`` as the parity stage's does."""
         span = (
             parent.child("rm.verify", cat="background") if parent is not None else None
         )
 
-        def correct_then_finish(usable):
-            try:
-                yield from self._correct_and_heal(
-                    address_range, offset, page_id, version, usable, span
-                )
-            finally:
-                if span is not None:
-                    span.finish()
+        def healed(_page, _corrupted) -> None:
+            if span is not None:
+                span.finish()
 
-        def check(_done) -> None:
-            spawned = False
+        def check() -> None:
+            scheduled = False
             try:
-                if self.codec.code.consistent_with_decode(
-                    gather.arrivals, first_k, data_splits
-                ):
+                codec = self.codec
+                data_splits = np.frombuffer(
+                    page.ljust(codec.padded_size, b"\0"), dtype=np.uint8
+                ).reshape(codec.k, codec.split_size)
+                if codec.code.consistent_with_decode(gather.arrivals, first_k, data_splits):
                     return  # nothing to do (or no extra split to detect with)
                 usable = gather.real_payloads()
                 self.events.incr("corruption_detected")
                 if span is not None:
                     span.set_tag("corruption_detected", True)
-                spawned = True
-                self.sim.process(correct_then_finish(usable), name=f"hydra-verify:{page_id}")
+                scheduled = True
+                self.sim.call_later(
+                    0.0,
+                    lambda: self._correct_and_heal(
+                        address_range, offset, page_id, usable, span, healed
+                    ),
+                )
             finally:
-                if span is not None and not spawned:
+                if span is not None and not scheduled:
                     span.finish()
 
         gather.when_all(check)
@@ -1036,12 +1118,16 @@ class ResilienceManager:
         address_range: AddressRange,
         offset: int,
         page_id: int,
-        version: int,
         splits: Dict[int, object],
-        parent: Optional[Span] = None,
-    ):
+        parent: Optional[Span],
+        then,
+        failed=None,
+    ) -> None:
         """Fetch Δ + 1 extra splits, locate/correct errors, rewrite the
-        corrupted splits, and update per-machine error scores."""
+        corrupted splits, update per-machine error scores, then call
+        ``then(page, corrupted)``: at once when no extra split is needed,
+        else from the extras' last arrival. An exception on the way goes to
+        ``failed`` when one is given (the suspected read's), else up."""
         config = self.config
         slots = address_range.slots
         # Corruption recovery is rare and high-value: trace it whenever the
@@ -1056,57 +1142,66 @@ class ResilienceManager:
                 tags={"page": page_id},
             )
         )
-        try:
-            extra_needed = config.correction_fanout() - len(splits)
-            if extra_needed > 0:
-                extra_positions = [
-                    p
-                    for p in address_range.available_positions()
-                    if p not in splits
-                ][: extra_needed + config.delta]
-                if extra_positions:
-                    extra = self._post_splits(slots, offset, extra_positions, span=span)
-                    yield extra.wait_all()
-                    splits.update(extra.real_payloads())
+        extra = None
 
-            # Best-effort localization when the k + 2Δ + 1 guarantee cannot
-            # be met with the splits that exist (e.g. r < 2Δ + 1): the
-            # unique maximal-agreement codeword localizes random corruption
-            # with overwhelming probability (§5.1 distinguishes this from
-            # the information-theoretic guarantee).
-            max_errors = max(1, (len(splits) - config.k - 1) // 2)
+        def correct() -> None:
             try:
-                page, corrupted = self.codec.correct(
-                    splits, max_errors=max_errors, best_effort=True
-                )
-            except DecodeError:
-                # Cannot localize: smear suspicion across those involved.
-                for position in splits:
-                    machine = address_range.handle(position).machine_id
-                    self._record_error(
-                        machine, 1.0 / len(splits), address_range, position
+                if extra is not None:
+                    splits.update(extra.real_payloads())
+                # Best-effort localization when the k + 2Δ + 1 guarantee
+                # cannot be met with the splits that exist (e.g. r < 2Δ + 1):
+                # the unique maximal-agreement codeword localizes random
+                # corruption with overwhelming probability (§5.1
+                # distinguishes this from the information-theoretic
+                # guarantee).
+                max_errors = max(1, (len(splits) - config.k - 1) // 2)
+                try:
+                    page, corrupted = self.codec.correct(
+                        splits, max_errors=max_errors, best_effort=True
                     )
-                self.events.incr("uncorrectable_detections")
+                except DecodeError:
+                    # Cannot localize: smear suspicion across those involved.
+                    for position in splits:
+                        machine = address_range.handle(position).machine_id
+                        self._record_error(
+                            machine, 1.0 / len(splits), address_range, position
+                        )
+                    self.events.incr("uncorrectable_detections")
+                    if span is not None:
+                        span.set_tag("outcome", "uncorrectable")
+                    page, corrupted = self.codec.decode(splits), []
+                else:
+                    self.events.incr("corrected_reads")
+                    data_splits = self.codec.split(page)
+                    for position in corrupted:
+                        machine = address_range.handle(position).machine_id
+                        self._record_error(machine, 1.0, address_range, position)
+                        # Heal the stored split in place.
+                        payload = self.codec.code.reencode_split(data_splits, position)
+                        self._post_splits(slots, offset, (position,), (payload,), span)
+                        self.events.incr("healed_splits")
+                    if span is not None:
+                        span.set_tag("outcome", "corrected")
+                        span.set_tag("corrupted_positions", list(corrupted))
+            except BaseException as exc:
                 if span is not None:
-                    span.set_tag("outcome", "uncorrectable")
-                return self.codec.decode(splits), []
-
-            self.events.incr("corrected_reads")
-            data_splits = self.codec.split(page)
-            for position in corrupted:
-                machine = address_range.handle(position).machine_id
-                self._record_error(machine, 1.0, address_range, position)
-                # Heal the stored split in place.
-                payload = self.codec.code.reencode_split(data_splits, position)
-                self._post_splits(slots, offset, (position,), (payload,), span)
-                self.events.incr("healed_splits")
-            if span is not None:
-                span.set_tag("outcome", "corrected")
-                span.set_tag("corrupted_positions", list(corrupted))
-            return page, corrupted
-        finally:
+                    span.finish()
+                if failed is None:
+                    raise
+                return failed(exc)
             if span is not None:
                 span.finish()
+            then(page, corrupted)
+
+        extra_needed = config.correction_fanout() - len(splits)
+        if extra_needed > 0:
+            extra_positions = [
+                p for p in address_range.available_positions() if p not in splits
+            ][: extra_needed + config.delta]
+            if extra_positions:
+                extra = self._post_splits(slots, offset, extra_positions, span=span)
+                return extra.when_all(correct)
+        correct()
 
     # ==================================================================
     # failure / eviction / corruption bookkeeping (§4.3)
