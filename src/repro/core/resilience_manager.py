@@ -894,12 +894,14 @@ class ResilienceManager:
             # is durable.
             nonlocal address_range, offset, version, available, fanout, suspected
             try:
+                if write is not None:
+                    phases.mark("order")
+                if self._fenced:  # also when the fence, not the parities, released it
+                    self.events.incr("fenced_reads")
+                    raise RemoteMemoryUnavailable(
+                        f"resilience manager {self.machine_id} is fenced"
+                    )
                 if write is None:
-                    if self._fenced:
-                        self.events.incr("fenced_reads")
-                        raise RemoteMemoryUnavailable(
-                            f"resilience manager {self.machine_id} is fenced"
-                        )
                     self.events.incr("reads")
                     # Per-QP ordering makes read-after-write safe for data
                     # splits, but a read racing the *asynchronous parity*
@@ -908,8 +910,6 @@ class ResilienceManager:
                     inflight = self._inflight_writes.get(page_id)
                     if inflight is not None and not inflight.triggered:
                         return inflight.callbacks.append(order)
-                else:
-                    phases.mark("order")
                 if page_id not in self._versions:
                     return finish(None)  # never written; nothing to read
                 range_id, offset = self.space.locate(page_id)

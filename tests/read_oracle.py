@@ -7,8 +7,9 @@ per datapath delay and its gather's ``wait_valid`` / ``wait_all`` events,
 and corrects a suspected page through ``_correct_and_heal`` as a
 sub-generator; the background check spawned a process running the same
 generator when it detected corruption. The methods below are that
-implementation verbatim, except that the background check's
-``when_all`` callback takes no argument (the gather calls it with none).
+implementation verbatim, with two differences: the order stage re-checks
+the fence after its wait, the fix that came with the callback chain, and
+the background check's ``when_all`` callback takes no argument.
 
 :func:`as_oracle` makes a deployed RM read this way;
 ``tests/test_read_chain.py`` drives it beside production and compares
@@ -68,6 +69,11 @@ class OracleResilienceManager(ResilienceManager):
         if inflight is not None and not inflight.triggered:
             yield inflight
             phases.mark("order")
+            if self._fenced:
+                self.events.incr("fenced_reads")
+                raise RemoteMemoryUnavailable(
+                    f"resilience manager {self.machine_id} is fenced"
+                )
 
         if page_id not in self._versions:
             return None  # never written; nothing to read

@@ -9,12 +9,13 @@ import sys
 import pytest
 
 from repro.cluster import Cluster, CorruptionInjector
-from repro.core import HydraConfig, HydraDeployment
+from repro.core import HydraConfig, HydraDeployment, RemoteMemoryUnavailable
 from repro.core.resilience_manager import _sample
+from repro.harness.builders import build_hydra_cluster
 from repro.net import NetworkConfig
-from repro.sim import RandomSource, engine
+from repro.sim import RandomSource, Timeout, engine
 
-from .conftest import make_page
+from .conftest import drive, make_page
 from .read_oracle import as_oracle
 
 
@@ -107,8 +108,12 @@ def _ordered(cluster, rm, out):
 def _fenced(cluster, rm, out):
     yield from _written(cluster, rm, [0, 1])
     yield from _read(rm, 0, out)
+    yield rm.write(0, _data(rm, 2))
+    released = rm.read(0)  # waits on the parities the fence drops
+    yield cluster.sim.timeout(0.0)
     rm.fence("test")
     yield from _read(rm, 1, out)
+    out.append(_settled(released))
 
 
 def _crash_mid_read(cluster, rm, out):
@@ -301,3 +306,37 @@ def test_sampler_is_random_sample(seed):
                 population, count
             )
             assert ours._rng.getstate() == theirs._rng.getstate()
+
+
+# ----------------------------------------------------------------------
+# a read released by a fence is refused, not decoded from a torn codeword
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_read_released_by_a_fence_is_refused(seed):
+    """A read ordered behind v2's parities, then the fence: the fence
+    drops the parity stage and releases the read, which would decode v2's
+    data splits under v1's parities — bytes of neither version — and run
+    detection on a fenced RM. It is refused as a read after the fence is."""
+    hydra = build_hydra_cluster(machines=12, k=8, r=2, delta=1, seed=seed)
+    sim, rm = hydra.sim, hydra.remote_memory(0)
+
+    def proc():
+        yield rm.write(7, make_page(1))
+        yield rm.write(7, make_page(2))
+        read = rm.read(7)
+        yield Timeout(sim, 0.0)
+        assert not rm._inflight_writes[7].triggered  # the read waits on v2's parities
+        rm.fence("test")
+        try:
+            return (yield read)
+        except RemoteMemoryUnavailable as exc:
+            return exc
+
+    result = drive(sim, proc())
+    assert isinstance(result, RemoteMemoryUnavailable), (
+        "neither version" if result not in (make_page(1), make_page(2)) else "a version"
+    )
+    assert "fenced" in str(result)
+    sim.run(until=sim.now + 1_000)
+    assert rm.events["fenced_reads"] == 1
+    assert rm.events["corruption_detected"] == rm.events["uncorrectable_detections"] == 0
