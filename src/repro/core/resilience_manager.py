@@ -889,10 +889,13 @@ class ResilienceManager:
                 span.finish()
             done.succeed_now(page)
 
+        # `order` and `wait_k` name themselves to wait again; each drops its
+        # name after its last wait, so a finished read holds no reference
+        # cycle and is freed at once instead of by the cycle collector.
         def order(write: Optional[Event] = None) -> None:
             # The first record, and the in-flight write's callback once it
             # is durable.
-            nonlocal address_range, offset, version, available, fanout, suspected
+            nonlocal order, address_range, offset, version, available, fanout, suspected
             try:
                 if write is not None:
                     phases.mark("order")
@@ -910,6 +913,7 @@ class ResilienceManager:
                     inflight = self._inflight_writes.get(page_id)
                     if inflight is not None and not inflight.triggered:
                         return inflight.callbacks.append(order)
+                order = None
                 if page_id not in self._versions:
                     return finish(None)  # never written; nothing to read
                 range_id, offset = self.space.locate(page_id)
@@ -957,7 +961,7 @@ class ResilienceManager:
 
         def wait_k() -> None:
             # The gather's waiter: k valid splits are in, or none in flight.
-            nonlocal escalations
+            nonlocal wait_k, escalations
             try:
                 if len(gather.valid) < k:
                     # Escalate: everything in flight has landed (each posted
@@ -975,6 +979,7 @@ class ResilienceManager:
                         self.events.incr("escalation_reads", len(untried))
                         escalations += len(untried)
                         return gather.when_valid(k, wait_k)
+                wait_k = None
                 phases.mark("wait_k", valid=len(gather.valid))
                 if span is not None and escalations:
                     span.set_tag("escalations", escalations)
