@@ -3,6 +3,7 @@ differential against the process-per-read oracle (``tests/read_oracle.py``),
 the mechanism pins (no process, timeout or extra record per read) and the
 position sampler against ``random.Random.sample``."""
 
+import gc
 import random
 import sys
 
@@ -289,6 +290,27 @@ def test_healthy_reads_make_no_process_or_timeout(monkeypatch):
     assert (processes, timeouts) == (0, 0)
     assert made[True][:3] == (records, 32, 2 * 32 + decoded)
     assert 0 < decoded < 32
+
+
+def test_a_finished_read_leaves_no_reference_cycle():
+    """Two stages name themselves to wait again; a healthy read must still
+    be freed by reference counting, as the process read was, or each one
+    leaves its page bytes and splits to the cycle collector."""
+    cluster, rm = _deploy("real")
+    sim = cluster.sim
+    sim.run_until_triggered(sim.process(_written(cluster, rm, range(16))))
+
+    def loop():
+        for page in range(16):
+            yield rm.read(page)
+
+    gc.collect()
+    gc.disable()
+    try:
+        sim.run_until_triggered(sim.process(loop()))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("seed", range(40))
