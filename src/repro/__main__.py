@@ -7,43 +7,32 @@ tradeoff corner Hydra occupies.
 
 from __future__ import annotations
 
+import importlib
 import sys
+
+# Each subcommand is a module whose ``main(argv)`` parses the rest of the
+# command line with argparse.
+COMMANDS = {
+    "trace": "repro.obs.cli",
+    "perf": "repro.harness.perf",
+    "chaos": "repro.chaos.cli",
+    "bench": "repro.parallel.bench",
+    "top": "repro.obs.top",
+    "loadgen": "repro.harness.loadgen",
+}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "trace":
-        from repro.obs.cli import main as trace_main
-
-        return trace_main(argv[1:])
-    if argv and argv[0] == "perf":
-        from repro.harness.perf import main as perf_main
-
-        return perf_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        from repro.chaos.cli import main as chaos_main
-
-        return chaos_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.parallel.bench import main as bench_main
-
-        return bench_main(argv[1:])
-    if argv and argv[0] == "top":
-        from repro.obs.top import main as top_main
-
-        return top_main(argv[1:])
-    if argv and argv[0] == "loadgen":
-        from repro.harness.loadgen import main as loadgen_main
-
-        return loadgen_main(argv[1:])
     if argv:
-        print(
-            f"unknown command {argv[0]!r}; "
-            "usage: python -m repro "
-            "[trace ... | perf ... | chaos ... | bench ... | top ... "
-            "| loadgen ...]"
-        )
-        return 2
+        if argv[0] not in COMMANDS:
+            usage = " | ".join(f"{command} ..." for command in COMMANDS)
+            print(
+                f"unknown command {argv[0]!r}; "
+                f"usage: python -m repro [{usage}]"
+            )
+            return 2
+        return importlib.import_module(COMMANDS[argv[0]]).main(argv[1:])
 
     from repro.harness import (
         build_hydra_cluster,

@@ -18,6 +18,7 @@ from dataclasses import replace
 from typing import Optional
 
 from ..harness import banner, format_kv
+from ..parallel import resolve_jobs
 from .bundle import write_bundle
 from .engine import INJECTABLE_BUGS, ChaosConfig, ChaosResult, run_chaos
 from .schedule import SCENARIOS, ChaosSchedule
@@ -78,7 +79,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-j",
         "--jobs",
-        default="1",
+        type=resolve_jobs,
+        default=1,
         metavar="N",
         help="worker processes for --soak shards (number or 'auto'; "
         "default 1 = serial in-process)",
@@ -86,19 +88,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_jobs(value: str):
-    return value if value == "auto" else int(value)
-
-
 def _soak_main(args) -> int:
     config = ChaosConfig.quick() if args.quick else ChaosConfig()
     if args.scenario:
         config = replace(config, scenario=args.scenario)
-    jobs = _parse_jobs(args.jobs)
     print(
         banner(
             f"chaos soak seeds={args.seed}..{args.seed + args.soak - 1} "
-            f"-j {jobs}"
+            f"-j {args.jobs}"
             + (" (quick)" if args.quick else "")
             + (f" scenario={args.scenario}" if args.scenario else "")
         )
@@ -107,7 +104,7 @@ def _soak_main(args) -> int:
         args.seed,
         args.soak,
         config=config,
-        jobs=jobs,
+        jobs=args.jobs,
         inject_bug=args.inject_bug,
         progress=print,
     )

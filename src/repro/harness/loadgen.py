@@ -21,6 +21,7 @@ every ``-j`` value.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import platform
@@ -488,133 +489,84 @@ def format_replay(doc: dict) -> str:
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+def _rates(value: str) -> List[float]:
+    rates = [float(rate) for rate in value.split(",") if rate]
+    if len(rates) < 2:
+        raise argparse.ArgumentTypeError("needs at least two rates")
+    return rates
+
+
+def _seeds(value: str) -> int:
+    seeds = int(value)
+    if seeds < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return seeds
+
+
 def main(argv=None) -> int:
-    """CLI: ``python -m repro loadgen [--sweep] [--replay]
-    [--arrivals KIND] [--backend KIND] [--rates R1,R2,...] [--seeds N]
-    [--trace PATH] [--quick] [-j N|auto] [--output PATH]``.
+    """CLI: ``python -m repro loadgen``; returns the exit status.
 
     Default mode is ``--sweep``; passing both flags runs both suites into
     one combined document.
     """
-    argv = list(sys.argv[1:] if argv is None else argv)
-    want_sweep = False
-    want_replay = False
-    arrival_kind = "poisson"
-    backend = "hydra"
-    rates: Optional[List[float]] = None
-    seeds = 3
-    trace_path: Optional[str] = None
-    quick = False
-    jobs: Union[int, str] = 1
-    output = "BENCH_loadgen.json"
-    usage = (
-        "python -m repro loadgen [--sweep] [--replay] [--arrivals KIND] "
-        "[--backend KIND] [--rates R1,R2,...] [--seeds N] [--trace PATH] "
-        "[--quick] [-j N|auto] [--output PATH]"
+    from ..parallel import resolve_jobs
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro loadgen",
+        description="Open-loop latency-vs-load sweep and trace replay "
+        "(writes BENCH_loadgen.json).",
     )
-    while argv:
-        arg = argv.pop(0)
-        if arg == "--sweep":
-            want_sweep = True
-        elif arg == "--replay":
-            want_replay = True
-        elif arg == "--arrivals":
-            if not argv:
-                print("--arrivals needs a kind", file=sys.stderr)
-                return 2
-            arrival_kind = argv.pop(0)
-            if arrival_kind not in ARRIVAL_KINDS:
-                print(
-                    f"unknown arrival kind {arrival_kind!r}; choose from "
-                    f"{', '.join(ARRIVAL_KINDS)}",
-                    file=sys.stderr,
-                )
-                return 2
-        elif arg == "--backend":
-            if not argv:
-                print("--backend needs a kind", file=sys.stderr)
-                return 2
-            backend = argv.pop(0)
-            if backend not in BACKEND_KINDS:
-                print(
-                    f"unknown backend {backend!r}; choose from "
-                    f"{', '.join(BACKEND_KINDS)}",
-                    file=sys.stderr,
-                )
-                return 2
-        elif arg == "--rates":
-            if not argv:
-                print("--rates needs a comma-separated list", file=sys.stderr)
-                return 2
-            try:
-                rates = [float(r) for r in argv.pop(0).split(",") if r]
-            except ValueError:
-                print("--rates entries must be numbers", file=sys.stderr)
-                return 2
-            if len(rates) < 2:
-                print("--rates needs at least two rates", file=sys.stderr)
-                return 2
-        elif arg == "--seeds":
-            if not argv:
-                print("--seeds needs a value", file=sys.stderr)
-                return 2
-            seeds = int(argv.pop(0))
-            if seeds < 1:
-                print("--seeds must be >= 1", file=sys.stderr)
-                return 2
-        elif arg == "--trace":
-            if not argv:
-                print("--trace needs a path", file=sys.stderr)
-                return 2
-            trace_path = argv.pop(0)
-        elif arg == "--quick":
-            quick = True
-        elif arg in ("-j", "--jobs"):
-            if not argv:
-                print(f"{arg} needs a value (or 'auto')", file=sys.stderr)
-                return 2
-            value = argv.pop(0)
-            jobs = value if value == "auto" else int(value)
-        elif arg == "--output":
-            if not argv:
-                print("--output needs a path", file=sys.stderr)
-                return 2
-            output = argv.pop(0)
-        else:
-            print(f"unknown argument {arg!r}; usage: {usage}", file=sys.stderr)
-            return 2
-    if not want_sweep and not want_replay:
-        want_sweep = True
+    parser.add_argument("--sweep", action="store_true",
+                        help="rate sweep (the default mode)")
+    parser.add_argument("--replay", action="store_true",
+                        help="trace replay suite")
+    parser.add_argument("--arrivals", choices=ARRIVAL_KINDS, default="poisson")
+    parser.add_argument("--backend", choices=BACKEND_KINDS, default="hydra")
+    parser.add_argument("--rates", type=_rates, metavar="R1,R2,...",
+                        help="offered rates in req/s (at least two)")
+    parser.add_argument("--seeds", type=_seeds, default=3, metavar="N")
+    parser.add_argument("--trace", metavar="PATH",
+                        help="replay this trace instead of the built-in ones")
+    parser.add_argument("--quick", action="store_true", help="CI-sized run")
+    parser.add_argument(
+        "-j", "--jobs", type=resolve_jobs, default=1, metavar="N",
+        help="worker processes (number, 0 or 'auto'; default 1)",
+    )
+    parser.add_argument("--output", default="BENCH_loadgen.json", metavar="PATH")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
 
     trace_json: Optional[str] = None
-    if trace_path is not None:
+    if args.trace is not None:
         try:
-            with open(trace_path) as fh:
+            with open(args.trace) as fh:
                 trace_json = fh.read()
             ReplayTrace.from_json(trace_json)
         except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot load trace {trace_path!r}: {exc}", file=sys.stderr)
+            print(f"cannot load trace {args.trace!r}: {exc}", file=sys.stderr)
             return 2
 
     sections: Dict[str, dict] = {}
-    if want_sweep:
+    if args.sweep or not args.replay:
         sections["sweep"] = run_sweep(
-            arrival_kind=arrival_kind,
-            rates=rates,
-            seeds=seeds,
-            backend=backend,
-            quick=quick,
-            jobs=jobs,
+            arrival_kind=args.arrivals,
+            rates=args.rates,
+            seeds=args.seeds,
+            backend=args.backend,
+            quick=args.quick,
+            jobs=args.jobs,
             progress=print,
         )
         print(format_sweep(sections["sweep"]))
-    if want_replay:
+    if args.replay:
         sections["replay"] = run_replay_suite(
             trace_json=trace_json,
-            seeds=seeds,
-            backend=backend,
-            quick=quick,
-            jobs=jobs,
+            seeds=args.seeds,
+            backend=args.backend,
+            quick=args.quick,
+            jobs=args.jobs,
             progress=print,
         )
         print(format_replay(sections["replay"]))
@@ -623,10 +575,10 @@ def main(argv=None) -> int:
         doc = next(iter(sections.values()))
     else:
         doc = {"schema": LOADGEN_SCHEMA, "mode": "both", **sections}
-    with open(output, "w") as fh:
+    with open(args.output, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {output}")
+    print(f"wrote {args.output}")
     return 0
 
 

@@ -25,6 +25,7 @@ are best-of-N on one host and never comparable across machines.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import platform
@@ -476,7 +477,11 @@ def format_results(doc: dict) -> str:
     return "\n".join(lines)
 
 
-_VALUE_FLAGS = ("--repeats", "-j", "--jobs", "--output", "--compare", "--tolerance")
+def _tolerance(value: str) -> float:
+    tolerance = float(value)
+    if not 0.0 <= tolerance < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {tolerance}")
+    return tolerance
 
 
 def _carried_sections(path: str) -> dict:
@@ -494,8 +499,7 @@ def _carried_sections(path: str) -> dict:
 
 
 def main(argv=None) -> int:
-    """CLI: ``python -m repro perf [--quick] [--repeats N] [-j N|auto]
-    [--output PATH] [--compare BASELINE] [--tolerance F]``.
+    """CLI: ``python -m repro perf``; returns the exit status.
 
     With ``--compare`` the run is gated against a baseline document
     (see :func:`compare_results`); regressions exit 3. The baseline is
@@ -503,43 +507,32 @@ def main(argv=None) -> int:
     ``--output`` overwrites is safe, and unless ``--repeats`` is given
     the run takes the baseline's recorded ``repeats``.
     """
-    argv = list(sys.argv[1:] if argv is None else argv)
-    quick = False
-    repeats: Optional[int] = None
-    jobs: Union[int, str] = 1
-    output = "BENCH_perf.json"
-    compare: Optional[str] = None
-    tolerance = 0.2
-    usage = (
-        "python -m repro perf [--quick] [--repeats N] [-j N|auto] "
-        "[--output PATH] [--compare BASELINE] [--tolerance F]"
+    from ..parallel import resolve_jobs
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro perf",
+        description="Run the perf suite into BENCH_perf.json, optionally "
+        "gated against a baseline (exit 3 on a regression).",
     )
-    while argv:
-        arg = argv.pop(0)
-        if arg == "--quick":
-            quick = True
-            continue
-        if arg not in _VALUE_FLAGS:
-            print(f"unknown argument {arg!r}; usage: {usage}", file=sys.stderr)
-            return 2
-        if not argv:
-            print(f"{arg} needs a value; usage: {usage}", file=sys.stderr)
-            return 2
-        value = argv.pop(0)
-        if arg == "--repeats":
-            repeats = int(value)
-        elif arg in ("-j", "--jobs"):
-            jobs = value if value == "auto" else int(value)
-        elif arg == "--output":
-            output = value
-        elif arg == "--compare":
-            compare = value
-        else:
-            tolerance = float(value)
-            if not 0.0 <= tolerance < 1.0:
-                print(f"--tolerance must be in [0, 1), got {tolerance}",
-                      file=sys.stderr)
-                return 2
+    parser.add_argument("--quick", action="store_true", help="CI-sized rows")
+    parser.add_argument(
+        "--repeats", type=int, metavar="N",
+        help="best of N timings (default: the baseline's, else 1 quick / 3)",
+    )
+    parser.add_argument(
+        "-j", "--jobs", type=resolve_jobs, default=1, metavar="N",
+        help="worker processes (number, 0 or 'auto'; default 1)",
+    )
+    parser.add_argument("--output", default="BENCH_perf.json", metavar="PATH")
+    parser.add_argument("--compare", metavar="BASELINE",
+                        help="gate the run against this document")
+    parser.add_argument("--tolerance", type=_tolerance, default=0.2, metavar="F",
+                        help="allowed rate drop in [0, 1) (default 0.2)")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    compare, repeats, tolerance = args.compare, args.repeats, args.tolerance
     baseline: Optional[dict] = None
     if compare is not None:
         # Read up front: --output may overwrite the baseline path.
@@ -563,13 +556,15 @@ def main(argv=None) -> int:
             # Best-of-N rates only compare against best-of-N: one quick run
             # of a ~1 ms kernel timing reads far under a best of five.
             repeats = max(1, baseline["repeats"])
-    doc = run_perf_suite(quick=quick, repeats=repeats, jobs=jobs, progress=print)
-    doc.update(_carried_sections(output))
-    with open(output, "w") as fh:
+    doc = run_perf_suite(
+        quick=args.quick, repeats=repeats, jobs=args.jobs, progress=print
+    )
+    doc.update(_carried_sections(args.output))
+    with open(args.output, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(format_results(doc))
-    print(f"wrote {output}")
+    print(f"wrote {args.output}")
     if baseline is not None:
         failures = compare_results(doc, baseline, tolerance=tolerance)
         sides = (

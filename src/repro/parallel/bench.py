@@ -250,7 +250,7 @@ def main(argv=None) -> int:
         "sharded across worker processes.",
     )
     parser.add_argument(
-        "-j", "--jobs", default="1", metavar="N",
+        "-j", "--jobs", type=resolve_jobs, default=1, metavar="N",
         help="worker processes (number or 'auto'; default 1)",
     )
     parser.add_argument(
@@ -272,7 +272,6 @@ def main(argv=None) -> int:
         help="merge the speedup summary into PATH (BENCH_perf.json)",
     )
     args = parser.parse_args(argv)
-    jobs = args.jobs if args.jobs == "auto" else int(args.jobs)
 
     shards = discover_shards(args.dir, args.filter)
     if args.list:
@@ -284,11 +283,11 @@ def main(argv=None) -> int:
         return 2
 
     print(
-        f"bench: {len(shards)} shard(s) from {args.dir}/ at -j {jobs}"
+        f"bench: {len(shards)} shard(s) from {args.dir}/ at -j {args.jobs}"
     )
     doc = run_bench(
         args.dir,
-        jobs,
+        args.jobs,
         substring=args.filter,
         results_dir=args.results_dir,
         progress=print,

@@ -59,10 +59,11 @@ __all__ = [
 def resolve_jobs(jobs: Union[int, str, None]) -> int:
     """Normalize a ``-j`` value: ``None``/``0``/``"auto"`` -> core count.
 
-    Uses the scheduler affinity mask where available (containers often
-    restrict it below ``os.cpu_count()``).
+    Every CLI's ``-j/--jobs`` uses this as its argparse ``type``, so a
+    value is checked in one place. Uses the scheduler affinity mask where
+    available (containers often restrict it below ``os.cpu_count()``).
     """
-    if jobs in (None, 0, "auto"):
+    if jobs in (None, 0, "0", "auto"):
         try:
             return max(1, len(os.sched_getaffinity(0)))
         except AttributeError:  # pragma: no cover - non-Linux
