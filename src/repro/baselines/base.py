@@ -36,6 +36,10 @@ from ..sim import Event, RandomSource
 __all__ = ["BaselineConfig", "GroupHandle", "BaselineBackend", "BackendError"]
 
 
+# Machines sampled per slab copy: Infiniswap's coarse power of two choices.
+_PLACEMENT_CHOICES = 2
+
+
 class BackendError(Exception):
     """A baseline backend could not serve a request."""
 
@@ -54,7 +58,6 @@ class BaselineConfig:
     page_size: int = 4096
     slab_size_bytes: int = 1 << 30
     software_overhead_us: float = 2.2
-    placement_choices: int = 2  # coarse power of choices (Infiniswap)
 
     @property
     def pages_per_slab(self) -> int:
@@ -137,7 +140,7 @@ class BaselineBackend:
 
     def _ensure_group(self, page_id: int, copies: int) -> List[GroupHandle]:
         """Place ``copies`` slabs for the page's group, coarse power of
-        ``placement_choices`` per copy (distinct machines)."""
+        two choices per copy (distinct machines)."""
         group_id = self.group_of(page_id)
         handles = self.groups.get(group_id)
         if handles is not None:
@@ -161,7 +164,7 @@ class BaselineBackend:
         ]
         if not candidates:
             raise BackendError("no machine available for placement")
-        sample = self.rng.sample(candidates, min(self.config.placement_choices, len(candidates)))
+        sample = self.rng.sample(candidates, min(_PLACEMENT_CHOICES, len(candidates)))
         viable = [m for m in sample if m.free_bytes >= self.config.slab_size_bytes]
         if not viable:
             viable = [

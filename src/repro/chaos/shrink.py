@@ -16,6 +16,8 @@ from .schedule import ChaosSchedule
 
 __all__ = ["shrink_schedule"]
 
+_MAX_RUNS = 64  # campaigns one shrink may spend
+
 
 def shrink_schedule(
     seed: int,
@@ -23,7 +25,6 @@ def shrink_schedule(
     config: Optional[ChaosConfig] = None,
     *,
     inject_bug: Optional[str] = None,
-    max_runs: int = 64,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Tuple[ChaosSchedule, ChaosResult, int]:
     """Shrink ``schedule`` while :func:`run_chaos` keeps violating.
@@ -55,10 +56,10 @@ def shrink_schedule(
     # Phase 1: ddmin — drop chunks, halving the chunk size as removals
     # stop working.
     chunk = max(1, len(current) // 2)
-    while chunk >= 1 and runs < max_runs:
+    while chunk >= 1 and runs < _MAX_RUNS:
         removed_any = False
         start = 0
-        while start < len(current) and runs < max_runs:
+        while start < len(current) and runs < _MAX_RUNS:
             candidate = current.without(range(start, min(start + chunk, len(current))))
             if len(candidate) == len(current):
                 break
@@ -81,7 +82,7 @@ def shrink_schedule(
     # Phase 2: greedy single-event pass (catches removals ddmin's chunk
     # alignment missed).
     index = 0
-    while index < len(current) and runs < max_runs:
+    while index < len(current) and runs < _MAX_RUNS:
         candidate = current.without([index])
         result = attempt(candidate)
         if result is not None:

@@ -54,13 +54,17 @@ STATE_MAPPED = 1
 STATE_UNAVAILABLE = 2
 STATE_REGENERATING = 3
 
+# One-way latency of each interconnect class (µs): intra-rack, inter-rack
+# (same pod), inter-pod.
+_CLASS_LATENCY_US = (1.2, 2.4, 4.8)
+
 
 class RackTopology:
     """Machine → rack → pod layout with interconnect latency classes.
 
     Parameters mirror a folded-Clos datacenter: ``machines_per_rack``
     machines behind one ToR switch, ``racks_per_pod`` racks behind one
-    aggregation layer. Latency classes (one-way, microseconds) follow
+    aggregation layer. Latency classes (``_CLASS_LATENCY_US``) follow
     the usual ordering intra-rack < inter-rack < inter-pod.
     """
 
@@ -69,9 +73,6 @@ class RackTopology:
         machines: int,
         machines_per_rack: int = 40,
         racks_per_pod: int = 8,
-        intra_rack_us: float = 1.2,
-        inter_rack_us: float = 2.4,
-        inter_pod_us: float = 4.8,
     ):
         if machines < 1:
             raise ValueError(f"machines must be >= 1, got {machines}")
@@ -85,9 +86,7 @@ class RackTopology:
         self.pod = (self.rack // racks_per_pod).astype(np.int32)
         self.racks = int(self.rack[-1]) + 1
         self.pods = int(self.pod[-1]) + 1
-        self.class_latency_us = np.array(
-            [intra_rack_us, inter_rack_us, inter_pod_us], dtype=np.float64
-        )
+        self.class_latency_us = np.array(_CLASS_LATENCY_US, dtype=np.float64)
 
     def latency_class(self, src, dst) -> np.ndarray:
         """0 = same rack, 1 = same pod, 2 = cross-pod (vectorized)."""

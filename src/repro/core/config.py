@@ -95,10 +95,6 @@ class HydraConfig:
     payload_mode:
         "real" pushes actual bytes through the RS codec; "phantom" tracks
         versions/corruption flags only (large cluster runs).
-    verify_reads:
-        Opportunistically verify split consistency with the Δ extra reads
-        (corruption detection path). Leave on; off approximates a system
-        that trusts remote memory.
     free_slab_target:
         FREE slabs each Resource Monitor tries to keep pre-allocated for
         instant mapping (Fig 7b 'proactive allocation').
@@ -126,7 +122,6 @@ class HydraConfig:
     error_correction_limit: int = 3
     slab_regeneration_limit: int = 8
     payload_mode: str = "real"
-    verify_reads: bool = True
     free_slab_target: int = 1
     metadata_replicas: int = 0
     metadata_lease_timeout_us: Optional[float] = None

@@ -1031,10 +1031,9 @@ class ResilienceManager:
                     # fanout and decode through the correction path.
                     return gather.when_all(verify)
                 page = self.codec.decode(first_k)  # the one copy: bytes
-                if config.verify_reads:
-                    self._schedule_background_verify(
-                        address_range, offset, page_id, gather, first_k, page, span
-                    )
+                self._schedule_background_verify(
+                    address_range, offset, page_id, gather, first_k, page, span
+                )
                 finish(page)
             except BaseException as exc:
                 failed(exc)

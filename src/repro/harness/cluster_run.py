@@ -29,6 +29,7 @@ import numpy as np
 
 from ..cluster import Cluster
 from ..core import HydraConfig, HydraDeployment
+from ..ec import PAGE_SIZE
 from ..sim import (
     DistributionSummary,
     RandomSource,
@@ -46,6 +47,22 @@ __all__ = ["ContainerSpec", "ClusterRunResult", "ClusterExperiment"]
 
 _FIT_MIX = ((1.0, 0.5), (0.75, 0.3), (0.5, 0.2))  # (fit, fraction of containers)
 _APPS = ("voltdb", "etc", "sys")
+# Baselines place coarse whole-page slabs (Infiniswap's 1 GB unit,
+# scaled); Hydra places fine RS(8+2) split slabs — the grain gap behind
+# Figure 17.
+_SLAB_PAGES = 256
+_HYDRA_RANGE_PAGES = 128
+_HYDRA_K, _HYDRA_R = 8, 2
+# Mid-run pressure: 30 % of the machines grow their local applications by
+# 48 % of machine memory from t = 1.5 ms for 5 ms.
+_PRESSURE_MACHINE_FRACTION = 0.3
+_PRESSURE_EXTRA_FRACTION = 0.48
+_PRESSURE_START_US = 1_500.0
+_PRESSURE_DURATION_US = 5_000.0
+# Baselines' eviction daemon: every period, drop slabs from a machine
+# whose free share is under the threshold.
+_EVICTION_THRESHOLD = 0.12
+_EVICTION_PERIOD_US = 250.0
 
 
 @dataclass
@@ -138,54 +155,27 @@ class ClusterExperiment:
         containers: int = 250,
         pages_per_container: int = 600,
         ops_per_container: int = 250,
-        clients_per_container: int = 1,
         seed: int = 0,
         footprint_fraction: float = 0.40,
-        slab_pages: int = 256,
-        hydra_range_pages: int = 128,
-        hydra_k: int = 8,
-        hydra_r: int = 2,
-        page_size: int = 4096,
-        apply_pressure: bool = True,
-        pressure_machine_fraction: float = 0.3,
-        pressure_extra_fraction: float = 0.48,
-        pressure_start_us: float = 1_500.0,
-        pressure_duration_us: float = 5_000.0,
-        eviction_threshold: float = 0.12,
-        eviction_period_us: float = 250.0,
     ):
         self.backend_kind = backend
         self.machines = machines
         self.n_containers = containers
         self.pages_per_container = pages_per_container
         self.ops_per_container = ops_per_container
-        self.clients_per_container = clients_per_container
         self.seed = seed
-        self.page_size = page_size
         # Container placement, fits and pressure schedule must be
         # *identical* across backends for a fair comparison: derive them
         # from a backend-independent stream.
         self.rng = RandomSource(seed, "clusterrun/common")
         self.pool_rng = RandomSource(seed, f"clusterrun/{backend}")
 
-        footprint = containers * pages_per_container * page_size
+        footprint = containers * pages_per_container * PAGE_SIZE
         self.memory_per_machine = int(footprint / footprint_fraction / machines)
-        # Baselines place coarse whole-page slabs (Infiniswap's 1 GB unit,
-        # scaled); Hydra places fine (k+r)-way split slabs — the grain gap
-        # behind Figure 17.
-        self.slab_size_bytes = slab_pages * page_size
+        self.slab_size_bytes = _SLAB_PAGES * PAGE_SIZE
         if backend == "hydra":
-            split = -(-page_size // hydra_k)
-            self.slab_size_bytes = hydra_range_pages * split
-        self.hydra_k = hydra_k
-        self.hydra_r = hydra_r
-        self.apply_pressure = apply_pressure
-        self.pressure_machine_fraction = pressure_machine_fraction
-        self.pressure_extra_fraction = pressure_extra_fraction
-        self.pressure_start_us = pressure_start_us
-        self.pressure_duration_us = pressure_duration_us
-        self.eviction_threshold = eviction_threshold
-        self.eviction_period_us = eviction_period_us
+            split = -(-PAGE_SIZE // _HYDRA_K)
+            self.slab_size_bytes = _HYDRA_RANGE_PAGES * split
 
     # ------------------------------------------------------------------
     def build_specs(self) -> List[ContainerSpec]:
@@ -232,16 +222,16 @@ class ClusterExperiment:
         deployment = None
         if self.backend_kind == "hydra":
             config = HydraConfig(
-                k=self.hydra_k,
-                r=self.hydra_r,
+                k=_HYDRA_K,
+                r=_HYDRA_R,
                 delta=1,
                 slab_size_bytes=self.slab_size_bytes,
                 payload_mode="phantom",
                 # The run spans ~10 simulated ms; the ControlPeriod must
                 # fire many times within it for the headroom machinery
                 # (Fig 7) to participate in the experiment.
-                control_period_us=self.eviction_period_us * 2,
-                headroom_fraction=self.eviction_threshold,
+                control_period_us=_EVICTION_PERIOD_US * 2,
+                headroom_fraction=_EVICTION_THRESHOLD,
             )
             deployment = HydraDeployment(cluster, config, seed=self.seed)
 
@@ -249,7 +239,7 @@ class ClusterExperiment:
         # placement decisions see realistic heterogeneous pressure.
         pools = {}
         for spec in specs:
-            resident_bytes = int(spec.n_pages * spec.fit) * self.page_size
+            resident_bytes = int(spec.n_pages * spec.fit) * PAGE_SIZE
             host = cluster.machine(spec.host_id)
             host.set_local_app_bytes(host.local_app_bytes + resident_bytes)
             if spec.fit >= 1.0:
@@ -272,7 +262,7 @@ class ClusterExperiment:
         # Periodic cluster-wide memory usage sampling for Fig 17.
         def usage_sampler():
             while True:
-                yield sim.timeout(self.eviction_period_us)
+                yield sim.timeout(_EVICTION_PERIOD_US)
                 for machine in cluster.machines:
                     if machine.alive:
                         machine.record_usage()
@@ -283,27 +273,22 @@ class ClusterExperiment:
         # applications grow mid-run, forcing slab evictions. Hydra's
         # Resource Monitors react on their own; the baselines get the
         # Infiniswap-style eviction daemon below.
-        if self.apply_pressure:
-            victims = self.rng.sample(
-                cluster.machines,
-                max(1, int(self.machines * self.pressure_machine_fraction)),
-            )
-            extra = int(self.memory_per_machine * self.pressure_extra_fraction)
+        victims = self.rng.sample(
+            cluster.machines,
+            max(1, int(self.machines * _PRESSURE_MACHINE_FRACTION)),
+        )
+        extra = int(self.memory_per_machine * _PRESSURE_EXTRA_FRACTION)
 
-            def pressure(machine):
-                yield sim.timeout(self.pressure_start_us)
-                machine.set_local_app_bytes(machine.local_app_bytes + extra)
-                yield sim.timeout(self.pressure_duration_us)
-                machine.set_local_app_bytes(
-                    max(0, machine.local_app_bytes - extra)
-                )
+        def pressure(machine):
+            yield sim.timeout(_PRESSURE_START_US)
+            machine.set_local_app_bytes(machine.local_app_bytes + extra)
+            yield sim.timeout(_PRESSURE_DURATION_US)
+            machine.set_local_app_bytes(max(0, machine.local_app_bytes - extra))
 
-            for machine in victims:
-                sim.process(pressure(machine), name=f"pressure:{machine.id}")
-            if self.backend_kind != "hydra":
-                sim.process(
-                    self._eviction_daemon(cluster, pools), name="evictiond"
-                )
+        for machine in victims:
+            sim.process(pressure(machine), name=f"pressure:{machine.id}")
+        if self.backend_kind != "hydra":
+            sim.process(self._eviction_daemon(cluster, pools), name="evictiond")
 
         # Launch every container.
         container_procs: List[Tuple[ContainerSpec, object, object]] = []
@@ -320,7 +305,7 @@ class ClusterExperiment:
             pager = PagedMemory(pool, resident_pages=resident)
             work = _make_workload(
                 spec.workload, pager, rng, spec.n_pages,
-                clients=self.clients_per_container, window_us=1_000_000.0,
+                clients=1, window_us=1_000_000.0,
             )
 
             def container(spec=spec, pager=pager, work=work):
@@ -367,14 +352,14 @@ class ClusterExperiment:
         hosted slab is dropped and the owning pool notified."""
         sim = cluster.sim
         while True:
-            yield sim.timeout(self.eviction_period_us)
+            yield sim.timeout(_EVICTION_PERIOD_US)
             for machine in cluster.machines:
                 if not machine.alive:
                     continue
                 guard = 0
                 while (
                     machine.free_bytes / machine.total_memory_bytes
-                    < self.eviction_threshold
+                    < _EVICTION_THRESHOLD
                     and guard < 16
                 ):
                     if not self._evict_one(machine, pools):

@@ -51,7 +51,6 @@ class RackScaleConfig:
     racks_per_pod: int = 8
     k: int = 8
     r: int = 2
-    ranges_per_machine: int = 1
     pages_per_range: int = 1024
     choices: int = 20
     failure_fraction: float = 0.02
@@ -65,7 +64,8 @@ class RackScaleConfig:
 
     @property
     def n_ranges(self) -> int:
-        return self.machines * self.ranges_per_machine
+        """One address range per machine, owned by that machine."""
+        return self.machines
 
     @property
     def logical_pages(self) -> int:
@@ -93,9 +93,7 @@ def _place_policy(config: RackScaleConfig, topology: RackTopology, policy: str):
         config.machines, capacity=config.n_ranges * config.n_splits
     )
     rng = np.random.default_rng([config.seed, _POLICIES.index(policy)])
-    owners = np.repeat(
-        np.arange(config.machines, dtype=np.int32), config.ranges_per_machine
-    )
+    owners = np.arange(config.machines, dtype=np.int32)
     hosts = place_ranges(
         table,
         topology,

@@ -188,11 +188,10 @@ class OracleResilienceManager(ResilienceManager):
             else:
                 data_splits = self.codec.code.decode(first_k)
                 page = self.codec.join(data_splits)
-                if config.verify_reads:
-                    self._schedule_background_verify(
-                        address_range, offset, page_id, version, gather,
-                        first_k, data_splits, span,
-                    )
+                self._schedule_background_verify(
+                    address_range, offset, page_id, version, gather,
+                    first_k, data_splits, span,
+                )
 
         if self._observers:
             self._notify("on_read_done", page_id, version, page, start)

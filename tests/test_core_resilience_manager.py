@@ -560,7 +560,6 @@ class TestDatapathSemantics:
             cluster, rm = deploy(
                 k=4, r=2, delta=delta, machines=10,
                 network=straggler_net, datapath=datapath,
-                verify_reads=False,
             )
 
             def proc():
