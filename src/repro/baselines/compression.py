@@ -41,8 +41,8 @@ class CompressedReplicationBackend(ReplicationBackend):
         if not 0 < compression_ratio <= 1:
             raise ValueError(f"ratio must be in (0, 1], got {compression_ratio}")
         self.compression_ratio = compression_ratio
-        self.compress_latency_us = compress_latency_us
-        self.decompress_latency_us = decompress_latency_us
+        self.compress_latency_us = self._write_stage_us = compress_latency_us
+        self.decompress_latency_us = self._read_stage_us = decompress_latency_us
 
     @property
     def memory_overhead(self) -> float:
@@ -80,18 +80,11 @@ class CompressedReplicationBackend(ReplicationBackend):
         # Compression sits on the critical path before any byte moves.
         yield self.sim.timeout(self.compress_latency_us)
         self.tracer.phases(span).mark("compress")
-        result = yield from super()._write_process(page_id, data, span)
-        # The parent recorded latency from its own start; fold the
-        # compression stage back into the sample.
-        if self.write_latency.samples:
-            self.write_latency.samples[-1] += self.compress_latency_us
-        return result
+        return (yield from super()._write_process(page_id, data, span))
 
     def _read_process(self, page_id: int, span: Optional[Span] = None):
         payload = yield from super()._read_process(page_id, span)
         if payload is not None or self.payload_mode == "phantom":
             yield self.sim.timeout(self.decompress_latency_us)
             self.tracer.phases(span).mark("decompress")
-            if self.read_latency.samples:
-                self.read_latency.samples[-1] += self.decompress_latency_us
         return payload

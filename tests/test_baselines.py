@@ -272,6 +272,44 @@ class TestCompressed:
         with pytest.raises(ValueError):
             build(CompressedReplicationBackend, compression_ratio=0.0)
 
+    @staticmethod
+    def _recorders_after(ops):
+        from repro.harness.microbench import page_generator, run_process
+        from repro.harness.scenarios import build_pool
+
+        cluster, pool = build_pool("compressed", 12, 1, payload_mode="real")
+        make = page_generator()
+
+        def proc():
+            for op in range(ops):
+                yield pool.write(op % 64, make(op % 64))
+            for op in range(ops):
+                yield pool.read(op % 64)
+
+        drive(cluster.sim, proc())
+        return pool, {
+            "write": (pool.write_latency, pool.compress_latency_us),
+            "read": (pool.read_latency, pool.decompress_latency_us),
+        }
+
+    def test_every_op_records_its_stage_past_the_reservoir(self):
+        # Each op waits the software overhead and then its (de)compression
+        # stage, so no recorded latency can be below their sum — also
+        # past the recorder's 4,096-sample reservoir, where only the
+        # histogram sees a sample.
+        pool, recorders = self._recorders_after(4_200)
+        for recorder, stage in recorders.values():
+            assert recorder.count == 4_200
+            assert recorder.p50 >= stage
+            assert recorder.hist.min >= stage + pool.config.software_overhead_us
+
+    def test_histogram_agrees_with_the_samples(self):
+        _, recorders = self._recorders_after(200)
+        for recorder, _stage in recorders.values():
+            hist = recorder.hist
+            exact = hist._index(recorder.p50)
+            assert abs(hist._index(hist.percentile(50)) - exact) <= 1
+
 
 class TestDirect:
     def test_roundtrip(self):
