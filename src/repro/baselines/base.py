@@ -186,6 +186,11 @@ class BaselineBackend:
         return handle
 
     # -- verbs ------------------------------------------------------------------
+    @property
+    def wire_bytes(self) -> int:
+        """Bytes one page moves on the wire."""
+        return self.config.page_size
+
     def _post_page_write(
         self, handle: GroupHandle, offset: int, payload, span: Optional[Span] = None
     ) -> Event:
@@ -195,7 +200,7 @@ class BaselineBackend:
         # replica must never reach the others through shared references.
         stored = payload.copy() if isinstance(payload, np.ndarray) else payload
         return qp.post_write(
-            self.config.page_size,
+            self.wire_bytes,
             apply=lambda: machine.write_split(handle.slab_id, offset, stored),
             span=span,
         )
@@ -206,7 +211,7 @@ class BaselineBackend:
         machine = self.fabric.machine(handle.machine_id)
         qp = self.fabric.qp(self.client_id, handle.machine_id)
         return qp.post_read(
-            self.config.page_size,
+            self.wire_bytes,
             fetch=lambda: machine.read_split(handle.slab_id, offset),
             span=span,
         )

@@ -17,8 +17,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..obs import Span
-from ..sim import Event
-from .base import GroupHandle
 from .replication import ReplicationBackend
 
 __all__ = ["CompressedReplicationBackend"]
@@ -50,31 +48,8 @@ class CompressedReplicationBackend(ReplicationBackend):
 
     @property
     def wire_bytes(self) -> int:
-        """Bytes a compressed page occupies on the wire."""
+        """Verbs move the compressed page."""
         return max(1, int(self.config.page_size * self.compression_ratio))
-
-    # Verbs move compressed bytes.
-    def _post_page_write(
-        self, handle: GroupHandle, offset: int, payload, span: Optional[Span] = None
-    ) -> Event:
-        machine = self.fabric.machine(handle.machine_id)
-        qp = self.fabric.qp(self.client_id, handle.machine_id)
-        return qp.post_write(
-            self.wire_bytes,
-            apply=lambda: machine.write_split(handle.slab_id, offset, payload),
-            span=span,
-        )
-
-    def _post_page_read(
-        self, handle: GroupHandle, offset: int, span: Optional[Span] = None
-    ) -> Event:
-        machine = self.fabric.machine(handle.machine_id)
-        qp = self.fabric.qp(self.client_id, handle.machine_id)
-        return qp.post_read(
-            self.wire_bytes,
-            fetch=lambda: machine.read_split(handle.slab_id, offset),
-            span=span,
-        )
 
     def _write_process(self, page_id: int, data: Optional[bytes], span: Optional[Span] = None):
         # Compression sits on the critical path before any byte moves.

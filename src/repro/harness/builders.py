@@ -34,6 +34,13 @@ BACKEND_KINDS = (
     "compressed",
     "direct",
 )
+_BASELINES = {
+    "replication": ReplicationBackend,
+    "swarm": SwarmReplicationBackend,
+    "ssd_backup": SSDBackupBackend,
+    "compressed": CompressedReplicationBackend,
+    "direct": DirectRemoteMemory,
+}
 
 
 @dataclass
@@ -119,29 +126,13 @@ def build_backend(
     """
     if kind == "hydra":
         raise ValueError("use build_hydra_cluster() for the hydra backend")
+    if kind not in _BASELINES:
+        raise ValueError(f"unknown backend kind {kind!r}; choose from {BACKEND_KINDS}")
     config = BaselineConfig(slab_size_bytes=slab_size_bytes)
     rng = rng or RandomSource(client, f"{kind}{client}")
-    if kind == "replication":
-        return ReplicationBackend(
-            cluster, client, config, rng, payload_mode=payload_mode, **kwargs
-        )
-    if kind == "swarm":
-        return SwarmReplicationBackend(
-            cluster, client, config, rng, payload_mode=payload_mode, **kwargs
-        )
-    if kind == "ssd_backup":
-        return SSDBackupBackend(
-            cluster, client, config, rng, payload_mode=payload_mode, **kwargs
-        )
-    if kind == "compressed":
-        return CompressedReplicationBackend(
-            cluster, client, config, rng, payload_mode=payload_mode, **kwargs
-        )
-    if kind == "direct":
-        return DirectRemoteMemory(
-            cluster, client, config, rng, payload_mode=payload_mode, **kwargs
-        )
-    raise ValueError(f"unknown backend kind {kind!r}; choose from {BACKEND_KINDS}")
+    return _BASELINES[kind](
+        cluster, client, config, rng, payload_mode=payload_mode, **kwargs
+    )
 
 
 class NamespacedPool:
