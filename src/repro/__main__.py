@@ -27,10 +27,7 @@ def main(argv=None) -> int:
     if argv:
         if argv[0] not in COMMANDS:
             usage = " | ".join(f"{command} ..." for command in COMMANDS)
-            print(
-                f"unknown command {argv[0]!r}; "
-                f"usage: python -m repro [{usage}]"
-            )
+            print(f"unknown command {argv[0]!r}; usage: python -m repro [{usage}]")
             return 2
         return importlib.import_module(COMMANDS[argv[0]]).main(argv[1:])
 

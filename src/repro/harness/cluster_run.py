@@ -174,8 +174,7 @@ class ClusterExperiment:
         self.memory_per_machine = int(footprint / footprint_fraction / machines)
         self.slab_size_bytes = _SLAB_PAGES * PAGE_SIZE
         if backend == "hydra":
-            split = -(-PAGE_SIZE // _HYDRA_K)
-            self.slab_size_bytes = _HYDRA_RANGE_PAGES * split
+            self.slab_size_bytes = _HYDRA_RANGE_PAGES * -(-PAGE_SIZE // _HYDRA_K)
 
     # ------------------------------------------------------------------
     def build_specs(self) -> List[ContainerSpec]:

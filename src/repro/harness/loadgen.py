@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..parallel import resolve_jobs
 from ..workloads import ARRIVAL_KINDS, ReplayTrace
 from .builders import BACKEND_KINDS
 from .report import (
@@ -509,17 +510,13 @@ def main(argv=None) -> int:
     Default mode is ``--sweep``; passing both flags runs both suites into
     one combined document.
     """
-    from ..parallel import resolve_jobs
-
     parser = argparse.ArgumentParser(
         prog="python -m repro loadgen",
         description="Open-loop latency-vs-load sweep and trace replay "
         "(writes BENCH_loadgen.json).",
     )
-    parser.add_argument("--sweep", action="store_true",
-                        help="rate sweep (the default mode)")
-    parser.add_argument("--replay", action="store_true",
-                        help="trace replay suite")
+    parser.add_argument("--sweep", action="store_true", help="rate sweep (default)")
+    parser.add_argument("--replay", action="store_true", help="trace replay suite")
     parser.add_argument("--arrivals", choices=ARRIVAL_KINDS, default="poisson")
     parser.add_argument("--backend", choices=BACKEND_KINDS, default="hydra")
     parser.add_argument("--rates", type=_rates, metavar="R1,R2,...",
