@@ -570,15 +570,10 @@ class TestBatchedDispatch:
         assert sim._active == base + 3
 
 
-class TestCalendarStorage:
+class TestQueueStorage:
     """Storage contracts of the queue: cancelled entries must not pin
     their slots until the simulated deadline, and an insert earlier than
-    the record a drain stopped at dispatches first.
-
-    The class and test names date from the calendar-ring scheduler and are
-    kept so the suite's recorded test list stays comparable: "bucket
-    slots" is the near-deadline case, "overflow heap" the far-deadline one,
-    "pull back" a schedule behind a parked clock."""
+    the record a drain stopped at dispatches first."""
 
     @staticmethod
     def _mass_cancel(sim, deadline):
@@ -594,10 +589,10 @@ class TestCalendarStorage:
         assert keeper.processed
         assert sim.now == 5.0  # cancelled entries never advance time
 
-    def test_mass_cancel_compacts_bucket_slots(self, sim):
+    def test_mass_cancel_of_near_deadlines_compacts(self, sim):
         self._mass_cancel(sim, deadline=5.0)
 
-    def test_mass_cancel_compacts_overflow_heap(self, sim):
+    def test_mass_cancel_of_far_deadlines_compacts(self, sim):
         self._mass_cancel(sim, deadline=1e6)
 
     def test_compaction_resets_pending_counter(self, sim):
@@ -610,7 +605,7 @@ class TestCalendarStorage:
         assert resident and all(event.cancelled for event in resident)
         assert sim._cancel_pending == len(resident)
 
-    def test_pull_back_defers_later_year_records(self):
+    def test_insert_behind_a_parked_clock_dispatches_first(self):
         """``run(until)`` parks the clock short of the next record; what is
         scheduled afterwards may be due before it."""
         for make_sim in (Simulator, ScanSimulator):
@@ -645,9 +640,8 @@ class TestCallLaterBatch:
         sim.call_later_batch(1.0, [int, int, int])
         assert sim._active == base + 3
 
-    def test_batch_beyond_the_year_lands_in_overflow(self, sim):
-        """Ring-era name: a far-future batch is one record and dispatches
-        at its time."""
+    def test_far_future_batch_is_one_record(self, sim):
+        """A far-future batch is one record and dispatches at its time."""
         seen = []
         sim.call_later_batch(8192.0, [lambda: seen.append(sim.now)])
         sim.call_later(4096.0, lambda: seen.append(sim.now))
