@@ -53,14 +53,11 @@ _APPS = ("voltdb", "etc", "sys")
 _SLAB_PAGES = 256
 _HYDRA_RANGE_PAGES = 128
 _HYDRA_K, _HYDRA_R = 8, 2
-# Mid-run pressure: 30 % of the machines grow their local applications by
-# 48 % of machine memory from t = 1.5 ms for 5 ms.
+# Cluster dynamics: mid-run pressure and the baselines' eviction daemon.
 _PRESSURE_MACHINE_FRACTION = 0.3
 _PRESSURE_EXTRA_FRACTION = 0.48
 _PRESSURE_START_US = 1_500.0
 _PRESSURE_DURATION_US = 5_000.0
-# Baselines' eviction daemon: every period, drop slabs from a machine
-# whose free share is under the threshold.
 _EVICTION_THRESHOLD = 0.12
 _EVICTION_PERIOD_US = 250.0
 
