@@ -82,7 +82,7 @@ def _parser() -> argparse.ArgumentParser:
         type=resolve_jobs,
         default=1,
         metavar="N",
-        help="worker processes for --soak shards (number or 'auto'; "
+        help="worker processes for --soak shards (number, 0 or 'auto'; "
         "default 1 = serial in-process)",
     )
     return parser

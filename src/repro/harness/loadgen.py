@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..parallel import resolve_jobs
 from ..workloads import ARRIVAL_KINDS, ReplayTrace
 from .builders import BACKEND_KINDS
 from .report import (
@@ -510,6 +509,8 @@ def main(argv=None) -> int:
     Default mode is ``--sweep``; passing both flags runs both suites into
     one combined document.
     """
+    from ..parallel import resolve_jobs
+
     parser = argparse.ArgumentParser(
         prog="python -m repro loadgen",
         description="Open-loop latency-vs-load sweep and trace replay "

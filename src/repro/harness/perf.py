@@ -39,7 +39,6 @@ import numpy as np
 from ..cluster import CorruptionInjector
 from ..ec import PAGE_SIZE, PageCodec, correct_pages, decode_pages, encode_pages
 from ..ec.native import native_kernel_name
-from ..parallel import resolve_jobs
 from ..sim import RandomSource
 from .builders import build_hydra_cluster
 from .microbench import page_generator, run_process
@@ -508,6 +507,8 @@ def main(argv=None) -> int:
     ``--output`` overwrites is safe, and unless ``--repeats`` is given
     the run takes the baseline's recorded ``repeats``.
     """
+    from ..parallel import resolve_jobs
+
     parser = argparse.ArgumentParser(
         prog="python -m repro perf",
         description="Run the perf suite into BENCH_perf.json, optionally "

@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "-j", "--jobs", type=resolve_jobs, default=1, metavar="N",
-        help="worker processes (number or 'auto'; default 1)",
+        help="worker processes (number, 0 or 'auto'; default 1)",
     )
     parser.add_argument(
         "--filter", metavar="SUBSTR",
