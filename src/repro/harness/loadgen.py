@@ -21,7 +21,6 @@ every ``-j`` value.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import platform
@@ -489,27 +488,27 @@ def format_replay(doc: dict) -> str:
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def _rates(value: str) -> List[float]:
-    rates = [float(rate) for rate in value.split(",") if rate]
-    if len(rates) < 2:
-        raise argparse.ArgumentTypeError("needs at least two rates")
-    return rates
-
-
-def _seeds(value: str) -> int:
-    seeds = int(value)
-    if seeds < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return seeds
-
-
 def main(argv=None) -> int:
     """CLI: ``python -m repro loadgen``; returns the exit status.
 
     Default mode is ``--sweep``; passing both flags runs both suites into
     one combined document.
     """
+    import argparse
+
     from ..parallel import resolve_jobs
+
+    def rate_list(value: str) -> List[float]:
+        rates = [float(rate) for rate in value.split(",") if rate]
+        if len(rates) < 2:
+            raise argparse.ArgumentTypeError("needs at least two rates")
+        return rates
+
+    def seed_count(value: str) -> int:
+        seeds = int(value)
+        if seeds < 1:
+            raise argparse.ArgumentTypeError("must be >= 1")
+        return seeds
 
     parser = argparse.ArgumentParser(
         prog="python -m repro loadgen",
@@ -520,9 +519,9 @@ def main(argv=None) -> int:
     parser.add_argument("--replay", action="store_true", help="trace replay suite")
     parser.add_argument("--arrivals", choices=ARRIVAL_KINDS, default="poisson")
     parser.add_argument("--backend", choices=BACKEND_KINDS, default="hydra")
-    parser.add_argument("--rates", type=_rates, metavar="R1,R2,...",
+    parser.add_argument("--rates", type=rate_list, metavar="R1,R2,...",
                         help="offered rates in req/s (at least two)")
-    parser.add_argument("--seeds", type=_seeds, default=3, metavar="N")
+    parser.add_argument("--seeds", type=seed_count, default=3, metavar="N")
     parser.add_argument("--trace", metavar="PATH",
                         help="replay this trace instead of the built-in ones")
     parser.add_argument("--quick", action="store_true", help="CI-sized run")

@@ -25,7 +25,6 @@ are best-of-N on one host and never comparable across machines.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import platform
@@ -477,13 +476,6 @@ def format_results(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _tolerance(value: str) -> float:
-    tolerance = float(value)
-    if not 0.0 <= tolerance < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {tolerance}")
-    return tolerance
-
-
 def _carried_sections(path: str) -> dict:
     """What other commands merged into the document at ``path`` and a
     rewrite must keep: ``repro bench --record`` stores its
@@ -507,7 +499,15 @@ def main(argv=None) -> int:
     ``--output`` overwrites is safe, and unless ``--repeats`` is given
     the run takes the baseline's recorded ``repeats``.
     """
+    import argparse
+
     from ..parallel import resolve_jobs
+
+    def fraction(value: str) -> float:
+        tolerance = float(value)
+        if not 0.0 <= tolerance < 1.0:
+            raise argparse.ArgumentTypeError(f"must be in [0, 1), got {tolerance}")
+        return tolerance
 
     parser = argparse.ArgumentParser(
         prog="python -m repro perf",
@@ -526,7 +526,7 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default="BENCH_perf.json", metavar="PATH")
     parser.add_argument("--compare", metavar="BASELINE",
                         help="gate the run against this document")
-    parser.add_argument("--tolerance", type=_tolerance, default=0.2, metavar="F",
+    parser.add_argument("--tolerance", type=fraction, default=0.2, metavar="F",
                         help="allowed rate drop in [0, 1) (default 0.2)")
     try:
         args = parser.parse_args(argv)
