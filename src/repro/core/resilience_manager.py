@@ -34,8 +34,8 @@ from ..ec import (
     reencode_split_pages,
 )
 from ..net import QueuePair, RdmaFabric
-from ..obs import MetricsRegistry, Span, Tracer, default_obs, request_span, traced
-from ..sim import Event, RandomSource, Simulator, Timeout
+from ..obs import MetricsRegistry, Span, Tracer, default_obs, request_span
+from ..sim import Event, RandomSource, Simulator
 from .address_space import AddressRange, RemoteAddressSpace, SlabHandle
 from .config import HydraConfig
 from .datapath import (
@@ -185,13 +185,13 @@ class ResilienceManager:
     """Erasure-coded remote memory for one client machine.
 
     The public interface is the remote-memory-pool protocol shared with
-    the baselines: :meth:`write` returns a simulation process and
-    :meth:`read` an event; ``yield`` them from workload code. Underneath, every path
+    the baselines: :meth:`write` and :meth:`read` return an event;
+    ``yield`` them from workload code. Underneath, every path
     that touches splits posts through :meth:`_post_splits` and waits on
     the :class:`_SplitGather` it returns — the gather is the sink the
     posted verbs complete into, so a split is handled once, by
-    ``_SplitGather._arrive`` — and a write is :meth:`_write_attempt`
-    retried, whichever slabs are up. A healthy read decodes once: the
+    ``_SplitGather._arrive`` — and a write is an attempt retried,
+    whichever slabs are up. A healthy read decodes once: the
     background check of the Δ extras compares them with the codeword that
     decode produced (``ReedSolomonCode.consistent_with_decode``).
     """
@@ -539,26 +539,21 @@ class ResilienceManager:
     # public pool interface
     # ==================================================================
     def write(self, page_id: int, data: Optional[bytes] = None, parent: Optional[Span] = None):
-        """Write a page to remote memory; returns a simulation process.
-
-        ``data`` must be ``page_size`` bytes in real mode and is ignored in
-        phantom mode. The process completes when the write returns to the
-        application (k data-split acks on the fast path); full (k + r)
-        durability lands shortly after via the asynchronous parity writes.
-        ``parent`` (a sampled span, e.g. a VMM fault) adopts this request
-        into an existing trace; otherwise the tracer's sampler decides.
-        """
+        """Write a page to remote memory: an event that succeeds when the
+        write returns to the application (k data-split acks on the fast
+        path) or fails with its exception; full (k + r) durability follows
+        via the asynchronous parity writes. ``data`` is ``page_size`` bytes
+        in real mode, ignored in phantom mode; ``parent`` as for :meth:`read`."""
         span = request_span(self.tracer, "rm.write", self.machine_id, page_id, parent)
-        return self.sim.process(
-            traced(self._write_process(page_id, data, span), span),
-            name=f"hydra-write:{page_id}",
-        )
+        return self._write(page_id, data, span)
 
     def read(self, page_id: int, parent: Optional[Span] = None) -> Event:
         """Read a page back; returns an event whose value is the page bytes
         (real mode) or ``None`` (phantom mode), or which fails with the
         read's exception. The read is no process: :meth:`_read` schedules
-        its first stage. ``parent`` as for :meth:`write`."""
+        its first stage. ``parent`` (a sampled span, e.g. a VMM fault)
+        adopts this request into an existing trace; otherwise the tracer's
+        sampler decides."""
         span = request_span(self.tracer, "rm.read", self.machine_id, page_id, parent)
         return self._read(page_id, span)
 
@@ -579,202 +574,212 @@ class ResilienceManager:
     # ==================================================================
     # write path (§4.2.1)
     # ==================================================================
-    def _write_process(self, page_id: int, data: Optional[bytes], span: Optional[Span] = None):
-        config = self.config
+    def _write(self, page_id: int, data: Optional[bytes], span: Optional[Span]) -> Event:
+        """The write as stage callbacks named after the phase marks they
+        record — place → issue → encode (degraded only) → wait_k →
+        completion → the ack, a try short of k acks backing off to issue
+        again — in :meth:`_read`'s shape; a failing stage releases readers too."""
+        sim, config = self.sim, self.config
+        k, n = config.k, config.n
         phases = self.tracer.phases(span)
-        start = self.sim.now
-        if self._fenced:
-            self.events.incr("fenced_writes")
-            raise RemoteMemoryUnavailable(
-                f"resilience manager {self.machine_id} is fenced"
-            )
-        # Reject a malformed page before it reserves cluster memory or
-        # commits an intent for splits that would never be posted.
-        data_splits = None
-        if config.payload_mode == "real":
-            if data is None or len(data) != config.page_size:
-                raise HydraError(
-                    f"real mode write needs {config.page_size} bytes of data"
-                )
-            data_splits = self.codec.split(data)
-        # Placement can transiently fail under cluster-wide memory
-        # pressure; back off and retry before giving up.
-        address_range = None
-        for attempt in range(_WRITE_RETRY_LIMIT):
+        start = sim.now
+        done = Event(sim)
+        data_splits = address_range = offset = version = full_done = None
+        available = positions = acks = async_parity = need = None
+        tries = 0
+
+        def failed(exc: BaseException) -> None:
+            nonlocal place, attempt, completion
+            place = attempt = completion = None  # they name themselves: drop the cycle
+            if done.triggered:
+                raise exc
+            if full_done is not None and not full_done.triggered:
+                full_done.succeed_now()  # no reader waits on a failed write
+            if span is not None:
+                span.tags.setdefault("error", type(exc).__name__)
+                span.finish()
+            done.fail(exc)
+
+        def place(placing: Optional[Event] = None) -> None:
+            # The first record; once per range, the end of the placing process.
+            nonlocal data_splits, address_range, offset, version
             try:
-                address_range, offset = yield from self._resolve(page_id)
-                break
-            except PlacementError:
-                self.events.incr("placement_retries")
-                yield self.sim.timeout(_WRITE_RETRY_BACKOFF_US * 4 * (attempt + 1))
-        phases.mark("place")
-        if address_range is None:
-            self.events.incr("write_failures")
-            raise RemoteMemoryUnavailable(
-                f"no placement for page {page_id} after {_WRITE_RETRY_LIMIT} tries"
-            )
-        version = self._versions.get(page_id, 0) + 1
+                if placing is not None:
+                    address_range = placing.value
+                elif self._fenced:
+                    self.events.incr("fenced_writes")
+                    raise RemoteMemoryUnavailable(f"resilience manager {self.machine_id} is fenced")
+                else:
+                    # Reject a malformed page before it reserves cluster memory
+                    # or commits an intent for splits that would never be posted.
+                    if config.payload_mode == "real":
+                        if data is None or len(data) != config.page_size:
+                            raise HydraError(
+                                f"real mode write needs {config.page_size} bytes of data"
+                            )
+                        data_splits = self.codec.split(data)
+                    range_id, offset = self.space.locate(page_id)
+                    address_range = self.space.get(range_id)
+                    if address_range is None:
+                        return sim.process(self._place(range_id)).callbacks.append(place)
+                phases.mark("place")
+                if address_range is None:
+                    self.events.incr("write_failures")
+                    raise RemoteMemoryUnavailable(
+                        f"no placement for page {page_id} after {_WRITE_RETRY_LIMIT} tries"
+                    )
+                version = self._versions.get(page_id, 0) + 1
+                if self._meta is None:
+                    return attempt()
+                # Write-ahead metadata: the intent (and any slab-map record of the
+                # placement) is committed before a split is posted, so a failover
+                # can tell a torn write from a never-started one.
+                self._meta.append("write_intent", page_id=page_id, version=version)
+                committed = self._meta.commit()
+                if not committed.processed:
+                    return committed.callbacks.append(attempt)
+                attempt(committed)
+            except BaseException as exc:
+                failed(exc)
 
-        # Write-ahead metadata: the intent (and any slab-map records the
-        # placement just appended) must reach a majority of the metadata
-        # replica set before any split is posted, so a failover can tell a
-        # torn write from a never-started one.
-        if self._meta is not None:
-            self._meta.append("write_intent", page_id=page_id, version=version)
-            if not (yield from self._meta.commit()):
-                self.events.incr("meta_commit_failures")
-                raise RemoteMemoryUnavailable(
-                    f"metadata quorum unavailable for write of page {page_id}"
-                )
-
-        full_done = self.sim.event(name=f"write-durable:{page_id}")
-        self._inflight_writes[page_id] = full_done
-
-        def _finish_inflight(_event: Event) -> None:
+        def ungate(_event: Event) -> None:
             if self._inflight_writes.get(page_id) is full_done:
                 del self._inflight_writes[page_id]
 
-        full_done.callbacks.append(_finish_inflight)
-
-        for attempt in range(_WRITE_RETRY_LIMIT):
-            if self._fenced:
-                break
-            available = address_range.available_positions()
+        def attempt(committed: Optional[Event] = None) -> None:
+            # A try at landing `version`: after the intent, and after each backoff.
+            nonlocal full_done, tries, available, async_parity, positions
             try:
-                yield from self._write_attempt(
-                    address_range, offset, page_id, version, data_splits,
-                    available, full_done, span, phases,
-                )
-            except RemoteMemoryUnavailable:
-                self.events.incr("write_retries")
-                # Probe the range: any position on an unreachable machine
-                # is marked failed here (belt and braces — the disconnect
-                # listener normally does this first).
-                for position in address_range.available_positions():
-                    handle = address_range.handle(position)
-                    if not self.fabric.reachable(self.machine_id, handle.machine_id):
-                        self._emit("on_position_failed", address_range.range_id, position)
-                        self._start_regeneration(address_range, position)
-                yield self.sim.timeout(_WRITE_RETRY_BACKOFF_US)
-                phases.mark("retry_backoff", attempt=attempt)
-                continue
-            # The splits are in remote memory; commit the ack record before
-            # promising anything to the client. On quorum loss the RM is
-            # fenced and the version table untouched: the successor's seal
-            # pass resolves the torn splits at `version`.
-            if self._meta is not None:
-                self._meta.append("write_acked", page_id=page_id, version=version)
-                if not (yield from self._meta.commit()):
+                if tries:
+                    phases.mark("retry_backoff", attempt=tries - 1)
+                elif committed is not None and not committed.value:
                     self.events.incr("meta_commit_failures")
-                    if not full_done.triggered:
-                        full_done.succeed_now()
+                    raise RemoteMemoryUnavailable(
+                        f"metadata quorum unavailable for write of page {page_id}"
+                    )
+                else:
+                    full_done = sim.event(name=f"write-durable:{page_id}")
+                    self._inflight_writes[page_id] = full_done
+                    full_done.callbacks.append(ungate)
+                if tries == _WRITE_RETRY_LIMIT or self._fenced:  # give up
+                    self.events.incr("write_failures")
+                    raise RemoteMemoryUnavailable(
+                        f"write of page {page_id} failed after {_WRITE_RETRY_LIMIT} attempts"
+                    )
+                tries += 1
+                available = address_range.available_positions()
+                # Every data slab up: only the k data splits are on the critical path
+                # (§4.2.1); else every reachable split (§4.3 'resends the I/O request').
+                async_parity = config.datapath.async_encoding and all(
+                    handle.available for handle in address_range.slots[:k]
+                )
+                positions = range(k) if async_parity else available  # what costs posting
+                sim.call_later(self._issue_us[len(positions)], issue)
+            except BaseException as exc:
+                failed(exc)
+
+        def issue() -> None:
+            try:
+                phases.mark("issue")
+                if async_parity:
+                    return encode()
+                if len(available) < k:
+                    return retry()
+                sim.call_later(self._encode_us, encode)
+            except BaseException as exc:
+                failed(exc)
+
+        def encode() -> None:  # the degraded write's delay; every write posts here
+            nonlocal acks, need
+            try:
+                payloads, need = data_splits, k  # row views, one per data position
+                if not async_parity:
+                    phases.mark("encode")
+                    if data_splits is not None:
+                        all_splits = self.codec.code.encode_page(data_splits)
+                        payloads = [all_splits[position] for position in available]
+                    if not config.datapath.async_encoding:
+                        need = len(available)  # the unoptimized write waits for all
+                if data_splits is None:
+                    payloads = [PhantomSplit(version=version) for _ in positions]
+                acks = self._post_splits(address_range.slots, offset, positions, payloads, span)
+                acks.when_valid(need, wait_k)
+            except BaseException as exc:
+                failed(exc)
+
+        def wait_k() -> None:  # the gather's waiter
+            try:
+                phases.mark("wait_k", fanout=len(positions), acked=len(acks.valid))
+                sim.call_later(self._completion_us[need], completion)
+            except BaseException as exc:
+                failed(exc)
+
+        def retry() -> None:
+            self.events.incr("write_retries")
+            # Probe the range (belt and braces: the disconnect listener is first).
+            for position in address_range.available_positions():
+                machine_id = address_range.handle(position).machine_id
+                if not self.fabric.reachable(self.machine_id, machine_id):
+                    self._emit("on_position_failed", address_range.range_id, position)
+                    self._start_regeneration(address_range, position)
+            sim.call_later(_WRITE_RETRY_BACKOFF_US, attempt)
+
+        def completion(committed: Optional[Event] = None) -> None:
+            # The delay's record; with a store, again at the ack record's commit.
+            nonlocal place, attempt, completion
+            try:
+                if committed is None:
+                    phases.mark("completion")
+                    if len(acks.valid) < k:  # nothing was in flight at wait_k
+                        return retry()
+                    if async_parity:  # the client's ack; parity goes on behind it
+                        self._schedule_parity(
+                            address_range, offset, page_id, version, data_splits, full_done, span
+                        )
+                    else:
+                        self.events.incr("degraded_writes")
+                        if not full_done.triggered:
+                            full_done.succeed_now()
+                    if self._meta is not None:
+                        # On quorum loss the successor's seal resolves the torn splits.
+                        self._meta.append("write_acked", page_id=page_id, version=version)
+                        committed = self._meta.commit()
+                        if not committed.processed:
+                            return committed.callbacks.append(completion)
+                if committed is not None and not committed.value:  # `failed` releases readers
+                    self.events.incr("meta_commit_failures")
                     raise RemoteMemoryUnavailable(
                         f"metadata quorum lost before acking page {page_id}"
                     )
-            # Positions that could not receive this write need a catch-up
-            # split once their slab is regenerated; buffer the content so
-            # the repair is self-contained. Decide by the positions that
-            # were unavailable when the splits were POSTED — if one came
-            # back while our acks were in flight, the helper posts the
-            # split directly instead of buffering.
-            if len(available) != config.n or not all(
-                handle.available for handle in address_range.slots
-            ):
-                for position in range(config.n):
-                    posted = position in available
-                    live = address_range.handle(position).available
-                    if posted and live:
-                        continue  # the write itself covered this position
-                    self._record_or_post_catchup(
-                        address_range, position, offset, page_id, version, data
-                    )
-            self._emit("on_write_acked", page_id, version, data)
-            if self._observers:
-                if full_done.triggered:
-                    self._notify("on_write_durable", page_id, version)
-                else:
-                    full_done.callbacks.append(
-                        lambda _event: self._notify("on_write_durable", page_id, version)
-                    )
-            self.write_latency.record(self.sim.now - start)
-            self.ops_window.record(self.sim.now)
-            self.events.incr("writes")
-            return None
+                # A position the splits were not posted to needs a catch-up split.
+                if len(available) != n or not all(h.available for h in address_range.slots):
+                    for position in range(n):
+                        if position in available and address_range.handle(position).available:
+                            continue  # the write itself covered this position
+                        self._record_or_post_catchup(
+                            address_range, position, offset, page_id, version, data
+                        )
+                self._emit("on_write_acked", page_id, version, data)
+                if self._observers:
+                    if full_done.triggered:
+                        self._notify("on_write_durable", page_id, version)
+                    else:
+                        full_done.callbacks.append(
+                            lambda _event: self._notify("on_write_durable", page_id, version)
+                        )
+                self.write_latency.record(sim.now - start)
+                self.ops_window.record(sim.now)
+                self.events.incr("writes")
+                place = attempt = completion = None
+                if span is not None:
+                    span.set_tag("outcome", "ok")
+                    span.finish()
+                done.succeed_now()
+            except BaseException as exc:
+                failed(exc)
 
-        if not full_done.triggered:
-            full_done.succeed_now()  # give up; unblock any ordered readers
-        self.events.incr("write_failures")
-        raise RemoteMemoryUnavailable(
-            f"write of page {page_id} failed after {_WRITE_RETRY_LIMIT} attempts"
-        )
-
-    def _write_attempt(
-        self,
-        address_range: AddressRange,
-        offset: int,
-        page_id: int,
-        version: int,
-        data_splits: Optional[np.ndarray],
-        available: List[int],
-        full_done: Event,
-        span: Optional[Span],
-        phases,
-    ):
-        """One try at landing ``version`` of a page: issue, post the splits
-        on the critical path, return once enough of them are acknowledged.
-
-        With asynchronous encoding and every data slab up only the k data
-        splits are on the critical path: parities are encoded and written
-        behind the client's ack and :meth:`_write_parity_async` marks the
-        write durable. Otherwise the page is encoded first and every
-        reachable split posted (§4.3 'resends the I/O request to other
-        machines'), so the write is durable once its acks are in. Raises
-        :class:`RemoteMemoryUnavailable` on fewer than k acks; the caller
-        backs off and retries.
-        """
-        config = self.config
-        dp = config.datapath
-        k = config.k
-        async_parity = dp.async_encoding and all(
-            handle.available for handle in address_range.slots[:k]
-        )
-        # Only verbs on the critical path cost posting time.
-        positions = range(k) if async_parity else available
-        yield Timeout(self.sim, self._issue_us[len(positions)])
-        phases.mark("issue")
-        payloads = data_splits  # row views, one per data position
-        need = k
-        if not async_parity:
-            if len(available) < k:
-                raise RemoteMemoryUnavailable(
-                    f"only {len(available)} slabs available, need {k}"
-                )
-            yield Timeout(self.sim, self._encode_us)
-            phases.mark("encode")
-            if data_splits is not None:
-                all_splits = self.codec.code.encode_page(data_splits)
-                payloads = [all_splits[position] for position in available]
-            if not dp.async_encoding:
-                need = len(available)  # the unoptimized write waits for all
-        if data_splits is None:
-            payloads = [PhantomSplit(version=version) for _ in positions]
-        acks = self._post_splits(address_range.slots, offset, positions, payloads, span)
-        yield acks.wait_valid(need)
-        acked = len(acks.valid)
-        phases.mark("wait_k", fanout=len(positions), acked=acked)
-        yield Timeout(self.sim, self._completion_us[need])
-        phases.mark("completion")
-        if acked < k:
-            raise RemoteMemoryUnavailable(f"only {acked} split writes acked, need {k}")
-        if async_parity:
-            # The application gets its ack here; parity continues behind it.
-            self._schedule_parity(
-                address_range, offset, page_id, version, data_splits, full_done, span
-            )
-        else:
-            self.events.incr("degraded_writes")
-            if not full_done.triggered:
-                full_done.succeed_now()
+        sim.call_later(0.0, place)
+        return done
 
     def _schedule_parity(
         self,
@@ -1547,37 +1552,32 @@ class ResilienceManager:
     # ==================================================================
     # plumbing
     # ==================================================================
-    def _resolve(self, page_id: int):
-        """Locate (or lazily place) the address range of ``page_id``.
-
-        Raises :class:`PlacementError` when the cluster cannot host the
-        range right now; callers back off and retry.
-        """
-        range_id, offset = self.space.locate(page_id)
-        address_range = self.space.get(range_id)
-        if address_range is not None:
-            return address_range, offset
-        pending = self._placements_pending.get(range_id)
-        if pending is not None:
-            yield pending
+    def _place(self, range_id: int):
+        """Generator: place the address range ``range_id`` (§4.4), or wait
+        for the write already placing it; returns the range, or ``None`` when
+        placement still fails after a growing backoff (memory pressure)."""
+        for attempt in range(_WRITE_RETRY_LIMIT):
+            pending = self._placements_pending.get(range_id)
+            if pending is not None:
+                yield pending
+            elif self.space.get(range_id) is None:
+                gate = self.sim.event(name=f"placement:{range_id}")
+                self._placements_pending[range_id] = gate
+                try:
+                    handles = yield from self.placer.place_range(range_id)
+                    self._emit("on_range_installed", AddressRange(range_id, handles))
+                    self._watch_machines(handles)
+                    self.events.incr("ranges_placed")
+                except PlacementError:
+                    pass
+                finally:
+                    del self._placements_pending[range_id]
+                    gate.succeed()
             address_range = self.space.get(range_id)
-            if address_range is None:
-                raise PlacementError(
-                    f"placement of range {range_id} failed while waiting"
-                )
-            return address_range, offset
-        gate = self.sim.event(name=f"placement:{range_id}")
-        self._placements_pending[range_id] = gate
-        try:
-            handles = yield from self.placer.place_range(range_id)
-            address_range = AddressRange(range_id, handles)
-            self._emit("on_range_installed", address_range)
-            self._watch_machines(handles)
-            self.events.incr("ranges_placed")
-        finally:
-            del self._placements_pending[range_id]
-            gate.succeed()
-        return address_range, offset
+            if address_range is not None:
+                return address_range
+            self.events.incr("placement_retries")
+            yield self.sim.timeout(_WRITE_RETRY_BACKOFF_US * 4 * (attempt + 1))
 
     def _watch_machines(self, handles: List[SlabHandle]) -> None:
         for handle in handles:

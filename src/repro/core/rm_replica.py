@@ -242,19 +242,18 @@ class ReplicatedMetadataStore:
 
     # -- commit -------------------------------------------------------------
     def commit(self):
-        """Generator: replicate the log prefix to a majority and renew the
-        lease; returns whether it did.
+        """Replicate the log prefix to a majority and renew the lease: an
+        event whose value is whether it did (processed when nothing waits).
 
         Always probes every peer (even with an empty delta) so a lease
         renewal is a real liveness check — a partitioned leader fences
         itself within one heartbeat period. A failed commit fences the
         store; a fenced store's commit fails at once.
         """
-        if self.fenced:
-            return False
-        target = len(self.log)
-        needed = self.majority - 1  # the local copy is already durable
         waiter = self.sim.event(name=f"meta-commit:{self.domain}")
+        if self.fenced:
+            return waiter.succeed_now(False)
+        target = len(self.log)
         state = {"acks": 0, "fails": 0, "stale": False, "target": target, "waiter": waiter}
         committed = self.committed_lsn
         for peer_id in sorted(self._links):
@@ -267,23 +266,26 @@ class ReplicatedMetadataStore:
             size = _META_BASE_BYTES + _META_RECORD_BYTES * len(records)
             QueuePair._post(self.fabric, size, self._on_append, (post,))
             link["sent"] = max(link["sent"], target)
-        if self._links:
-            yield waiter
-        if state["stale"] or state["acks"] < needed:
+        if not self._links:
+            self._settle(state)
+        return waiter
+
+    def _settle(self, state: dict) -> None:
+        """End a commit: renew the lease if a majority holds the prefix,
+        else fence (a lost quorum or a stale term); then wake its waiter."""
+        ok = not state["stale"] and state["acks"] >= self.majority - 1  # and the own copy
+        if ok:
+            self.commits += 1
+            self.self_replica.committed_lsn = max(self.committed_lsn, state["target"])
+            self.lease_expiry = self.sim.now + self.lease_timeout_us
+        else:
             self.commit_failures += 1
-            self.fence(
-                "superseded by a higher term" if state["stale"] else "metadata quorum lost"
-            )
-            return False
-        self.commits += 1
-        if target > self.committed_lsn:
-            self.self_replica.committed_lsn = target
-        self.lease_expiry = self.sim.now + self.lease_timeout_us
-        return True
+            self.fence("superseded by a higher term" if state["stale"] else "metadata quorum lost")
+        state["waiter"].succeed_now(ok)
 
     def _on_append(self, token, ok: bool, value) -> None:
         """Sink of :meth:`commit`'s appends: move the peer's cursor, count
-        its vote, wake the commit once a majority has acked or cannot. Not
+        its vote, settle the commit once a majority has acked or cannot. Not
         a ``_SplitGather``: only a commit needs the failure's type and an
         exit when its quorum is out of reach."""
         state, peer_id = token
@@ -300,11 +302,10 @@ class ReplicatedMetadataStore:
                 link["sent"] = min(link["sent"], link["acked"])
             state["fails"] += 1
         needed = self.majority - 1
-        waiter = state["waiter"]
-        if not waiter.triggered and (
+        if not state["waiter"].triggered and (
             state["acks"] >= needed or state["fails"] > len(self._links) - needed
         ):
-            waiter.succeed_now()
+            self._settle(state)
 
     @property
     def committed_lsn(self) -> int:
@@ -320,7 +321,7 @@ class ReplicatedMetadataStore:
         def runner():
             try:  # a failed commit fences the store, which ends the loop
                 while not self.fenced and self.committed_lsn < len(self.log):
-                    yield from self.commit()
+                    yield self.commit()
             finally:
                 self._async_running = False
 
@@ -336,7 +337,7 @@ class ReplicatedMetadataStore:
     def _heartbeat(self):
         while not self.fenced:
             yield self.sim.timeout(self.heartbeat_period_us)
-            if self.fenced or not (yield from self.commit()):
+            if self.fenced or not (yield self.commit()):
                 return
 
     # -- fencing ------------------------------------------------------------
@@ -606,7 +607,7 @@ class ControlPlane:
                 store.append("write_acked", page_id=page, version=version)
                 if info["durable"].get(page, 0) >= version:
                     store.append("write_durable", page_id=page, version=version)
-            yield from store.commit()
+            yield store.commit()
         for callback in list(self.on_failover_begin):
             callback(domain, rm, info)
         seal = yield from rm.seal(info["interrupted"], info["unsettled"])

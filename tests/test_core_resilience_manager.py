@@ -4,6 +4,8 @@ These tests run small real clusters (4-10 machines, MiB-scale slabs) with
 deterministic networks and push actual bytes through the codec.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from repro.core import (
 from repro.core.resilience_manager import _SplitGather
 from repro.ec import DecodeError, ReedSolomonCode
 from repro.net import NetworkConfig
-from repro.sim import RandomSource, Simulator
+from repro.sim import RandomSource, Simulator, engine
 
 from .conftest import drive, make_page
 
@@ -654,17 +656,25 @@ class TestWriteIsOneProcess:
             s for s in rm.tracer.spans if s.name == "rm.parity" and s.parent_id in writes
         ]
 
-    def test_clean_write_starts_exactly_one_process(self):
+    def test_clean_write_starts_no_process_or_timeout(self, monkeypatch):
         cluster, rm = self.primed()
         sim = cluster.sim
-        started, process = [], sim.process
-        sim.process = lambda gen, name="": started.append(name) or process(gen, name=name)
+        made = []
+        for cls in (engine.Process, engine.Timeout):
+
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                callers = {sys._getframe(depth).f_code.co_filename for depth in (1, 2)}
+                if any(name.endswith("resilience_manager.py") for name in callers):
+                    made.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
         before = rm.events["parity_writes"]
         self.acked(rm, 1, make_page(1))
         acked_at = sim.now
         assert 1 in rm._inflight_writes  # acked, parity still behind it
         sim.run(until=sim.now + 1_000)
-        assert started == ["hydra-write:1"]
+        assert made == []
         assert rm.events["parity_writes"] - before == rm.config.r
         assert 1 not in rm._inflight_writes
         (span,) = self.parity_spans(rm, 1)  # finished once

@@ -198,7 +198,7 @@ class TestFencing:
             # A successor bumped the term words behind our back.
             for peer in control.peers_of_domain[0]:
                 control.replica_hosts[peer][0].apply_term(store.term + 1)
-            assert (yield from store.commit()) is False
+            assert (yield store.commit()) is False
             return "ok"
 
         assert drive(cluster.sim, proc()) == "ok"
