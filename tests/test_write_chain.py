@@ -9,11 +9,12 @@ import gc
 import pytest
 
 from repro.cluster import Cluster
-from repro.core import HydraConfig, HydraDeployment, RemoteMemoryUnavailable
+from repro.core import HydraConfig, HydraDeployment
 from repro.net import NetworkConfig
 from repro.obs.tracing import PhaseClock
 
 from .conftest import make_page
+from .test_read_chain import _Recorder, _settled
 from .write_oracle import as_oracle
 
 LEASE_US = 60_000.0
@@ -33,36 +34,6 @@ def _deploy(payload_mode, seed=4, replicas=0):
     )
     deployment = HydraDeployment(cluster, config, seed=seed)
     return cluster, deployment, deployment.manager(0)
-
-
-class _Recorder:
-    """An RM observer that logs every hook with plain arguments."""
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.calls = []
-
-    def __getattr__(self, method):
-        if not method.startswith("on_"):
-            raise AttributeError(method)
-
-        def hook(*args):
-            plain = tuple(
-                a if a is None or isinstance(a, (int, float, str, bytes))
-                else getattr(a, "range_id", type(a).__name__)
-                for a in args
-            )
-            self.calls.append((self.sim.now, method, plain))
-
-        return hook
-
-
-def _settled(event):
-    if not event.triggered:
-        return ("pending",)
-    if event.ok:
-        return ("ok", event.value)
-    return (type(event.exception).__name__, str(event.exception))
 
 
 def _data(rm, page, salt=0):
@@ -130,8 +101,7 @@ def _retries(cluster, deployment, rm, out):
     for page in range(4):
         yield from _write(rm, page, out)
     # Two data hosts cut off while the splits are in flight: too few acks,
-    # a probe and a backoff, then a degraded try; then the hosts come back
-    # and regeneration restores clean writes.
+    # a probe, a backoff and another try.
     hosts = [_host(rm, position) for position in (0, 1)]
     write = rm.write(1, _data(rm, 1, salt=70))
     yield cluster.sim.timeout(rm._issue_us[rm.config.k] + 0.2)
@@ -254,9 +224,9 @@ def _run(scenario, payload_mode, oracle):
     recorder = _Recorder(cluster.sim)
     rm.add_observer(recorder)
     out = []
-    driver = cluster.sim.process(drive(cluster, deployment, rm, out))
-    cluster.sim.run_until_triggered(driver)
-    assert driver.ok, driver.exception
+    scenario_run = cluster.sim.process(drive(cluster, deployment, rm, out))
+    cluster.sim.run_until_triggered(scenario_run)
+    assert scenario_run.ok, scenario_run.exception
     spans = [
         (s.span_id, s.parent_id, s.name, s.cat, s.machine_id, s.start_us, s.end_us,
          dict(s.tags))
@@ -418,12 +388,3 @@ def test_a_failed_degraded_write_leaves_no_reader_behind(monkeypatch):
     sim.run(until=sim.now + 100_000)
     assert read.triggered and read.value == make_page(0)
     assert 0 not in rm._inflight_writes
-
-
-def test_a_fenced_write_is_refused():
-    cluster, _deployment, rm = _deploy("phantom")
-    rm.fence("test")
-    write = rm.write(0)
-    cluster.sim.run(until=1_000)
-    assert isinstance(write.exception, RemoteMemoryUnavailable)
-    assert rm.events["fenced_writes"] == 1
