@@ -78,7 +78,6 @@ class InvariantMonitor:
         *,
         check_interval_us: float = 100_000.0,
         confirm_grace_us: float = 50_000.0,
-        liveness_timeout_us: Optional[float] = None,
         flight=None,
     ):
         self.cluster = cluster
@@ -92,11 +91,7 @@ class InvariantMonitor:
         self.confirm_grace_us = confirm_grace_us
         # One full RPC round plus the silent-target timeout, twice over:
         # any single regeneration attempt exceeding this is stuck.
-        self.liveness_timeout_us = (
-            liveness_timeout_us
-            if liveness_timeout_us is not None
-            else 2.0 * (_REGEN_TIMEOUT_US + config.control_period_us)
-        )
+        self.liveness_timeout_us = 2.0 * (_REGEN_TIMEOUT_US + config.control_period_us)
 
         self.pages: Dict[int, _PageState] = {}
         self.open_regens: Dict[Tuple[int, int], float] = {}

@@ -30,7 +30,6 @@ class HydraNode:
         config: HydraConfig,
         peer_provider: Callable[[], List[int]],
         rng: RandomSource,
-        reclaim_sink: Optional[Callable[[], object]] = None,
         start_monitor: bool = True,
     ):
         self.machine = machine
@@ -48,9 +47,7 @@ class HydraNode:
             placer,
             rng.child("rm"),
         )
-        self.monitor = ResourceMonitor(
-            machine, config, self.endpoint, rng.child("monitor"), reclaim_sink
-        )
+        self.monitor = ResourceMonitor(machine, config, self.endpoint, rng.child("monitor"))
         if start_monitor:
             self.monitor.start()
 

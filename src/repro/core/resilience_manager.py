@@ -1357,8 +1357,10 @@ class ResilienceManager:
                 return
             phases.mark("handoff")
             # The monitor calls back when rebuilt; guard against it dying
-            # mid-rebuild with a timeout + retry.
-            deadline = self.sim.timeout(_REGEN_TIMEOUT_US)
+            # mid-rebuild with a timeout + retry. If the call-back wins, the
+            # deadline's record still fires later and changes nothing.
+            deadline = self.sim.event(name=f"regen-deadline:{key}")
+            self.sim.call_later(_REGEN_TIMEOUT_US, deadline.succeed_now)
             yield self.sim.any_of([waiter, deadline])
             phases.mark("rebuild_wait")
             if not waiter.triggered:
@@ -1369,10 +1371,6 @@ class ResilienceManager:
                 # RPCs against a cluster that just demonstrated it is slow.
                 self._retry_regeneration_later(address_range, position)
                 return
-            if not deadline.processed:
-                # The RPC won the race: revoke the 5 s deadline timer so it
-                # does not linger in the engine heap until it expires.
-                deadline.cancel()
             result = waiter.value
             new_handle = SlabHandle(
                 machine_id=result["machine_id"], slab_id=result["slab_id"]

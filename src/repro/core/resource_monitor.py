@@ -8,9 +8,7 @@ ControlPeriod it:
   batch eviction (evict the E least-frequently-accessed of E + E' sampled
   slabs, notifying the owning Resilience Managers first);
 * *proactively allocates* FREE slabs when memory is plentiful, so remote
-  map requests are served instantly (Fig 7b);
-* optionally nudges the co-located Resilience Manager to reclaim its own
-  remote pages when local memory frees up.
+  map requests are served instantly (Fig 7b).
 
 It also serves the control-plane RPCs (load queries, slab map/unmap) and
 executes background slab regeneration hand-offs: reading k source slabs in
@@ -19,7 +17,7 @@ bulk, re-encoding the lost split position, and calling the owner back.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..cluster import Machine, PhantomSplit, Slab, SlabState, recoverable_versions
 from ..ec import ReedSolomonCode
@@ -56,7 +54,6 @@ class ResourceMonitor:
         config: HydraConfig,
         endpoint: RpcEndpoint,
         rng: RandomSource,
-        reclaim_sink: Optional[Callable[[], object]] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -65,7 +62,6 @@ class ResourceMonitor:
         self.config = config
         self.endpoint = endpoint
         self.rng = rng
-        self.reclaim_sink = reclaim_sink
         self.tracer, self.metrics = default_obs(machine.fabric, self.sim, tracer, metrics)
         metrics = self.metrics
         self.events = metrics.counter_group(f"monitor.{machine.id}.events")
@@ -195,10 +191,6 @@ class ResourceMonitor:
             free_count += 1
             self.events.incr("slabs_preallocated")
             free_fraction = self.machine.free_bytes / self.machine.total_memory_bytes
-        if self.reclaim_sink is not None and free_fraction > config.headroom_fraction:
-            # Local memory is plentiful: hint the co-located RM to bring
-            # remote pages home (the sink performs the actual reclaim).
-            self.reclaim_sink()
 
     # ------------------------------------------------------------------
     # control-plane handlers

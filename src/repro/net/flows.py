@@ -20,8 +20,8 @@ class BackgroundFlow:
     """A long-running bulk flow hammering one machine's NIC.
 
     Each iteration holds the NIC busy for ``message_bytes`` worth of
-    serialization time, then idles for ``gap_us``; with the default gap of
-    zero the flow is continuous, matching the paper's setup.
+    serialization time, back to back: the flow is continuous, matching the
+    paper's setup.
     """
 
     def __init__(
@@ -29,14 +29,12 @@ class BackgroundFlow:
         fabric: RdmaFabric,
         target_id: int,
         message_bytes: int = 1 << 30,
-        gap_us: float = 0.0,
         duration_us: Optional[float] = None,
     ):
         self.fabric = fabric
         self.sim = fabric.sim
         self.target_id = target_id
         self.message_bytes = message_bytes
-        self.gap_us = gap_us
         self.duration_us = duration_us
         self.active = False
         self._process: Optional[Process] = None
@@ -46,10 +44,6 @@ class BackgroundFlow:
             raise RuntimeError("flow already started")
         self._process = self.sim.process(self._run(), name=f"bgflow->{self.target_id}")
         return self._process
-
-    def stop(self) -> None:
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("flow stopped")
 
     def _run(self):
         nic = self.fabric.nic(self.target_id)
@@ -64,7 +58,7 @@ class BackgroundFlow:
                     and self.sim.now - started >= self.duration_us
                 ):
                     return
-                yield self.sim.timeout(transfer + self.gap_us)
+                yield self.sim.timeout(transfer)
         finally:
             nic.background_flows -= 1
             self.active = False

@@ -163,7 +163,6 @@ def run_shards(
     progress: Optional[Callable[[str], None]] = None,
     name: str = "parallel",
     serial_in_process: bool = True,
-    mp_context=None,
 ) -> List[ShardResult]:
     """Run every task; return :class:`ShardResult` s **ordered by key**.
 
@@ -230,7 +229,7 @@ def run_shards(
             note(result)
         return [results[key] for key in keys]
 
-    ctx = mp_context or _default_context()
+    ctx = _default_context()
     pending: List[ShardTask] = list(reversed(ordered))  # pop() -> key order
     active: Dict[Any, tuple] = {}  # conn -> (task, proc, attempt, started)
 

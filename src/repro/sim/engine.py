@@ -10,13 +10,17 @@ Core concepts
 ``Event``
     A one-shot occurrence. It can *succeed* with a value or *fail* with an
     exception. Callbacks attached to the event run when the simulator
-    processes it.
+    processes it. An event is pending, triggered or processed, nothing
+    else: a triggered event cannot be revoked, so a deadline that may lose
+    a race is a ``call_later(delay, event.succeed_now)`` whose late firing
+    changes nothing.
 ``Timeout``
     An event that succeeds after a fixed simulated delay.
 ``Process``
     A generator wrapped as a coroutine. Each ``yield event`` suspends the
     process until the event triggers; the event's value is returned from the
     ``yield`` expression (or its exception is thrown into the generator).
+    ``Process.throw`` raises an exception at the process's current yield.
 ``AnyOf`` / ``AllOf``
     Composite conditions over several events.
 ``Simulator``
@@ -50,7 +54,7 @@ Example
 
 from __future__ import annotations
 
-from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
+from heapq import heappop as _heappop, heappush as _heappush
 from types import FunctionType as _FunctionType, MethodType as _MethodType
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -60,7 +64,6 @@ __all__ = [
     "Process",
     "AnyOf",
     "AllOf",
-    "Interrupt",
     "SimulationError",
     "Simulator",
 ]
@@ -70,30 +73,15 @@ class SimulationError(Exception):
     """Raised for misuse of the simulation kernel."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The interrupting party supplies ``cause``, available via
-    ``exc.cause`` in the interrupted process.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 # Event lifecycle states.
 _PENDING = 0  # not yet triggered
 _TRIGGERED = 1  # scheduled for processing, value/exception set
 _PROCESSED = 2  # callbacks have run
-# Negative so the `triggered` check (state >= _TRIGGERED) stays one compare.
-_CANCELLED = -1  # scheduled entry revoked; the dispatcher discards it
 
 _STATE_NAMES = {
     _PENDING: "pending",
     _TRIGGERED: "triggered",
     _PROCESSED: "processed",
-    _CANCELLED: "cancelled",
 }
 
 _INF = float("inf")
@@ -101,10 +89,6 @@ _INF = float("inf")
 # Dispatch-loop fast path: scheduled completions are plain closures and
 # process starts are bound methods (`_FunctionType`, `_MethodType`), so two
 # exact class checks skip the isinstance(Event) probe for the common cases.
-
-# Cancelled-entry compaction: sweep the queue once at least this many
-# cancelled entries are buffered AND they outnumber the live entries.
-_COMPACT_MIN = 64
 
 
 class Event:
@@ -136,11 +120,6 @@ class Event:
         return self._state == _PROCESSED
 
     @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has revoked the scheduled event."""
-        return self._state == _CANCELLED
-
-    @property
     def ok(self) -> bool:
         """True when the event succeeded (valid only once triggered)."""
         return self._ok
@@ -148,7 +127,7 @@ class Event:
     @property
     def value(self) -> Any:
         """The event's result; raises its exception if the event failed."""
-        if self._state == _PENDING or self._state == _CANCELLED:
+        if self._state == _PENDING:
             raise SimulationError(f"value of {self!r} is not available")
         if not self._ok:
             raise self._value
@@ -204,29 +183,6 @@ class Event:
         self._value = exc
         self._state = _TRIGGERED
         self.sim._schedule(self)
-        return self
-
-    def cancel(self) -> "Event":
-        """Revoke a triggered-but-unprocessed event (e.g. a pending
-        :class:`Timeout` deadline that lost a race).
-
-        The scheduled entry is discarded lazily: callbacks are dropped now
-        and the eventual pop neither advances the clock nor runs anything.
-        Cancelled entries are additionally *compacted* — once they
-        outnumber the live entries (and exceed a small floor), one sweep
-        reclaims their queue slots so a cancel-heavy workload
-        (timeout races) cannot pin memory until the simulated deadline
-        arrives. Cancelling an event that has not been scheduled (pending)
-        or has already been processed is an error.
-        """
-        if self._state != _TRIGGERED:
-            raise SimulationError(f"cannot cancel {self!r}")
-        self._state = _CANCELLED
-        self.callbacks = []
-        sim = self.sim
-        sim._cancel_pending = pending = sim._cancel_pending + 1
-        if pending >= _COMPACT_MIN and pending * 2 > len(sim._queue):
-            sim._compact()
         return self
 
     def __repr__(self) -> str:
@@ -286,17 +242,13 @@ class Process(Event):
         succeeded with None, which a generator's first ``send`` takes."""
         self._resume(self)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield."""
-        self.throw(Interrupt(cause))
-
     def throw(self, exc: BaseException) -> None:
         """Raise ``exc`` at the process's current yield, now, via the queue."""
         if not self.is_alive:
             return
         self._detach()
-        failer = Event(self.sim, name=f"interrupt:{self.name}")
-        failer.callbacks.append(self._interrupted)
+        failer = Event(self.sim, name=f"throw:{self.name}")
+        failer.callbacks.append(self._thrown)
         failer.fail(exc)
 
     def _detach(self) -> None:
@@ -308,11 +260,11 @@ class Process(Event):
                 pass
             self._waiting_on = None
 
-    def _interrupted(self, failer: Event) -> None:
-        """Deliver a scheduled interrupt. The process may have started
-        waiting since :meth:`interrupt` ran — its start record had not
-        fired yet, or an earlier interrupt of the same instant was caught
-        and it sleeps again — and that event must not resume it as well."""
+    def _thrown(self, failer: Event) -> None:
+        """Deliver a scheduled throw. The process may have started waiting
+        since :meth:`throw` ran — its start record had not fired yet, or an
+        earlier throw of the same instant was caught and it sleeps again —
+        and that event must not resume it as well."""
         if self.is_alive:
             self._detach()
             self._resume(failer)
@@ -429,8 +381,6 @@ class Simulator:
         # bare callable, or a list of callables (one fused
         # `call_later_batch` record, seqs consecutive from seq).
         self._queue: List[tuple] = []
-        # Cancelled events still resident in `_queue` (see Event.cancel).
-        self._cancel_pending = 0
 
     @property
     def _active(self) -> int:
@@ -503,23 +453,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def _compact(self) -> None:
-        """Drop cancelled entries from the queue in one sweep.
-
-        Observationally free: a cancelled entry would have been discarded
-        at dispatch with no clock advance and no callbacks, so removing it
-        early changes nothing but memory. The list is rewritten in place —
-        a running drain holds a reference to it.
-        """
-        queue = self._queue
-        queue[:] = [
-            entry
-            for entry in queue
-            if not (isinstance(entry[2], Event) and entry[2]._state == _CANCELLED)
-        ]
-        _heapify(queue)
-        self._cancel_pending = 0
-
     # -- execution -------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
@@ -554,8 +487,8 @@ class Simulator:
         target) is never removed, so a stopped drain leaves the queue
         exactly as the next one needs it. Entries scheduled during
         dispatch — same-time arrivals included — land in the heap behind
-        every earlier sequence number. Cancelled entries are discarded
-        without advancing the clock.
+        every earlier sequence number. Every record moves the clock to its
+        time and runs: no state is tested before an ``Event`` dispatches.
         """
         queue = self._queue
         while target._state == _PENDING and queue and queue[0][0] <= horizon:
@@ -569,15 +502,12 @@ class Simulator:
                 for fn in obj:
                     fn()
             elif isinstance(obj, Event):
-                if obj._state != _CANCELLED:
-                    self.now = when
-                    callbacks = obj.callbacks
-                    obj.callbacks = []
-                    obj._state = _PROCESSED
-                    for callback in callbacks:
-                        callback(obj)
-                elif self._cancel_pending:  # revoked: no clock advance
-                    self._cancel_pending -= 1
+                self.now = when
+                callbacks = obj.callbacks
+                obj.callbacks = []
+                obj._state = _PROCESSED
+                for callback in callbacks:
+                    callback(obj)
             else:
                 self.now = when
                 obj()  # bare call_later callable

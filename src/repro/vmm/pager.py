@@ -157,7 +157,7 @@ class PagedMemory:
                         else:
                             page_bytes = yield self.backend.read(page_id)
                         break
-                    except Exception:  # noqa: BLE001 - backend-specific errors
+                    except _TRANSIENT_ERRORS:
                         if attempt == self.read_retries:
                             raise
                         self.stats.incr("read_stalls")

@@ -15,9 +15,6 @@ from repro.sim.engine import _PENDING, _PROCESSED
 class ScanSimulator(Simulator):
     """``Simulator`` whose drain picks ``min(queue)`` by linear scan."""
 
-    def _compact(self) -> None:
-        """Reference behaviour: cancelled entries are only skipped at dispatch."""
-
     def _drain(self, target: Event, horizon: float) -> None:
         queue = self._queue
         while target._state == _PENDING and queue:
@@ -31,8 +28,6 @@ class ScanSimulator(Simulator):
                 for fn in obj:
                     fn()
             elif isinstance(obj, Event):
-                if obj.cancelled:
-                    continue  # no clock advance, no callbacks
                 self.now = when
                 callbacks, obj.callbacks = obj.callbacks, []
                 obj._state = _PROCESSED

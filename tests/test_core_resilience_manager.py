@@ -769,33 +769,41 @@ class TestWriteIsOneProcess:
 
 
 class TestRegenerationScheduling:
-    def test_regen_deadline_cancelled_after_success(self):
-        """When the regeneration RPC wins the race, the 5 s give-up timer
-        must be revoked, not left live in the engine heap."""
-        from repro.sim import Event
-
+    def test_regen_deadline_is_a_late_noop(self):
+        """When the monitor's call-back wins the race, the 5 s give-up
+        record still fires later and changes nothing: no timeout is
+        counted, no retry starts and the rebuilt position stays live."""
         cluster, rm = deploy(k=4, r=2, machines=10)
+        sim = cluster.sim
 
         def proc():
             for pid in range(4):
                 yield rm.write(pid, make_page(pid))
             victim = rm.space.get(0).handle(0).machine_id
             cluster.machine(victim).fail()
-            yield cluster.sim.timeout(2_000_000)
-            return "ok"
+            yield sim.timeout(2_000_000)
+            return victim
 
-        assert drive(cluster.sim, proc()) == "ok"
-        assert rm.events["regenerations"] >= 1
-        sim = cluster.sim
-        stale_timers = [
-            when
+        victim = drive(sim, proc())
+        regenerations = rm.events["regenerations"]
+        assert regenerations >= 1
+        ((deadline_at, deadline),) = [
+            (when, entry.__self__)
             for (when, _seq, entry) in sim._queue
-            if isinstance(entry, Event)
-            and not entry.cancelled
-            and not entry.processed
-            and when > sim.now + 1_000_000
+            if getattr(entry, "__name__", "") == "succeed_now"
+            and entry.__self__.name.startswith("regen-deadline:")
         ]
-        assert stale_timers == []
+        assert not deadline.triggered
+        started = []
+        spawn = sim.process
+        sim.process = lambda generator, name="": started.append(name) or spawn(generator, name)
+        sim.run(until=deadline_at + 1.0)
+        assert deadline.processed
+        assert rm.events["regen_timeouts"] == 0
+        assert rm.events["regenerations"] == regenerations
+        handle = rm.space.get(0).handle(0)
+        assert handle.available and handle.machine_id != victim
+        assert not [name for name in started if name.startswith("regen-retry")]
 
     def test_regen_retry_backs_off_a_control_period(self):
         """A timed-out regeneration must retry after a control period,

@@ -2,14 +2,11 @@
 
 The dispatch-order contract (docs/SCALING.md) says entries are processed
 in exact ``(time, seq)`` order — same-timestamp batches in FIFO schedule
-order, cancelled entries silently skipped, fused ``call_later_batch``
-records expanded in sequence order. These tests interpret the same
-randomly generated schedule program on the production ``Simulator`` (a
-binary heap) and on the definitional oracle (``tests/scan_oracle.py``:
-dispatch the minimum record, found by linear scan) and require the full
-dispatch logs to match, across 20 seeds and with the heap's one piece of
-storage bookkeeping — the cancelled-entry sweep that filters and
-re-heapifies the queue — forced to run on every cancel.
+order, fused ``call_later_batch`` records expanded in sequence order.
+These tests interpret the same randomly generated schedule program on the
+production ``Simulator`` (a binary heap) and on the definitional oracle
+(``tests/scan_oracle.py``: dispatch the minimum record, found by linear
+scan) and require the full dispatch logs to match, across 20 seeds.
 
 ``run`` and ``run_until_triggered`` share one drain, so the program is
 also driven in slices — ``run(until=now+d)`` alternating with
@@ -22,9 +19,9 @@ The program interpreter is deterministic *given the dispatch order*:
 each fired node issues the next scripted node, so any ordering
 divergence cascades into visibly different logs.
 
-Test names and parameter ids (``calendar``, ``_tiny_ring``) date from the
-calendar-ring scheduler these tests were written against; they are kept
-so the suite's recorded test list stays comparable across the swap.
+Test names (``calendar``) and the one-value ``make_sim`` parameter date
+from earlier schedulers and variants these tests were written against;
+they are kept so the suite's recorded test list stays comparable.
 """
 
 import random
@@ -32,40 +29,16 @@ from functools import partial
 
 import pytest
 
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator
 
 from .scan_oracle import ScanSimulator
 
 # Delays are chosen to collide (same-timestamp batches), to interleave
 # closely, and to sit thousands of microseconds behind everything else.
 _DELAYS = (0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 3.0, 7.5, 64.0, 4095.5, 4096.0, 9999.0)
-_KINDS = (
-    "call", "call", "batch", "timeout", "timeout", "event", "event_now", "cancel", "noop"
-)
+_KINDS = ("call", "call", "batch", "timeout", "timeout", "event", "event_now", "noop")
 # Slice lengths: shorter than, between and far beyond the delays above.
 _SLICES = (0.0, 0.25, 1.0, 2.0, 3.5, 63.5, 4095.5, 4096.0, 5000.0)
-
-
-class _SweepingTimeout(Timeout):
-    __slots__ = ()
-
-    def cancel(self):
-        super().cancel()
-        self.sim._compact()
-        return self
-
-
-class _SweepEveryCancel(Simulator):
-    """The heap's pathological geometry: every cancel sweeps the queue
-    (filter + heapify), mid-drain included. The production threshold (64
-    cancelled entries, and a majority) is never reached by these 160-node
-    programs, so without this the sweep would go untested for order."""
-
-    def timeout(self, delay, value=None):
-        return _SweepingTimeout(self, delay, value)
-
-
-_tiny_ring = pytest.param(_SweepEveryCancel, id="_tiny_ring")
 
 
 def _one_shot(sim, arm, issue):
@@ -104,7 +77,6 @@ def _run_schedule(make_sim, seed: int, drive=_one_shot):
     ]
     sim = make_sim()
     log = []
-    cancellable = []
     cursor = [0]
     watch = []  # [dispatches left, target]: the armed run_until_triggered stop
 
@@ -134,7 +106,6 @@ def _run_schedule(make_sim, seed: int, drive=_one_shot):
         elif kind == "timeout":
             timeout = sim.timeout(delay)
             timeout.callbacks.append(lambda ev: fire(i))
-            cancellable.append(timeout)
         elif kind == "event":
             event = sim.event()
             event.callbacks.append(lambda ev: fire(i))
@@ -143,15 +114,10 @@ def _run_schedule(make_sim, seed: int, drive=_one_shot):
             event = sim.event()
             event.callbacks.append(lambda ev: fire(i))
             event.succeed_now(i)
-        elif kind == "cancel":
-            live = [t for t in cancellable if not t.processed and not t.cancelled]
-            if live:
-                live[-(pick % len(live)) - 1].cancel()
-            issue()  # a cancel consumes no dispatch; keep the program flowing
         else:
             issue()
 
-    for _ in range(8):  # several roots so cancelled chains don't starve the run
+    for _ in range(8):  # several roots, so independent chains interleave
         issue()
     drive(sim, arm, issue)
     return log, (sim.now, sim._active)
@@ -162,12 +128,7 @@ def test_calendar_matches_heap_reference(seed):
     assert _run_schedule(Simulator, seed) == _run_schedule(ScanSimulator, seed)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_tiny_ring_matches_heap_reference(seed):
-    assert _run_schedule(_SweepEveryCancel, seed) == _run_schedule(ScanSimulator, seed)
-
-
-@pytest.mark.parametrize("make_sim", [Simulator, _tiny_ring])
+@pytest.mark.parametrize("make_sim", [Simulator])
 @pytest.mark.parametrize("seed", range(20))
 def test_sliced_drain_matches_one_shot_and_heap(seed, make_sim):
     """Slicing a run changes where the drain stops and resumes, never what
@@ -179,7 +140,7 @@ def test_sliced_drain_matches_one_shot_and_heap(seed, make_sim):
         assert (log, scheduled) == (ref_log, ref_scheduled)
 
 
-@pytest.mark.parametrize("make_sim", [Simulator, _tiny_ring])
+@pytest.mark.parametrize("make_sim", [Simulator])
 @pytest.mark.parametrize("seed", range(20))
 def test_sliced_drain_with_outside_schedules_matches_heap(seed, make_sim):
     """Scheduling between slices moves the program off the one-shot log,

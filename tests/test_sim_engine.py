@@ -6,7 +6,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     SimulationError,
     Simulator,
     Timeout,
@@ -14,6 +13,10 @@ from repro.sim import (
 
 from .conftest import drive
 from .scan_oracle import ScanSimulator
+
+
+class Wake(Exception):
+    """What the tests throw into a process."""
 
 
 class TestEvent:
@@ -176,14 +179,14 @@ class TestProcess:
         def sleeper():
             try:
                 yield sim.timeout(100)
-            except Interrupt as interrupt:
-                log.append((sim.now, interrupt.cause))
+            except Wake as wake:
+                log.append((sim.now, str(wake)))
                 return "interrupted"
             return "slept"
 
         def interrupter(target):
             yield sim.timeout(5)
-            target.interrupt("wake up")
+            target.throw(Wake("wake up"))
 
         target = sim.process(sleeper())
         sim.process(interrupter(target))
@@ -193,20 +196,20 @@ class TestProcess:
         assert log == [(5.0, "wake up")]
 
     def test_interrupt_before_the_first_resume_detaches_from_the_first_wait(self):
-        """An interrupt scheduled before the bootstrap record fired is
-        delivered at the first yield; the event awaited there must not
-        resume the process a second time."""
+        """A throw scheduled before the bootstrap record fired is delivered
+        at the first yield; the event awaited there must not resume the
+        process a second time."""
         from repro.cluster import Cluster
         from repro.net import BackgroundFlow
 
         cluster = Cluster(machines=2, seed=1)
         flow = BackgroundFlow(cluster.fabric, 1, message_bytes=1 << 20)
         process = flow.start()
-        flow.stop()  # same instant: the flow has not run its first step yet
+        process.throw(Wake("flow stopped"))  # same instant: no first step yet
         # Used to raise "<bgflow->1 processed> has already been triggered".
         cluster.sim.run(until=1e6)
         assert not process.is_alive and not flow.active
-        assert isinstance(process.exception, Interrupt)
+        assert isinstance(process.exception, Wake)
 
     def test_interrupted_sleeper_is_not_woken_by_its_stale_timeout(self, sim):
         log = []
@@ -214,19 +217,19 @@ class TestProcess:
         def victim():
             try:
                 yield sim.timeout(10)
-            except Interrupt as interrupt:
-                log.append((sim.now, interrupt.cause))
+            except Wake as wake:
+                log.append((sim.now, str(wake)))
             yield sim.timeout(100)  # the 10 us timeout above must not cut this short
             return sim.now
 
         def twice():
             try:
                 yield sim.timeout(10)
-            except Interrupt:
+            except Wake:
                 pass
             try:
                 yield sim.timeout(20)
-            except Interrupt:
+            except Wake:
                 log.append((sim.now, "second"))
             yield sim.timeout(100)
             return sim.now
@@ -236,15 +239,15 @@ class TestProcess:
             yield  # pragma: no cover - makes this a generator
 
         process = sim.process(victim())
-        process.interrupt("before the bootstrap")
-        # A process that ends in its first step has nothing left to interrupt.
+        process.throw(Wake("before the bootstrap"))
+        # A process that ends in its first step has nothing left to throw into.
         quick = sim.process(done_at_once())
-        quick.interrupt()
-        # Two interrupts in one instant: the second is delivered at the
-        # yield the first one led to, and detaches from that one too.
+        quick.throw(Wake())
+        # Two throws in one instant: the second is delivered at the yield
+        # the first one led to, and detaches from that one too.
         double = sim.process(twice())
-        double.interrupt()
-        double.interrupt()
+        double.throw(Wake())
+        double.throw(Wake())
         sim.run()
         assert log == [(0.0, "before the bootstrap"), (0.0, "second")]
         assert process.value == 100.0 and double.value == 100.0
@@ -278,7 +281,7 @@ class TestProcess:
 
         process = sim.process(quick())
         sim.run()
-        process.interrupt("too late")  # must not raise
+        process.throw(Wake("too late"))  # must not raise
         sim.run()
 
 
@@ -461,59 +464,9 @@ class TestSimulatorRun:
         assert seen == [1.0]
 
 
-class TestCancel:
-    def test_cancel_skips_callbacks_and_clock(self, sim):
-        seen = []
-        late = sim.timeout(50.0)
-        late.callbacks.append(lambda e: seen.append(sim.now))
-        sim.timeout(10.0)
-        late.cancel()
-        sim.run()
-        assert seen == []
-        assert late.cancelled
-        assert sim.now == 10.0  # the cancelled entry never advanced time
-
-    def test_cancel_pending_event_rejected(self, sim):
-        event = sim.event()
-        with pytest.raises(SimulationError):
-            event.cancel()
-
-    def test_cancel_processed_event_rejected(self, sim):
-        timeout = sim.timeout(1.0)
-        sim.run()
-        assert timeout.processed
-        with pytest.raises(SimulationError):
-            timeout.cancel()
-
-    def test_cancel_twice_rejected(self, sim):
-        timeout = sim.timeout(1.0)
-        timeout.cancel()
-        with pytest.raises(SimulationError):
-            timeout.cancel()
-
-    def test_cancelled_value_raises(self, sim):
-        timeout = sim.timeout(1.0)
-        timeout.cancel()
-        with pytest.raises(SimulationError):
-            _ = timeout.value
-
-    def test_run_until_triggered_skips_cancelled(self, sim):
-        doomed = sim.timeout(5.0)
-        doomed.cancel()
-
-        def target():
-            yield sim.timeout(10.0)
-            return "done"
-
-        process = sim.process(target())
-        sim.run_until_triggered(process, until=100)
-        assert process.value == "done"
-
-
 class TestBatchedDispatch:
-    """The drain's visible contract at one timestamp: FIFO order,
-    same-time arrivals joining the drain, and cancelled entries never
-    advancing the clock."""
+    """The drain's visible contract at one timestamp: FIFO order and
+    same-time arrivals joining the drain."""
 
     def test_same_timestamp_fifo_order(self, sim):
         seen = []
@@ -536,24 +489,6 @@ class TestBatchedDispatch:
         assert seen == ["first", "second"]
         assert sim.now == 3.0
 
-    def test_trailing_cancelled_entries_leave_clock(self, sim):
-        sim.timeout(10.0)
-        doomed = sim.timeout(50.0)
-        doomed.cancel()
-        sim.run()
-        assert sim.now == 10.0
-
-    def test_cancelled_entry_inside_a_batch_is_skipped(self, sim):
-        seen = []
-        kept = sim.timeout(10.0)
-        doomed = sim.timeout(10.0)
-        kept.callbacks.append(lambda e: seen.append("kept"))
-        doomed.callbacks.append(lambda e: seen.append("doomed"))
-        doomed.cancel()
-        sim.run()
-        assert seen == ["kept"]
-        assert sim.now == 10.0
-
     def test_horizon_stops_before_later_batch(self, sim):
         seen = []
         sim.call_later(10.0, lambda: seen.append("in"))
@@ -571,39 +506,8 @@ class TestBatchedDispatch:
 
 
 class TestQueueStorage:
-    """Storage contracts of the queue: cancelled entries must not pin
-    their slots until the simulated deadline, and an insert earlier than
-    the record a drain stopped at dispatches first."""
-
-    @staticmethod
-    def _mass_cancel(sim, deadline):
-        keeper = sim.timeout(5.0)
-        doomed = [sim.timeout(deadline) for _ in range(200)]
-        assert len(sim._queue) == 201
-        for timeout in doomed:
-            timeout.cancel()
-        # A sweep runs once 64 cancelled entries are the majority, so what
-        # is left is the live entry plus fewer than one floor's worth.
-        assert len(sim._queue) < 1 + 64
-        sim.run()
-        assert keeper.processed
-        assert sim.now == 5.0  # cancelled entries never advance time
-
-    def test_mass_cancel_of_near_deadlines_compacts(self, sim):
-        self._mass_cancel(sim, deadline=5.0)
-
-    def test_mass_cancel_of_far_deadlines_compacts(self, sim):
-        self._mass_cancel(sim, deadline=1e6)
-
-    def test_compaction_resets_pending_counter(self, sim):
-        doomed = [sim.timeout(1.0) for _ in range(300)]
-        for timeout in doomed:
-            timeout.cancel()
-        # Whatever tail is still resident, the counter matches it: every
-        # sweep zeroed the counter alongside the storage.
-        resident = [entry[2] for entry in sim._queue]
-        assert resident and all(event.cancelled for event in resident)
-        assert sim._cancel_pending == len(resident)
+    """Storage contract of the queue: an insert earlier than the record a
+    drain stopped at dispatches first."""
 
     def test_insert_behind_a_parked_clock_dispatches_first(self):
         """``run(until)`` parks the clock short of the next record; what is

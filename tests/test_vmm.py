@@ -144,6 +144,35 @@ class TestEviction:
 
 
 class TestApi:
+    def test_a_failed_page_in_is_retried_only_when_transient(self):
+        """A backend error that is not transient (a bug) surfaces on the
+        first read; a transient one stalls the fault and retries."""
+        from repro.baselines import BackendError
+
+        for error, reads, stalls in ((ValueError, 1, 0), (BackendError, 2, 1)):
+            cluster, pager = build_pager(resident_pages=1)
+            sim = cluster.sim
+            read, tries = pager.backend.read, []
+
+            def flaky_read(page_id, parent=None):
+                tries.append(page_id)
+                if len(tries) == 1:
+                    return sim.event().fail(error("page-in failed"))
+                return read(page_id)
+
+            def proc():
+                yield pager.access(0, write=True, data=make_page(0))
+                yield pager.access(1, write=True, data=make_page(1))  # evicts 0
+                pager.backend.read = flaky_read
+                try:
+                    return (yield pager.access(0))
+                except ValueError as exc:
+                    return exc
+
+            got = drive(cluster.sim, proc())
+            assert len(tries) == reads and pager.stats["read_stalls"] == stalls
+            assert isinstance(got, ValueError) if error is ValueError else got == make_page(0)
+
     def test_preload(self):
         cluster, pager = build_pager(resident_pages=16)
         drive(cluster.sim, _preload(pager))
